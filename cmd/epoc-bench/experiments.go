@@ -37,7 +37,7 @@ var benchCtx = context.Background()
 var benchBudgets core.Budgets
 
 // benchObs (set when -debug-addr is live) is the recorder the debug
-// server publishes over expvar; compiles that don't carry their own
+// server exposes on /metrics; compiles that don't carry their own
 // recorder report into it so the endpoint shows live counters.
 var benchObs *obs.Recorder
 

@@ -56,7 +56,7 @@ func main() {
 		jsonDir    = flag.String("json", "", "with -suite: write the BENCH_<suite>.json artifact into this directory")
 		baseline   = flag.String("baseline", "", "with -suite: compare against this artifact and exit non-zero on regression")
 		storeFlag  = flag.String("store", "", "with -suite: run full GRAPE backed by a persistent pulse/synth store at this root (artifact becomes BENCH_<suite>_warm.json)")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof and expvar obs counters on this address while the run is live")
+		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof and the /metrics obs exposition on this address while the run is live")
 	)
 	flag.Parse()
 	statsMode = *stats

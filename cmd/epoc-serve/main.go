@@ -42,7 +42,7 @@ func main() {
 		retainJobs      = flag.Int("retain-jobs", 128, "finished jobs kept queryable via GET /v1/compile/{id}")
 		maxQubits       = flag.Int("max-qubits", 256, "reject circuits wider than this")
 		maxBody         = flag.Int64("max-body-bytes", 1<<20, "request body size cap")
-		noDebug         = flag.Bool("no-debug", false, "do not mount /debug/pprof and /debug/vars on the service mux")
+		noDebug         = flag.Bool("no-debug", false, "do not mount /debug/pprof on the service mux")
 		storePath       = flag.String("store", "", "persistent pulse/synth store root: warm the caches from it at startup, flush new entries after every compile")
 		logLevel        = flag.String("log-level", "info", "structured JSON log level on stderr: debug | info | warn | error | off (SERVING.md \"Logging\")")
 	)

@@ -54,7 +54,7 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a runtime/pprof heap profile to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (load in Perfetto or chrome://tracing)")
 		reportOut  = flag.String("report", "", "write a machine-readable run manifest (metrics, obs snapshot, trace summary, config fingerprint) to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof and expvar obs counters on this address while compiling (e.g. localhost:6060)")
+		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof and the /metrics obs exposition on this address while compiling (e.g. localhost:6060)")
 		storePath  = flag.String("store", "", "persistent pulse/synth store root: reuse pulses from earlier runs, warm-start GRAPE from near matches, flush new entries on exit")
 	)
 	flag.Parse()

@@ -222,12 +222,10 @@ type Options struct {
 	// and threaded to the inner loops through this Options copy.
 	synthGate *faultclock.Gate
 	qocGate   *faultclock.Gate
-	// compileSpan is the root trace span; synthSpan/qocSpan are the
-	// stage-3/stage-5 spans, threaded to the block and pulse loops
-	// through this Options copy so their spans nest correctly.
-	compileSpan *trace.Span
-	synthSpan   *trace.Span
-	qocSpan     *trace.Span
+	// region is the instrumentation handle new regions nest under: the
+	// compile root, then the stage-5 region once QOC starts (so pulse
+	// regions nest under it), threaded through this Options copy.
+	region trace.Region
 	// warmCands/warmUs are the warm-start candidate snapshot taken at
 	// stage-5 entry (see snapshotWarmCands): the exported library
 	// entries, and a parallel matrix slice with nil holes for entries
@@ -236,40 +234,11 @@ type Options struct {
 	warmUs    []*linalg.Matrix
 }
 
-// stageSpan pairs a stage's aggregate obs timer with its trace span
-// (and, when logging is on, a stage-boundary log record) so the
-// pipeline opens and closes all three with one call.
-type stageSpan struct {
-	obs   obs.Span
-	tr    *trace.Span
-	log   *logx.Logger
-	name  string
-	start time.Time
-}
-
-func (s stageSpan) End() {
-	s.obs.End()
-	s.tr.End()
-	if s.log.Enabled() {
-		s.log.Info("stage done",
-			"stage", s.name,
-			"span", s.tr.ID(),
-			"elapsed_ms", float64(time.Since(s.start).Nanoseconds())/1e6)
-	}
-}
-
-// beginStage opens the paired obs timer and trace span for one
-// pipeline stage, the trace span a child of the compile root. The
-// wall-clock read for the log record happens only when a logger is
-// attached, keeping the disabled path identical to the pre-logging
-// pipeline.
-func (o *Options) beginStage(name string) stageSpan {
-	ss := stageSpan{obs: o.Obs.Span(name), tr: o.compileSpan.Child(name), log: o.Log, name: name}
-	if o.Log.Enabled() {
-		ss.start = time.Now()
-		o.Log.Info("stage start", "stage", name, "span", ss.tr.ID())
-	}
-	return ss
+// inStage runs f as one pipeline stage region under the compile root.
+func (o *Options) inStage(name string, f func()) {
+	sp := o.region.Stage(name)
+	defer sp.End()
+	f()
 }
 
 // stageGate builds the cancellation/budget gate for one stage: the
@@ -355,9 +324,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Seed == 0 {
 		out.Seed = 1
-	}
-	if out.Synth.Obs == nil {
-		out.Synth.Obs = out.Obs
 	}
 	if out.Synth.BudgetNodes == 0 {
 		out.Synth.BudgetNodes = out.Budgets.SynthNodes
@@ -477,17 +443,7 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 	}
 	start := time.Now()
 	hits0, misses0 := o.Library.Counts()
-	sp := o.Obs.Span("compile")
-	tsp := o.Trace.Start("compile").
-		SetStr("strategy", string(o.Strategy)).
-		SetInt("qubits", int64(c.NumQubits)).
-		SetInt("gates", int64(c.Len()))
-	defer tsp.End()
-	o.compileSpan = tsp
-	ownedStore, err := attachStore(&o)
-	if err != nil {
-		return nil, err
-	}
+	res, ownedStore, err := compileRoot(c, &o, start)
 	if ownedStore != nil {
 		defer func() {
 			if cerr := ownedStore.Close(); cerr != nil {
@@ -495,40 +451,8 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 			}
 		}()
 	}
-	var res *Result
-	switch o.Strategy {
-	case GateBased:
-		res, err = compileGateBased(c, o)
-	default:
-		res, err = compileQOC(c, o)
-	}
-	sp.End()
 	if err != nil {
-		o.Obs.Add("compile/canceled", 1)
-		tsp.SetStr("stop", "canceled")
-		if o.Log.Enabled() {
-			o.Log.Warn("compile aborted",
-				"strategy", string(o.Strategy),
-				"span", tsp.ID(),
-				"err", err.Error(),
-				"elapsed_ms", float64(time.Since(start).Nanoseconds())/1e6)
-		}
 		return nil, err
-	}
-	if res.Stats.SynthDegraded > 0 {
-		res.DegradeReasons = append(res.DegradeReasons, "synth")
-	}
-	if res.Stats.QOCDegraded > 0 {
-		res.DegradeReasons = append(res.DegradeReasons, "qoc")
-	}
-	sort.Strings(res.DegradeReasons)
-	res.Degraded = len(res.DegradeReasons) > 0
-	tsp.SetBool("degraded", res.Degraded)
-	if res.Degraded {
-		o.Obs.Add("compile/degraded", 1)
-		tsp.SetStr("degrade_reasons", strings.Join(res.DegradeReasons, ","))
-	} else {
-		o.Obs.Add("compile/completed", 1)
 	}
 	hits1, misses1 := o.Library.Counts()
 	if o.Obs != nil {
@@ -557,7 +481,7 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 	if o.Log.Enabled() {
 		o.Log.Info("compile done",
 			"strategy", string(o.Strategy),
-			"span", tsp.ID(),
+			"span", o.region.ID(),
 			"qubits", c.NumQubits,
 			"gates", c.Len(),
 			"latency_ns", res.Latency,
@@ -568,4 +492,56 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 			"elapsed_ms", float64(res.CompileTime.Nanoseconds())/1e6)
 	}
 	return res, nil
+}
+
+// compileRoot runs the pipeline inside the compile's root region, so
+// the "compile" timer and span cover store attachment and every stage
+// but not the post-compile harvest. It returns the per-compile store it
+// opened (if any) for the caller to close after harvesting.
+func compileRoot(c *circuit.Circuit, o *Options, start time.Time) (*Result, *store.Store, error) {
+	root := trace.Open(o.Trace, o.Obs, o.Log, "compile").
+		SetStr("strategy", string(o.Strategy)).
+		SetInt("qubits", int64(c.NumQubits)).
+		SetInt("gates", int64(c.Len()))
+	defer root.End()
+	o.region = root
+	ownedStore, err := attachStore(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	var res *Result
+	switch o.Strategy {
+	case GateBased:
+		res, err = compileGateBased(c, *o)
+	default:
+		res, err = compileQOC(c, *o)
+	}
+	if err != nil {
+		o.Obs.Add("compile/canceled", 1)
+		root.SetStr("stop", "canceled")
+		if o.Log.Enabled() {
+			o.Log.Warn("compile aborted",
+				"strategy", string(o.Strategy),
+				"span", root.ID(),
+				"err", err.Error(),
+				"elapsed_ms", float64(time.Since(start).Nanoseconds())/1e6)
+		}
+		return nil, ownedStore, err
+	}
+	if res.Stats.SynthDegraded > 0 {
+		res.DegradeReasons = append(res.DegradeReasons, "synth")
+	}
+	if res.Stats.QOCDegraded > 0 {
+		res.DegradeReasons = append(res.DegradeReasons, "qoc")
+	}
+	sort.Strings(res.DegradeReasons)
+	res.Degraded = len(res.DegradeReasons) > 0
+	root.SetBool("degraded", res.Degraded)
+	if res.Degraded {
+		o.Obs.Add("compile/degraded", 1)
+		root.SetStr("degrade_reasons", strings.Join(res.DegradeReasons, ","))
+	} else {
+		o.Obs.Add("compile/completed", 1)
+	}
+	return res, ownedStore, nil
 }

@@ -25,7 +25,7 @@ func compileGateBased(c *circuit.Circuit, o Options) (*Result, error) {
 	if err := o.stageGate(0).Check(faultclock.SiteStageLower); err != nil && !faultclock.IsBudget(err) {
 		return nil, err
 	}
-	sp := o.beginStage("stage/lower")
+	sp := o.region.Stage("stage/lower")
 	defer sp.End()
 	sched := pulse.NewSchedule(c.NumQubits)
 	res := &Result{Schedule: sched}
@@ -76,9 +76,7 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 		res.DegradeReasons = append(res.DegradeReasons, "zx")
 	} else if *o.UseZX {
-		sp := o.beginStage("stage/zx")
-		work = zxOptimize(work)
-		sp.End()
+		o.inStage("stage/zx", func() { work = zxOptimize(work) })
 	}
 	res.Stats.DepthAfterZX = work.Depth()
 	res.Stats.GatesAfterZX = work.Len()
@@ -91,11 +89,13 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		if err := g.Check(faultclock.SiteStageRoute); err != nil && !faultclock.IsBudget(err) {
 			return nil, err
 		}
-		sp := o.beginStage("stage/route")
-		basis := optimize.DecomposeToBasis(work)
-		topo := route.NewTopology(o.Device.NumQubits, o.Device.Edges)
-		routed, err := route.Route(basis, topo)
-		sp.End()
+		var routed *route.Result
+		var err error
+		o.inStage("stage/route", func() {
+			basis := optimize.DecomposeToBasis(work)
+			topo := route.NewTopology(o.Device.NumQubits, o.Device.Edges)
+			routed, err = route.Route(basis, topo)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -107,12 +107,13 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 	if err := g.Check(faultclock.SiteStagePartition); err != nil && !faultclock.IsBudget(err) {
 		return nil, err
 	}
-	sp := o.beginStage("stage/partition")
-	blocks := partition.Partition(work, partition.Options{
-		MaxQubits: o.PartitionMaxQubits,
-		MaxGates:  o.PartitionMaxGates,
+	var blocks []partition.Block
+	o.inStage("stage/partition", func() {
+		blocks = partition.Partition(work, partition.Options{
+			MaxQubits: o.PartitionMaxQubits,
+			MaxGates:  o.PartitionMaxGates,
+		})
 	})
-	sp.End()
 	res.Stats.Blocks = len(blocks)
 
 	// Stage 3: lower blocks. EPOC flows synthesize each block into
@@ -127,11 +128,8 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 		o.synthGate = o.stageGate(o.Budgets.SynthTime)
 		o.Synth.Gate = o.synthGate
-		sp := o.beginStage("stage/synth")
-		o.synthSpan = sp.tr
 		var err error
 		lowered, err = synthesizeBlocks(c.NumQubits, blocks, o, &res.Stats)
-		sp.End()
 		if err != nil {
 			return nil, err
 		}
@@ -156,9 +154,7 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 			pulsed = lowered
 			break
 		}
-		sp := o.beginStage("stage/regroup")
-		pulsed = synth.Regroup(lowered, o.RegroupMaxQubits)
-		sp.End()
+		o.inStage("stage/regroup", func() { pulsed = synth.Regroup(lowered, o.RegroupMaxQubits) })
 	case EPOCNoGroup:
 		pulsed = lowered
 	default:
@@ -184,9 +180,20 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		return nil, err
 	}
 	qocStart := time.Now()
+	if err := schedulePulses(c.NumQubits, pulsed, o, res); err != nil {
+		return nil, err
+	}
+	res.QOCTime = time.Since(qocStart)
+	return res, nil
+}
+
+// schedulePulses runs stage 5 inside its stage region: library prefill
+// in full mode, then one placed pulse per op of the regrouped circuit.
+func schedulePulses(n int, pulsed *circuit.Circuit, o Options, res *Result) error {
 	o.qocGate = o.stageGate(o.Budgets.QOCTime)
-	sp = o.beginStage("stage/qoc")
-	o.qocSpan = sp.tr
+	sp := o.region.Stage("stage/qoc")
+	defer sp.End()
+	o.region = sp
 	// Freeze the warm-start candidate set before any worker runs: every
 	// pulse in this compile selects its neighbour from the same
 	// snapshot, so the choice — and therefore the output — cannot
@@ -198,13 +205,13 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 	if o.Mode == QOCFull {
 		if o.Strategy == AccQOC {
 			if err := mstPrefill(pulsed, o, &res.Stats); err != nil {
-				return nil, err
+				return err
 			}
 		} else if err := prefillLibrary(pulsed, o, &res.Stats); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	sched := pulse.NewSchedule(c.NumQubits)
+	sched := pulse.NewSchedule(n)
 	res.Schedule = sched
 	for _, op := range pulsed.Ops {
 		u := op.G.Matrix()
@@ -213,7 +220,7 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 			var err error
 			p, err = pulseFor(u, op, o, &res.Stats)
 			if err != nil && !faultclock.IsBudget(err) {
-				return nil, err
+				return err
 			}
 			if err == nil {
 				o.Library.Store(u, p)
@@ -230,9 +237,7 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		sched.Add(placed)
 		res.Stats.PulseCount++
 	}
-	sp.End()
-	res.QOCTime = time.Since(qocStart)
-	return res, nil
+	return nil
 }
 
 // synthesizeBlocks runs stage 3 of the EPOC flows: every eligible
@@ -261,6 +266,8 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 // expiry instead degrades block by block to the fallback realization
 // and counts Stats.SynthDegraded.
 func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*circuit.Circuit, error) {
+	sp := o.region.Stage("stage/synth")
+	defer sp.End()
 	type class struct {
 		u   *linalg.Matrix
 		dup int // eligible blocks beyond the representative
@@ -298,52 +305,23 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 		status synth.CacheStatus
 		err    error
 	}
-	results := make([]outcome, len(classes))
-	run := func(ci int) {
-		bsp := o.Obs.Span("stage/synth/block")
+	results := runOrdered(o.Workers, len(classes), func(ci int) outcome {
 		// The class index, qubit count and duplicate count are pure
 		// functions of the circuit, so block spans sort canonically
 		// regardless of which worker ran them.
-		tsp := o.synthSpan.Child("stage/synth/block").
+		bsp := sp.Child("stage/synth/block").
 			SetInt("class", int64(ci)).
 			SetInt("qubits", int64(log2(classes[ci].u.Rows))).
 			SetInt("dup", int64(classes[ci].dup))
-		defer tsp.End()
+		defer bsp.End()
 		sopts := o.Synth
-		sopts.Span = tsp
+		sopts.Region = bsp
 		circ, ok, status, err := o.SynthCache.GetOrCompute(o.synthGate, classes[ci].u, func() (*circuit.Circuit, bool, error) {
 			return synth.SynthesizeOutcome(classes[ci].u, sopts)
 		})
-		bsp.End()
-		tsp.SetStr("cache", status.String()).SetBool("ok", ok)
-		results[ci] = outcome{circ: circ, ok: ok, status: status, err: err}
-	}
-	workers := o.Workers
-	if workers > len(classes) {
-		workers = len(classes)
-	}
-	if workers <= 1 {
-		for ci := range classes {
-			run(ci)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ci := range work {
-					run(ci)
-				}
-			}()
-		}
-		for ci := range classes {
-			work <- ci
-		}
-		close(work)
-		wg.Wait()
-	}
+		bsp.SetStr("cache", status.String()).SetBool("ok", ok)
+		return outcome{circ: circ, ok: ok, status: status, err: err}
+	})
 
 	// Cancellation wins over everything: the pool has fully drained by
 	// here, so returning the context's error leaks nothing, and the
@@ -404,23 +382,18 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 	return lowered, nil
 }
 
-// prefillLibrary optimizes every distinct uncached block unitary with
-// a pool of worker goroutines, then stores the results, so the main
-// scheduling loop only hits the library. Stats.QOCRuns is accumulated
-// afterwards to stay race-free.
-//
-// Only clean results are stored: budget-degraded pulses are left for
-// the sequential scheduling loop, which recomputes them (cheaply —
-// the expired budget trips the optimizer immediately), counts the
-// degradation once, and keeps them out of the shared library. A
-// cancellation is returned after the pool drains; scheduling never
-// starts.
-func prefillLibrary(pulsed *circuit.Circuit, o Options, st *Stats) error {
-	type job struct {
-		u  *linalg.Matrix
-		op circuit.Op
-	}
-	var jobs []job
+// pulseJob is one distinct uncached block unitary awaiting QOC, with
+// the first op that carries it.
+type pulseJob struct {
+	u  *linalg.Matrix
+	op circuit.Op
+}
+
+// distinctMisses lists the distinct (by fingerprint) unitaries of
+// pulsed that the library does not hold yet, in first-occurrence
+// order, and counts the prefill's dedup in obs.
+func distinctMisses(pulsed *circuit.Circuit, o Options) []pulseJob {
+	var jobs []pulseJob
 	seen := map[string]bool{}
 	for _, op := range pulsed.Ops {
 		u := op.G.Matrix()
@@ -429,59 +402,85 @@ func prefillLibrary(pulsed *circuit.Circuit, o Options, st *Stats) error {
 			continue
 		}
 		seen[fp] = true
-		jobs = append(jobs, job{u: u, op: op})
+		jobs = append(jobs, pulseJob{u: u, op: op})
 	}
 	if o.Obs != nil {
 		o.Obs.Add("library/prefill/distinct", int64(len(jobs)))
 		o.Obs.Add("library/prefill/deduped", int64(pulsed.Len()-len(jobs)))
 	}
-	if len(jobs) == 0 {
-		return nil
+	return jobs
+}
+
+// runOrdered runs fn(i) for every i < n on min(workers, n) goroutines
+// and returns the results indexed by job, so callers consume them in
+// job order whatever the scheduling. It returns only after every
+// worker has exited; workers ≤ 1 runs the jobs serially in order.
+func runOrdered[T any](workers, n int, fn func(i int) T) []T {
+	out := make([]T, n)
+	if workers > n {
+		workers = n
 	}
+	if workers <= 1 {
+		for i := range out {
+			out[i] = fn(i)
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				out[i] = fn(i)
+			}
+		}()
+	}
+	for i := range out {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	return out
+}
+
+// prefillLibrary optimizes every distinct uncached block unitary on
+// the o.Workers pool, then stores the results in job order, so the
+// main scheduling loop only hits the library. Stats.QOCRuns is
+// accumulated afterwards to stay race-free.
+//
+// Only clean results are stored: budget-degraded pulses are left for
+// the sequential scheduling loop, which recomputes them (cheaply —
+// the expired budget trips the optimizer immediately), counts the
+// degradation once, and keeps them out of the shared library. A
+// cancellation is returned after the pool drains; scheduling never
+// starts.
+func prefillLibrary(pulsed *circuit.Circuit, o Options, st *Stats) error {
+	jobs := distinctMisses(pulsed, o)
 	type done struct {
-		idx int
 		p   *pulse.Pulse
 		st  Stats
 		err error
 	}
-	work := make(chan int)
-	results := make(chan done, len(jobs))
-	workers := o.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for idx := range work {
-				var local Stats
-				p, err := pulseFor(jobs[idx].u, jobs[idx].op, o, &local)
-				results <- done{idx: idx, p: p, st: local, err: err}
-			}
-		}()
-	}
-	go func() {
-		for i := range jobs {
-			work <- i
-		}
-		close(work)
-	}()
+	results := runOrdered(o.Workers, len(jobs), func(i int) done {
+		var local Stats
+		p, err := pulseFor(jobs[i].u, jobs[i].op, o, &local)
+		return done{p: p, st: local, err: err}
+	})
 	var canceled error
-	for range jobs {
-		d := <-results
+	for i, d := range results {
 		if d.err != nil {
 			// Budget-degraded pulses stay out of the library (the
 			// scheduling loop recomputes and accounts them); a
-			// cancellation is remembered and returned once every worker
-			// has drained, so nothing leaks.
+			// cancellation is returned once every job has been
+			// collected.
 			if !faultclock.IsBudget(d.err) {
 				canceled = d.err
 			}
 			continue
 		}
-		o.Library.Store(jobs[d.idx].u, d.p)
+		o.Library.Store(jobs[i].u, d.p)
 		st.QOCRuns += d.st.QOCRuns
 		st.WarmStarts += d.st.WarmStarts
 	}
@@ -494,26 +493,9 @@ func prefillLibrary(pulsed *circuit.Circuit, o Options, st *Stats) error {
 // starts from each vertex's parent pulse. Like prefillLibrary it
 // stores only clean results and returns cancellation.
 func mstPrefill(pulsed *circuit.Circuit, o Options, st *Stats) error {
-	type job struct {
-		u  *linalg.Matrix
-		op circuit.Op
-	}
-	byDim := map[int][]job{}
-	seen := map[string]bool{}
-	distinct := 0
-	for _, op := range pulsed.Ops {
-		u := op.G.Matrix()
-		fp := linalg.Fingerprint(u)
-		if seen[fp] || o.Library.Peek(u) {
-			continue
-		}
-		seen[fp] = true
-		distinct++
-		byDim[u.Rows] = append(byDim[u.Rows], job{u: u, op: op})
-	}
-	if o.Obs != nil {
-		o.Obs.Add("library/prefill/distinct", int64(distinct))
-		o.Obs.Add("library/prefill/deduped", int64(pulsed.Len()-distinct))
+	byDim := map[int][]pulseJob{}
+	for _, j := range distinctMisses(pulsed, o) {
+		byDim[j.u.Rows] = append(byDim[j.u.Rows], j)
 	}
 	for _, jobs := range byDim {
 		us := make([]*linalg.Matrix, len(jobs))
@@ -582,11 +564,12 @@ func pulseFor(u *linalg.Matrix, op circuit.Op, o Options, st *Stats) (*pulse.Pul
 func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm [][]float64) (*pulse.Pulse, error) {
 	k := len(op.Qubits)
 	label := fmt.Sprintf("%s[%dq]", op.G.Kind, k)
-	// One trace span per pulse that reaches the optimizer (or the
-	// estimator); the unitary fingerprint prefix distinguishes sibling
-	// spans deterministically — the prefill pools dedupe by
-	// fingerprint, so no two concurrent pulse spans share one.
-	tsp := o.qocSpan.Child("qoc/pulse").
+	// One region per pulse that reaches the optimizer or the estimator
+	// (the pulse library absorbs the rest); the unitary fingerprint
+	// prefix distinguishes sibling spans deterministically — the
+	// prefill pools dedupe by fingerprint, so no two concurrent pulse
+	// spans share one.
+	tsp := o.region.Child("qoc/pulse").
 		SetStr("label", label).
 		SetStr("u", fingerprintPrefix(u))
 	defer tsp.End()
@@ -608,36 +591,30 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 		step = 2 * o.SlotStep2Q
 	}
 	st.QOCRuns++
-	// Per-entry optimize cost: one span per distinct unitary that
-	// reaches the optimizer (the pulse library absorbs the rest).
-	sp := o.Obs.Span("qoc/pulse")
-	defer sp.End()
 	var r qoc.Result
 	if o.Algorithm == AlgCRAB {
 		r = qoc.DurationSearchCRAB(model, u, 2, maxSlots, step, qoc.CRABConfig{
 			Target:      o.FidelityTarget,
 			Seed:        o.Seed,
-			Obs:         o.Obs,
 			Gate:        o.qocGate,
 			BudgetIters: o.Budgets.QOCIters,
-			Span:        tsp,
+			Region:      tsp,
 		})
 	} else {
 		cfg := qoc.GRAPEConfig{
 			MaxIter:     o.GRAPEIters,
 			Target:      o.FidelityTarget,
 			Seed:        o.Seed,
-			Obs:         o.Obs,
 			Gate:        o.qocGate,
 			BudgetIters: o.Budgets.QOCIters,
-			Span:        tsp,
+			Region:      tsp,
 		}
 		if warm == nil {
 			r = qoc.DurationSearch(model, u, 2, maxSlots, step, cfg)
 		} else {
-			r = qoc.SearchDuration(cfg.Gate, 2, maxSlots, step, cfg.Target, qoc.ObserveProbes(o.Obs, qoc.TraceProbes(tsp, func(slots int) qoc.Result {
+			r = qoc.SearchDuration(cfg.Gate, 2, maxSlots, step, cfg.Target, qoc.Probes(tsp, func(slots int) qoc.Result {
 				return qoc.WarmStartGRAPE(model, u, slots, warm, cfg)
-			})))
+			}))
 		}
 	}
 	tsp.SetInt("slots", int64(r.Slots)).

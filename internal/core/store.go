@@ -81,7 +81,7 @@ func attachStore(o *Options) (owned *store.Store, err error) {
 	ns := store.Namespace(storeConfig(o))
 	if o.Store != nil && o.Store.Namespace() != ns {
 		o.Obs.Add("store/namespace_mismatch", 1)
-		o.compileSpan.SetStr("store", "namespace_mismatch")
+		o.region.SetStr("store", "namespace_mismatch")
 		o.Store = nil
 	}
 	if o.Store == nil && o.StorePath != "" {
@@ -97,7 +97,7 @@ func attachStore(o *Options) (owned *store.Store, err error) {
 		ws := o.Store.WarmSynthCache(o.SynthCache)
 		o.Obs.Add("store/warm/pulses", int64(wp))
 		o.Obs.Add("store/warm/synth", int64(ws))
-		o.compileSpan.SetInt("store_warm_pulses", int64(wp)).
+		o.region.SetInt("store_warm_pulses", int64(wp)).
 			SetInt("store_warm_synth", int64(ws))
 	}
 	return owned, nil
@@ -118,7 +118,7 @@ func harvestStore(o *Options) {
 	o.Obs.Add("store/harvest/synth", int64(hs))
 	if err := o.Store.Flush(); err != nil {
 		o.Obs.Add("store/flush_errors", 1)
-		o.compileSpan.SetStr("store_flush_error", err.Error())
+		o.region.SetStr("store_flush_error", err.Error())
 	}
 }
 

@@ -104,31 +104,48 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestTraceBlockSpansMatchObsTimer pins the acceptance criterion that
-// per-block trace spans and the aggregate obs timer measure the same
-// region: span counts agree exactly, and under the fake clock (no time
-// advances) their durations agree trivially. The real-clock 5%
+// TestTraceBlockSpansMatchObsTimer pins that trace spans and obs
+// timers agree by construction: every region is opened through one
+// trace.Region handle, so for each region name the span count equals
+// the timer count, in estimate mode and in full mode (where the pulse
+// and duration-probe regions run GRAPE). Under the fake clock (no time
+// advances) their durations agree trivially; the real-clock 5%
 // agreement is checked by the epoc CLI walkthrough in the README.
 func TestTraceBlockSpansMatchObsTimer(t *testing.T) {
-	c := obsTestCircuit()
-	tr := trace.New(nil)
-	rec := obs.New()
-	_, err := Compile(c, Options{
-		Strategy: EPOC,
-		Device:   hardware.LinearChain(c.NumQubits),
-		Mode:     QOCEstimate,
-		Trace:    tr,
-		Obs:      rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := rec.Snapshot()
-	sum := tr.Summary()
-	if got, want := sum.ByName["stage/synth/block"].Count, snap.Timers["stage/synth/block"].Count; got != want {
-		t.Fatalf("block span count %d != obs timer count %d", got, want)
-	}
-	if got, want := sum.ByName["qoc/pulse"].Count, int64(snap.Counters["pulses"]); got == 0 || want == 0 {
-		t.Fatalf("missing pulse instrumentation: spans=%d pulses=%d", got, want)
+	stages := []string{"compile", "stage/zx", "stage/partition", "stage/synth",
+		"stage/synth/block", "stage/regroup", "stage/qoc", "qoc/pulse"}
+	for _, tc := range []struct {
+		mode    QOCMode
+		regions []string
+	}{
+		{QOCEstimate, stages},
+		{QOCFull, append(stages, "qoc/duration_probe")},
+	} {
+		c := obsTestCircuit()
+		tr := trace.New(nil)
+		rec := obs.New()
+		_, err := Compile(c, Options{
+			Strategy:       EPOC,
+			Device:         hardware.LinearChain(c.NumQubits),
+			Mode:           tc.mode,
+			GRAPEIters:     40,
+			FidelityTarget: 0.99,
+			Trace:          tr,
+			Obs:            rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := rec.Snapshot()
+		sum := tr.Summary()
+		for _, name := range tc.regions {
+			spans, timers := sum.ByName[name].Count, snap.Timers[name].Count
+			if spans == 0 || spans != timers {
+				t.Errorf("mode %d, region %s: %d trace spans, %d obs timer observations", tc.mode, name, spans, timers)
+			}
+		}
+		if got, want := sum.ByName["qoc/pulse"].Count, int64(snap.Counters["pulses"]); got == 0 || want == 0 {
+			t.Fatalf("missing pulse instrumentation: spans=%d pulses=%d", got, want)
+		}
 	}
 }

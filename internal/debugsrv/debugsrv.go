@@ -1,20 +1,16 @@
 // Package debugsrv serves the live-debugging endpoints behind the
 // CLIs' -debug-addr flag and mounted into epoc-serve's request mux:
-// net/http/pprof's profiling handlers under /debug/pprof, the
-// process's expvar page at /debug/vars with the attached obs
-// recorder's counters published under "epoc", and the Prometheus
-// exposition at /metrics (internal/metrics). Watching a long compile
-// then needs no instrumentation beyond the flag:
+// net/http/pprof's profiling handlers under /debug/pprof and the
+// Prometheus exposition of the attached obs recorder at /metrics
+// (internal/metrics), which carries every obs counter. Watching a long
+// compile then needs no instrumentation beyond the flag:
 //
 //	epoc -in circuit.qasm -debug-addr localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile
-//	curl -s localhost:6060/debug/vars | jq .epoc
 //	curl -s localhost:6060/metrics
 package debugsrv
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -24,72 +20,32 @@ import (
 	"epoc/internal/obs"
 )
 
-// Register mounts the debug endpoints on mux — /debug/pprof/*,
-// /debug/vars, and /metrics — with rec as the recorder behind both the
-// "epoc" expvar key and the Prometheus exposition (nil is allowed and
-// publishes an empty map / empty exposition).
-//
-// The recorder binding is per-mux, not process-global: /debug/vars is
-// served by a closure over rec rather than an expvar.Publish, so two
-// servers in one process (the two-servers-one-store test shape) each
-// export their own recorder instead of the last registration silently
-// winning. The rest of the expvar page (memstats, cmdline, anything
-// the process published) still renders through expvar.Do.
+// Register mounts the debug endpoints on mux — /debug/pprof/* and
+// /metrics — with rec as the recorder behind the Prometheus exposition
+// (nil is allowed and serves an empty exposition). The recorder
+// binding is per-mux, not process-global, so two servers in one
+// process (the two-servers-one-store test shape) each export their own
+// recorder.
 func Register(mux *http.ServeMux, rec *obs.Recorder) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/vars", varsHandler(rec))
 	mux.Handle("/metrics", metrics.Handler(rec.Snapshot, nil))
 }
 
-// varsHandler renders the expvar page with rec's counters under the
-// "epoc" key, mirroring expvar.Handler()'s output shape. Process-wide
-// expvars still appear; a conflicting process-global "epoc" var (from
-// an older binary that published one) is skipped in favor of the
-// per-mux recorder.
-func varsHandler(rec *obs.Recorder) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\n")
-		first := true
-		expvar.Do(func(kv expvar.KeyValue) {
-			if kv.Key == "epoc" {
-				return
-			}
-			if !first {
-				fmt.Fprintf(w, ",\n")
-			}
-			first = false
-			fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-		})
-		counters := map[string]int64{}
-		if snap := rec.Snapshot(); snap != nil {
-			counters = snap.Counters
-		}
-		// Counters are int64 under string keys; marshaling cannot fail.
-		b, _ := json.Marshal(counters)
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		fmt.Fprintf(w, "%q: %s", "epoc", b)
-		fmt.Fprintf(w, "\n}\n")
-	}
-}
-
 // Handler returns a standalone mux carrying only the debug endpoints,
-// with rec attached as the expvar recorder.
+// with rec attached as the /metrics recorder.
 func Handler(rec *obs.Recorder) http.Handler {
 	mux := http.NewServeMux()
 	Register(mux, rec)
 	return mux
 }
 
-// Serve starts the debug HTTP server on addr, exposing /debug/pprof,
-// /debug/vars (with rec's counters under "epoc"; nil is allowed and
-// publishes an empty map) and /metrics. The listener is opened
+// Serve starts the debug HTTP server on addr, exposing /debug/pprof
+// and /metrics (rec's exposition; nil is allowed and serves an empty
+// one). The listener is opened
 // synchronously so address errors surface to the caller; the serve
 // loop then runs in a background goroutine for the life of the
 // process, matching the flag's use — there is deliberately no Stop. It

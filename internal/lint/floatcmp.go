@@ -46,7 +46,6 @@ var floatcmpAllowed = map[string]bool{
 	// sentinel of these option structs, and only a literal zero value
 	// (never a computed float) reaches the comparison.
 	"(*epoc/internal/core.Options).withDefaults":     true,
-	"(*epoc/internal/opt.AdamConfig).defaults":       true,
 	"(*epoc/internal/opt.LBFGSConfig).defaults":      true,
 	"(*epoc/internal/opt.NelderMeadConfig).defaults": true,
 	"(*epoc/internal/qoc.CRABConfig).defaults":       true,

@@ -35,9 +35,6 @@ var layeringDAG = map[string][]string{
 	// (PR 1), linalg and opt are the numerical foundation, and
 	// faultclock is the cancellation/budget gate threaded through the
 	// pipeline's loops (PR 4) — a leaf so every layer can carry it.
-	// trace is a leaf by the same argument as faultclock: it declares
-	// its own Clock interface (satisfied structurally by faultclock's
-	// fake), so every layer can carry spans without new edges.
 	// logx is a leaf too: it takes trace/span IDs as plain strings
 	// instead of importing internal/trace, so any layer can carry a
 	// logger without new edges.
@@ -47,7 +44,14 @@ var layeringDAG = map[string][]string{
 	"internal/logx":       {},
 	"internal/obs":        {},
 	"internal/opt":        {},
-	"internal/trace":      {},
+
+	// trace sits directly on the two telemetry leaves: its Region
+	// handle opens an obs timer and a span together and writes the
+	// stage log records. It declares its own Clock interface (satisfied
+	// structurally by faultclock's fake) rather than importing
+	// faultclock, so every layer can carry regions without further
+	// edges.
+	"internal/trace": {"internal/logx", "internal/obs"},
 
 	// The profiled kernel layer sits beneath linalg: raw []complex128
 	// kernels and the workspace arena, no in-module deps. linalg routes
@@ -77,9 +81,9 @@ var layeringDAG = map[string][]string{
 	"internal/debugsrv": {"internal/metrics", "internal/obs"},
 	"internal/hardware": {"internal/gate", "internal/qoc"},
 	"internal/pulse":    {"internal/linalg"},
-	"internal/qoc":      {"internal/faultclock", "internal/gate", "internal/linalg", "internal/linalg/kernel", "internal/obs", "internal/opt", "internal/trace"},
+	"internal/qoc":      {"internal/faultclock", "internal/gate", "internal/linalg", "internal/linalg/kernel", "internal/opt", "internal/trace"},
 	"internal/report":   {"internal/obs", "internal/trace"},
-	"internal/synth":    {"internal/circuit", "internal/faultclock", "internal/gate", "internal/linalg", "internal/obs", "internal/opt", "internal/optimize", "internal/trace"},
+	"internal/synth":    {"internal/circuit", "internal/faultclock", "internal/gate", "internal/linalg", "internal/opt", "internal/optimize", "internal/trace"},
 
 	// Persistence for the pulse library and synthesis cache: sits beside
 	// the caches it serializes, plus report for the namespace

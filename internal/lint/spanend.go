@@ -6,12 +6,15 @@ import (
 	"strings"
 )
 
-// Spanend enforces PR 5's tracing contract: a *trace.Span obtained in
-// a function must be ended on every path out of it, so the trace never
-// carries open spans whose durations silently extend to export time.
-// The only constructs that guarantee every-path coverage are
+// Spanend enforces the tracing contract: a span handle — a
+// trace.Region (the pipeline's one handle per instrumented region) or
+// a bare *trace.Span — obtained in a function must be ended on every
+// path out of it, so the trace never carries open spans whose
+// durations silently extend to export time and no obs timer goes
+// unrecorded. The only constructs that guarantee every-path coverage
+// are
 //
-//	sp := tr.Start("...")
+//	sp := parent.Child("...")
 //	defer sp.End()
 //
 // (directly, or inside a deferred function literal), so a span-typed
@@ -19,11 +22,11 @@ import (
 // sp.End() statement misses early returns and panics. Spans that
 // escape the function (returned, passed to a call, stored in a field,
 // placed in a composite literal) hand their lifetime to the caller and
-// are not flagged; internal/trace itself, which constructs spans, is
-// skipped.
+// are not flagged; internal/trace itself, which constructs spans and
+// regions, is skipped.
 var Spanend = &Analyzer{
 	Name: "spanend",
-	Doc:  "requires defer sp.End() on every locally obtained *trace.Span that does not escape",
+	Doc:  "requires defer sp.End() on every locally obtained trace.Region or *trace.Span that does not escape",
 	Run:  runSpanend,
 }
 
@@ -59,7 +62,7 @@ func checkSpanUnit(p *Pass, body *ast.BlockStmt) {
 					continue
 				}
 				obj := p.Info.Defs[id]
-				if obj == nil || !isSpanPtr(obj.Type()) {
+				if obj == nil || !isSpanHandle(obj.Type()) {
 					continue
 				}
 				// Only spans freshly obtained from a call (Start, Child,
@@ -190,18 +193,18 @@ func usesObj(p *Pass, n ast.Node, obj types.Object) bool {
 	return used
 }
 
-// isSpanPtr reports whether t is *trace.Span for this module's
-// internal/trace package.
-func isSpanPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
+// isSpanHandle reports whether t is trace.Region or *trace.Span for
+// this module's internal/trace package.
+func isSpanHandle(t types.Type) bool {
+	want := "Region"
+	if ptr, ok := t.(*types.Pointer); ok {
+		t, want = ptr.Elem(), "Span"
 	}
-	named, ok := ptr.Elem().(*types.Named)
+	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Span" && obj.Pkg() != nil &&
+	return obj.Name() == want && obj.Pkg() != nil &&
 		strings.HasSuffix(obj.Pkg().Path(), "internal/trace")
 }

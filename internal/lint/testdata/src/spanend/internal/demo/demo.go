@@ -5,7 +5,8 @@ package demo
 import "epoc/internal/trace"
 
 type holder struct {
-	sp *trace.Span
+	sp     *trace.Span
+	region trace.Region
 }
 
 // DeferDirect is the canonical clean shape.
@@ -107,6 +108,54 @@ func Suppressed(tr *trace.Tracer) {
 	//epoc:lint-ignore spanend process-lifetime span, ended at exit
 	sp := tr.Start("daemon")
 	sp.SetStr("k", "v")
+}
+
+// RegionDefer: a region handle is held to the same contract as a
+// span — the canonical shape is a deferred End.
+func RegionDefer(tr *trace.Tracer) {
+	root := trace.Open(tr, "compile").SetStr("k", "v")
+	defer root.End()
+	st := root.Stage("stage/zx")
+	defer st.End()
+}
+
+// RegionClosureClean: per-job regions deferred inside a pool closure.
+func RegionClosureClean(parent trace.Region) func(int) {
+	return func(i int) {
+		sp := parent.Child("block").SetInt("class", int64(i))
+		defer sp.End()
+	}
+}
+
+// RegionEscapeField threads the region to later stages through a
+// struct field, which owns its lifetime from then on.
+func RegionEscapeField(parent trace.Region, h *holder) {
+	sp := parent.Stage("stage/qoc")
+	h.region = sp
+}
+
+// RegionLeaked never ends the region: its obs timer never records.
+func RegionLeaked(parent trace.Region) {
+	sp := parent.Child("block") // want "spanend: span sp is not ended on every path"
+	sp.SetStr("k", "v")
+}
+
+// RegionPlainEnd misses the early return.
+func RegionPlainEnd(parent trace.Region, fail bool) error {
+	sp := parent.Stage("stage/zx") // want "spanend: span sp is not ended on every path"
+	if fail {
+		return errFail
+	}
+	sp.End()
+	return nil
+}
+
+// RegionClosureLeak: a per-job region the worker closure never ends.
+func RegionClosureLeak(parent trace.Region) func() {
+	return func() {
+		sp := parent.Child("probe") // want "spanend: span sp is not ended on every path"
+		sp.SetInt("slots", 4)
+	}
 }
 
 var errFail = error(nil)

@@ -16,3 +16,12 @@ func (s *Span) End()                           {}
 func (s *Span) SetStr(k, v string) *Span       { return s }
 func (s *Span) SetInt(k string, v int64) *Span { return s }
 func (s *Span) SetBool(k string, v bool) *Span { return s }
+
+type Region struct{ span *Span }
+
+func Open(t *Tracer, name string) Region         { return Region{} }
+func (r Region) Stage(name string) Region        { return Region{} }
+func (r Region) Child(name string) Region        { return Region{} }
+func (r Region) End()                            {}
+func (r Region) SetStr(k, v string) Region       { return r }
+func (r Region) SetInt(k string, v int64) Region { return r }

@@ -1,7 +1,8 @@
 // Package opt provides the numerical optimizers used by circuit
-// synthesis (VUG instantiation) and quantum optimal control: Adam,
-// L-BFGS with two-loop recursion, Nelder-Mead simplex search, and
-// golden-section line search, plus finite-difference gradients.
+// synthesis (VUG instantiation) and quantum optimal control: L-BFGS
+// with two-loop recursion and Nelder-Mead simplex search, plus
+// finite-difference gradients. (GRAPE carries its own fused Adam
+// ascent loop in internal/qoc.)
 package opt
 
 import (
@@ -38,73 +39,6 @@ func FiniteDiffGradient(f Objective, h float64) Gradient {
 			grad[i] = (fp - fm) / (2 * h)
 		}
 	}
-}
-
-// AdamConfig controls the Adam optimizer.
-type AdamConfig struct {
-	LearningRate float64 // step size (default 0.01)
-	Beta1        float64 // first-moment decay (default 0.9)
-	Beta2        float64 // second-moment decay (default 0.999)
-	Epsilon      float64 // numerical floor (default 1e-8)
-	MaxIter      int     // iteration budget (default 500)
-	Tol          float64 // stop when |Δf| < Tol (default 1e-10)
-	GradTol      float64 // stop when ‖grad‖∞ < GradTol (default 1e-8)
-}
-
-func (c *AdamConfig) defaults() {
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.01
-	}
-	if c.Beta1 == 0 {
-		c.Beta1 = 0.9
-	}
-	if c.Beta2 == 0 {
-		c.Beta2 = 0.999
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 1e-8
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 500
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-10
-	}
-	if c.GradTol == 0 {
-		c.GradTol = 1e-8
-	}
-}
-
-// Adam minimizes f starting from x0 using the Adam update rule.
-func Adam(f Objective, g Gradient, x0 []float64, cfg AdamConfig) Result {
-	cfg.defaults()
-	n := len(x0)
-	x := make([]float64, n)
-	copy(x, x0)
-	m := make([]float64, n)
-	v := make([]float64, n)
-	grad := make([]float64, n)
-	prevF := math.Inf(1)
-	var fx float64
-	for iter := 1; iter <= cfg.MaxIter; iter++ {
-		fx = f(x)
-		g(x, grad)
-		gi := maxAbs(grad)
-		if gi < cfg.GradTol || math.Abs(prevF-fx) < cfg.Tol {
-			return Result{X: x, F: fx, Iterations: iter, Converged: true}
-		}
-		prevF = fx
-		b1t := 1 - math.Pow(cfg.Beta1, float64(iter))
-		b2t := 1 - math.Pow(cfg.Beta2, float64(iter))
-		for i := 0; i < n; i++ {
-			m[i] = cfg.Beta1*m[i] + (1-cfg.Beta1)*grad[i]
-			v[i] = cfg.Beta2*v[i] + (1-cfg.Beta2)*grad[i]*grad[i]
-			mhat := m[i] / b1t
-			vhat := v[i] / b2t
-			x[i] -= cfg.LearningRate * mhat / (math.Sqrt(vhat) + cfg.Epsilon)
-		}
-	}
-	return Result{X: x, F: f(x), Iterations: cfg.MaxIter, Converged: false}
 }
 
 // LBFGSConfig controls the L-BFGS optimizer.
@@ -414,30 +348,6 @@ func NelderMead(f Objective, x0 []float64, cfg NelderMeadConfig) Result {
 	}
 	order()
 	return Result{X: pts[0], F: fv[0], Iterations: cfg.MaxIter, Converged: false}
-}
-
-// GoldenSection minimizes a unimodal 1-D function on [a, b] to within
-// tol and returns the minimizing point.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949
-	if a > b {
-		a, b = b, a
-	}
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
 }
 
 func dot(a, b []float64) float64 {

@@ -29,20 +29,6 @@ func rosenbrock(x []float64) float64 {
 	return s
 }
 
-func TestAdamSphere(t *testing.T) {
-	res := Adam(sphere, sphereGrad, []float64{3, -2, 1}, AdamConfig{MaxIter: 5000, LearningRate: 0.05})
-	if res.F > 1e-6 {
-		t.Fatalf("Adam did not minimize the sphere: f=%v x=%v", res.F, res.X)
-	}
-}
-
-func TestAdamConvergesFlag(t *testing.T) {
-	res := Adam(sphere, sphereGrad, []float64{0.001, 0.001}, AdamConfig{MaxIter: 5000, LearningRate: 0.05})
-	if !res.Converged {
-		t.Fatal("Adam should report convergence near the optimum")
-	}
-}
-
 func TestLBFGSSphere(t *testing.T) {
 	res := LBFGS(sphere, sphereGrad, []float64{5, -7, 2, 1}, LBFGSConfig{})
 	if res.F > 1e-10 {
@@ -99,32 +85,6 @@ func TestFiniteDiffGradientMatchesAnalytic(t *testing.T) {
 		if math.Abs(num[i]-ana[i]) > 1e-6 {
 			t.Fatalf("grad[%d]: %v vs %v", i, num[i], ana[i])
 		}
-	}
-}
-
-func TestGoldenSectionQuadratic(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return (x - 1.3) * (x - 1.3) }, -10, 10, 1e-8)
-	if math.Abs(x-1.3) > 1e-6 {
-		t.Fatalf("GoldenSection: %v", x)
-	}
-}
-
-func TestGoldenSectionReversedBounds(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return x * x }, 5, -5, 1e-8)
-	if math.Abs(x) > 1e-6 {
-		t.Fatalf("GoldenSection reversed bounds: %v", x)
-	}
-}
-
-func TestQuickAdamQuadraticRandomStart(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x0 := []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2}
-		res := Adam(sphere, sphereGrad, x0, AdamConfig{MaxIter: 8000, LearningRate: 0.05})
-		return res.F < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"epoc/internal/faultclock"
 	"epoc/internal/linalg"
-	"epoc/internal/obs"
 	"epoc/internal/opt"
 	"epoc/internal/trace"
 )
@@ -36,15 +35,12 @@ type CRABConfig struct {
 	// coefficients.
 	BudgetIters int
 
-	// Obs, when non-nil, records per-run convergence metrics under
-	// "qoc/crab/*" (runs, restarts used, iteration and final-fidelity
-	// distributions, early-stop reason counters).
-	Obs *obs.Recorder
-
-	// Span, when non-nil, is the trace span of the pulse being
-	// optimized; the duration search hangs one "qoc/duration_probe"
-	// child span off it per probe (see GRAPEConfig.Span).
-	Span *trace.Span
+	// Region is the instrumentation handle of the pulse being
+	// optimized (see GRAPEConfig.Region). Its recorder gets per-run
+	// convergence metrics under "qoc/crab/*" (runs, restarts used,
+	// iteration and final-fidelity distributions, early-stop reason
+	// counters).
+	Region trace.Region
 }
 
 func (c *CRABConfig) defaults() {
@@ -163,7 +159,7 @@ func CRAB(m *Model, target *linalg.Matrix, slots int, cfg CRABConfig) Result {
 		stop = faultclock.ErrBudget
 	}
 	bestRes.Err = stop
-	if r := cfg.Obs; r != nil {
+	if r := cfg.Region.Recorder(); r != nil {
 		reason := "max_iter"
 		switch {
 		case bestRes.Fidelity >= cfg.Target:

@@ -8,7 +8,6 @@ import (
 	"epoc/internal/faultclock"
 	"epoc/internal/linalg"
 	"epoc/internal/linalg/kernel"
-	"epoc/internal/obs"
 	"epoc/internal/trace"
 )
 
@@ -34,17 +33,14 @@ type GRAPEConfig struct {
 	// deterministic at any worker count.
 	BudgetIters int
 
-	// Obs, when non-nil, records per-run convergence metrics: the
-	// iteration count and final fidelity distributions, the early-stop
-	// reason counters (qoc/grape/stop/*), and a bounded per-iteration
-	// fidelity series under "qoc/grape/fidelity".
-	Obs *obs.Recorder
-
-	// Span, when non-nil, is the trace span of the pulse being
-	// optimized; the duration search hangs one "qoc/duration_probe"
-	// child span off it per probe, annotated with the probed slot
-	// count, achieved fidelity and iterations.
-	Span *trace.Span
+	// Region is the instrumentation handle of the pulse being
+	// optimized (the zero value records nothing). Its recorder gets
+	// per-run convergence metrics: the iteration count and final
+	// fidelity distributions, the early-stop reason counters
+	// (qoc/grape/stop/*), and a bounded per-iteration fidelity series
+	// under "qoc/grape/fidelity". The duration search opens one
+	// "qoc/duration_probe" child region per probe (see Probes).
+	Region trace.Region
 }
 
 func (c *GRAPEConfig) defaults() {
@@ -118,6 +114,7 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 	nc := len(m.Controls)
 	dim := m.Dim()
 	slots := len(amps)
+	rec := cfg.Region.Recorder()
 
 	lr := cfg.LearnRate
 	//epoc:lint-ignore floatcmp zero-value sentinel: unset LearnRate defaults to 0.02
@@ -146,7 +143,7 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 		u := props.update(amps)
 		z := linalg.HSInner(target, u) // tr(target†·U)
 		fid = cmplx.Abs(z) / float64(dim)
-		cfg.Obs.Sample("qoc/grape/fidelity", fid)
+		rec.Sample("qoc/grape/fidelity", fid)
 		if fid > best.Fidelity {
 			best.Fidelity = fid
 			copyAmps(bestAmps, amps)
@@ -211,7 +208,7 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 	}
 	best.Iterations = iter
 	best.Err = stop
-	if r := cfg.Obs; r != nil {
+	if r := cfg.Region.Recorder(); r != nil {
 		reason := "max_iter"
 		switch {
 		case fid >= cfg.Target:
@@ -278,41 +275,30 @@ func copyAmps(dst, src [][]float64) {
 // the duration search to abstract over GRAPE and CRAB.
 type Runner func(slots int) Result
 
-// ObserveProbes wraps a Runner so every duration-search probe is
-// recorded: a per-probe timer ("qoc/duration_probe"), the probed slot
-// sequence ("qoc/probe_slots" series, in probe order), and a trace
-// event per probe. With a nil recorder the Runner is returned as-is.
-func ObserveProbes(r *obs.Recorder, run Runner) Runner {
-	if r == nil {
-		return run
-	}
-	return func(slots int) Result {
-		sp := r.Span("qoc/duration_probe")
+// Probes wraps a Runner so every duration-search probe opens one
+// "qoc/duration_probe" child region of the pulse region: an obs timer
+// and a trace span annotated with the probed slot count and the
+// probe's achieved fidelity and iteration count. The recorder also
+// gets the probe counter, the probed slot sequence ("qoc/probe_slots"
+// series, in probe order) and an event per probe. Slot counts are
+// unique per search (SearchDuration memoizes probes), which keeps
+// sibling probe spans canonically orderable and traced compiles
+// byte-identical across worker counts.
+func Probes(pulse trace.Region, run Runner) Runner {
+	probe := func(slots int) Result {
+		sp := pulse.Child("qoc/duration_probe").SetInt("slots", int64(slots))
+		defer sp.End()
 		res := run(slots)
-		sp.End()
-		r.Add("qoc/duration_probes", 1)
-		r.Sample("qoc/probe_slots", float64(slots))
-		r.Eventf("qoc/search", "probe slots=%d fid=%.6f iters=%d", slots, res.Fidelity, res.Iterations)
+		sp.SetFloat("fidelity", res.Fidelity).SetInt("iters", int64(res.Iterations))
 		return res
 	}
-}
-
-// TraceProbes wraps a Runner so every duration-search probe records a
-// "qoc/duration_probe" child span under the pulse's span, annotated
-// with the probed slot count and the probe's achieved fidelity and
-// iteration count. Slot counts are unique per search (SearchDuration
-// memoizes probes), which keeps sibling probe spans canonically
-// orderable and traced compiles byte-identical across worker counts.
-// With a nil span the Runner is returned as-is.
-func TraceProbes(sp *trace.Span, run Runner) Runner {
-	if sp == nil {
-		return run
-	}
 	return func(slots int) Result {
-		psp := sp.Child("qoc/duration_probe").SetInt("slots", int64(slots))
-		defer psp.End()
-		res := run(slots)
-		psp.SetFloat("fidelity", res.Fidelity).SetInt("iters", int64(res.Iterations))
+		res := probe(slots)
+		if r := pulse.Recorder(); r != nil {
+			r.Add("qoc/duration_probes", 1)
+			r.Sample("qoc/probe_slots", float64(slots))
+			r.Eventf("qoc/search", "probe slots=%d fid=%.6f iters=%d", slots, res.Fidelity, res.Iterations)
+		}
 		return res
 	}
 }
@@ -415,15 +401,15 @@ func SearchDuration(g *faultclock.Gate, minSlots, maxSlots, step int, target flo
 // DurationSearch is SearchDuration specialized to GRAPE.
 func DurationSearch(m *Model, target *linalg.Matrix, minSlots, maxSlots int, step int, cfg GRAPEConfig) Result {
 	cfg.defaults()
-	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, ObserveProbes(cfg.Obs, TraceProbes(cfg.Span, func(slots int) Result {
+	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, Probes(cfg.Region, func(slots int) Result {
 		return GRAPE(m, target, slots, cfg)
-	})))
+	}))
 }
 
 // DurationSearchCRAB is SearchDuration specialized to CRAB.
 func DurationSearchCRAB(m *Model, target *linalg.Matrix, minSlots, maxSlots int, step int, cfg CRABConfig) Result {
 	cfg.defaults()
-	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, ObserveProbes(cfg.Obs, TraceProbes(cfg.Span, func(slots int) Result {
+	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, Probes(cfg.Region, func(slots int) Result {
 		return CRAB(m, target, slots, cfg)
-	})))
+	}))
 }

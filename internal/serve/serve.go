@@ -17,7 +17,7 @@
 //	GET  /v1/healthz             liveness + drain state
 //	GET  /v1/stats               server counters and cache sizes
 //	GET  /metrics                Prometheus exposition (internal/metrics)
-//	GET  /debug/pprof, /debug/vars  (internal/debugsrv, same mux)
+//	GET  /debug/pprof            (internal/debugsrv, same mux)
 //
 // Admission control is a bounded queue in front of a fixed worker
 // pool: a full queue answers 429 with a Retry-After estimate instead
@@ -99,8 +99,7 @@ type Config struct {
 	// content-addressed and flushes take an advisory flock.
 	StorePath string
 
-	// Debug mounts /debug/pprof and /debug/vars on the server's mux
-	// with the server-wide recorder behind the "epoc" expvar key.
+	// Debug mounts /debug/pprof on the server's mux.
 	// (GET /metrics is always mounted, debug or not: scraping is a
 	// production concern, profiling is not.)
 	Debug bool
@@ -162,7 +161,7 @@ type Server struct {
 	cache *synth.Cache   // process-wide synthesis cache (goroutine-safe, coalescing)
 	lib   *pulse.Library // process-wide pulse library (goroutine-safe)
 	store *store.Store   // persistent backing for both caches; nil without Config.StorePath
-	rec   *obs.Recorder  // server-wide counters: serve/*, plus expvar export
+	rec   *obs.Recorder  // server-wide counters: serve/*, exported on /metrics
 
 	queue chan *job
 	log   *logx.Logger // nil-safe structured logging (Config.Log)

@@ -15,7 +15,6 @@ import (
 	"epoc/internal/faultclock"
 	"epoc/internal/gate"
 	"epoc/internal/linalg"
-	"epoc/internal/obs"
 	"epoc/internal/opt"
 	"epoc/internal/trace"
 )
@@ -138,11 +137,6 @@ type Options struct {
 	OptBudget int   // L-BFGS iteration budget per instantiation (default 150)
 	Seed      int64 // RNG seed for multistart (default 1)
 
-	// Obs, when non-nil, records search effort under "synth/*": node
-	// expansions, instantiation calls and their timer, and the achieved
-	// distance/CNOT-count distributions per synthesized block.
-	Obs *obs.Recorder
-
 	// Gate, when non-nil, is checked before every node expansion
 	// (faultclock.SiteQSearchExpand). A cancellation or deadline stops
 	// the search immediately; Result.Err classifies the exit and the
@@ -156,13 +150,16 @@ type Options struct {
 	// compiles stay byte-identical across worker counts.
 	BudgetNodes int
 
-	// Span, when non-nil, receives the search's outcome as trace
-	// attributes (nodes expanded, CNOT count, achieved distance, stop
-	// reason). The caller owns the span's lifetime; QSearch only
-	// annotates it. Attribute values are deterministic functions of
-	// (unitary, Options), so traced compiles stay byte-identical across
-	// worker counts.
-	Span *trace.Span
+	// Region is the caller's instrumentation handle for the block being
+	// synthesized (the zero value records nothing); the caller owns its
+	// lifetime. Its recorder gets search effort under "synth/*": node
+	// expansions, instantiation calls and their timer, and the achieved
+	// distance/CNOT-count distributions per synthesized block. Its trace
+	// span gets the search's outcome as attributes (nodes expanded,
+	// CNOT count, achieved distance, stop reason) — deterministic
+	// functions of (unitary, Options), so traced compiles stay
+	// byte-identical across worker counts.
+	Region trace.Region
 }
 
 func (o *Options) defaults(n int) {
@@ -234,14 +231,15 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 	opts.defaults(n)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
+	rec := opts.Region.Recorder()
 	record := func(res Result) Result {
-		if r := opts.Obs; r != nil {
+		if r := opts.Region.Recorder(); r != nil {
 			r.Add("synth/blocks", 1)
 			r.Add("synth/nodes", int64(res.Nodes))
 			r.Observe("synth/distance", res.Distance)
 			r.Observe("synth/cnots", float64(res.CNOTs))
 		}
-		opts.Span.SetInt("nodes", int64(res.Nodes)).
+		opts.Region.SetInt("nodes", int64(res.Nodes)).
 			SetInt("cnots", int64(res.CNOTs)).
 			SetFloat("distance", res.Distance).
 			SetStr("stop", stopReason(res.Err))
@@ -268,10 +266,10 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 
 	expand := func(pls []placement, seeds [][]float64) *node {
 		t := &template{n: n, placements: pls}
-		sp := opts.Obs.Span("synth/instantiate")
+		sp := rec.Span("synth/instantiate")
 		params, dist := t.instantiate(target, seeds, rng, opts.OptBudget)
 		sp.End()
-		opts.Obs.Add("synth/instantiations", 1)
+		rec.Add("synth/instantiations", 1)
 		return &node{
 			placements: pls,
 			params:     params,

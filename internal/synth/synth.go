@@ -56,7 +56,7 @@ func SynthesizeBlock(u *linalg.Matrix, fallback *circuit.Circuit, opts Options) 
 		return nil, false, err
 	}
 	if !ok {
-		opts.Obs.Add("synth/fallbacks", 1)
+		opts.Region.Recorder().Add("synth/fallbacks", 1)
 		if fallback != nil {
 			return fallback, false, err
 		}

@@ -27,9 +27,13 @@
 //     compile under a fake clock exports byte-identical traces at any
 //     worker count, which is what the golden tests pin.
 //
-// The package is an import leaf (like internal/obs and
-// internal/faultclock): it defines its own Clock interface rather
-// than importing faultclock's, and both packages' clocks satisfy it.
+// The pipeline does not open spans directly: it opens one Region per
+// instrumented region (region.go), which drives the span, the obs
+// timer of the same name and the stage log records together. trace
+// therefore imports the two telemetry leaves, internal/obs and
+// internal/logx, and nothing else: it defines its own Clock interface
+// rather than importing faultclock's, and both packages' clocks
+// satisfy it.
 package trace
 
 import (
