@@ -48,11 +48,12 @@ bench:
 
 # Kernel-layer microbenchmarks (DESIGN.md §14): the unrolled/blocked
 # matmul paths and exponentials against the naive and pre-kernel
-# baselines, plus the cached GRAPE propagator loop. -benchmem makes the
-# zero-allocation claim visible in the output.
+# baselines, the cached GRAPE propagator loop, and the QSearch template
+# gradient (in-place evaluator against the dense rebuild). -benchmem
+# makes the zero-allocation claim visible in the output.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR' \
-		-benchmem ./internal/linalg/kerneltest ./internal/qoc
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient' \
+		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth
 
 # Machine-readable benchmark artifact: the small suite (Table 1
 # circuits, estimate mode) as bench/BENCH_small.json. Deterministic

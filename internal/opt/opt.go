@@ -1,8 +1,7 @@
 // Package opt provides the numerical optimizers used by circuit
 // synthesis (VUG instantiation) and quantum optimal control: L-BFGS
-// with two-loop recursion and Nelder-Mead simplex search, plus
-// finite-difference gradients. (GRAPE carries its own fused Adam
-// ascent loop in internal/qoc.)
+// with two-loop recursion and Nelder-Mead simplex search. (GRAPE
+// carries its own fused Adam ascent loop in internal/qoc.)
 package opt
 
 import (
@@ -21,24 +20,6 @@ type Result struct {
 	F          float64
 	Iterations int
 	Converged  bool
-}
-
-// FiniteDiffGradient returns a Gradient computed with central
-// differences of width h around f.
-func FiniteDiffGradient(f Objective, h float64) Gradient {
-	return func(x []float64, grad []float64) {
-		xx := make([]float64, len(x))
-		copy(xx, x)
-		for i := range x {
-			orig := xx[i]
-			xx[i] = orig + h
-			fp := f(xx)
-			xx[i] = orig - h
-			fm := f(xx)
-			xx[i] = orig
-			grad[i] = (fp - fm) / (2 * h)
-		}
-	}
 }
 
 // LBFGSConfig controls the L-BFGS optimizer.
@@ -122,7 +103,6 @@ func LBFGS(f Objective, g Gradient, x0 []float64, cfg LBFGSConfig) Result {
 	x := make([]float64, n)
 	copy(x, x0)
 	grad := make([]float64, n)
-	f(x)
 	g(x, grad)
 
 	hist := newLBFGSHistory(cfg.Memory, n)

@@ -8,7 +8,6 @@ package synth
 import (
 	"container/heap"
 	"math"
-	"math/cmplx"
 	"math/rand"
 
 	"epoc/internal/circuit"
@@ -30,29 +29,6 @@ type template struct {
 }
 
 func (t *template) paramCount() int { return 3 * (t.n + 2*len(t.placements)) }
-
-// build evaluates the template to a unitary. Later gates multiply on
-// the left, matching circuit.Unitary.
-func (t *template) build(params []float64) *linalg.Matrix {
-	dim := 1 << t.n
-	u := linalg.Identity(dim)
-	p := 0
-	apply1q := func(q int) {
-		g := u3Matrix(params[p], params[p+1], params[p+2])
-		p += 3
-		u = linalg.EmbedOperator(g, []int{q}, t.n).Mul(u)
-	}
-	for q := 0; q < t.n; q++ {
-		apply1q(q)
-	}
-	cx := gate.New(gate.CX).Matrix()
-	for _, pl := range t.placements {
-		u = linalg.EmbedOperator(cx, []int{pl.ctrl, pl.tgt}, t.n).Mul(u)
-		apply1q(pl.ctrl)
-		apply1q(pl.tgt)
-	}
-	return u
-}
 
 // toCircuit renders the instantiated template as a circuit of U3 VUGs
 // and CNOTs, dropping U3s that are identity up to phase.
@@ -78,29 +54,18 @@ func (t *template) toCircuit(params []float64) *circuit.Circuit {
 	return c
 }
 
-// distance is the phase-invariant Hilbert-Schmidt cost
-// 1 - |tr(T(p)†·U)|/dim, which is 0 iff T(p) = e^{iφ}U.
-func (t *template) distance(target *linalg.Matrix, params []float64) float64 {
-	got := t.build(params)
-	d := 1 - cmplx.Abs(linalg.HSInner(got, target))/float64(target.Rows)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // instantiate fits the template's parameters to the target with
 // multistart L-BFGS over the HS cost. Returns the best parameters and
-// their cost.
-func (t *template) instantiate(target *linalg.Matrix, seeds [][]float64, rng *rand.Rand, budget int) ([]float64, float64) {
+// their cost. ev evaluates the objective and gradient; instantiate
+// points it at t.
+func (t *template) instantiate(ev *evaluator, seeds [][]float64, rng *rand.Rand, budget int) ([]float64, float64) {
 	np := t.paramCount()
-	obj := func(x []float64) float64 { return t.distance(target, x) }
-	grad := opt.FiniteDiffGradient(obj, 1e-7)
+	ev.reset(t)
 
 	bestF := math.Inf(1)
 	var bestX []float64
 	try := func(x0 []float64) {
-		res := opt.LBFGS(obj, grad, x0, opt.LBFGSConfig{MaxIter: budget, GradTol: 1e-10, Tol: 1e-14})
+		res := opt.LBFGS(ev.objective, ev.gradient, x0, opt.LBFGSConfig{MaxIter: budget, GradTol: 1e-10, Tol: 1e-14})
 		if res.F < bestF {
 			bestF = res.F
 			bestX = res.X
@@ -247,6 +212,7 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 	}
 
 	pairs := orderedPairs(n)
+	ev := newEvaluator(target, n, opts.MaxCNOTs)
 	open := &nodeHeap{}
 	heap.Init(open)
 
@@ -267,7 +233,7 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 	expand := func(pls []placement, seeds [][]float64) *node {
 		t := &template{n: n, placements: pls}
 		sp := rec.Span("synth/instantiate")
-		params, dist := t.instantiate(target, seeds, rng, opts.OptBudget)
+		params, dist := t.instantiate(ev, seeds, rng, opts.OptBudget)
 		sp.End()
 		rec.Add("synth/instantiations", 1)
 		return &node{
