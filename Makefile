@@ -48,12 +48,14 @@ bench:
 
 # Kernel-layer microbenchmarks (DESIGN.md §14): the unrolled/blocked
 # matmul paths and exponentials against the naive and pre-kernel
-# baselines, the cached GRAPE propagator loop, and the QSearch template
-# gradient (in-place evaluator against the dense rebuild). -benchmem
+# baselines, the cached GRAPE propagator loop, the QSearch template
+# gradient (in-place evaluator against the dense rebuild), and the
+# stage-1 rewrite loops (incremental Peephole and resuming spider
+# fusion against their restart-from-scratch references). -benchmem
 # makes the zero-allocation claim visible in the output.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient' \
-		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify' \
+		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx
 
 # Machine-readable benchmark artifact: the small suite (Table 1
 # circuits, estimate mode) as bench/BENCH_small.json. Deterministic
@@ -91,13 +93,15 @@ store-warm-gate:
 	$(GO) run ./cmd/epoc-bench -suite small -store $(CURDIR)/.store-warm \
 		-baseline bench/baseline/BENCH_small_warm.json
 
-# Native Go fuzzing of the QASM parser, the store record codec and the
-# linalg kernel layer (bounded; CI runs the same targets on every push).
+# Native Go fuzzing of the QASM parser, the store record codec, the
+# linalg kernel layer and the Peephole rewriter (bounded; CI runs the
+# same targets on every push).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/qasm
 	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=30s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzKernelMatmul -fuzztime=30s ./internal/linalg/kerneltest
 	$(GO) test -run='^$$' -fuzz=FuzzKernelExpm -fuzztime=30s ./internal/linalg/kerneltest
+	$(GO) test -run='^$$' -fuzz=FuzzPeephole -fuzztime=30s ./internal/optimize
 
 # Run the compile service locally (see SERVING.md for the API).
 serve:

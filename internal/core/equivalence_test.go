@@ -9,6 +9,7 @@ import (
 	"epoc/internal/densesim"
 	"epoc/internal/hardware"
 	"epoc/internal/linalg"
+	"epoc/internal/qasm"
 )
 
 // equivTol bounds the phase-invariant distance between the input and
@@ -78,6 +79,40 @@ func TestCompileEquivalenceGateBased(t *testing.T) {
 	}
 	if res.Lowered != nil {
 		t.Fatal("gate-based flow should not report a lowered circuit")
+	}
+}
+
+// TestCompileControlledRotationPairQASM: two CRZ(3) on the same qubits
+// sum to 6, past 2π but not a multiple of the controlled rotation's 4π
+// period. The ZX stage considers Peephole's output without verifying
+// it, so a 2π-periodic merge (crz(6−2π), off by Z on the control)
+// would reach the lowered circuit. Checked on product states with the
+// state-vector simulator.
+func TestCompileControlledRotationPairQASM(t *testing.T) {
+	prog, err := qasm.Parse(`OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+crz(3) q[0],q[1];
+crz(3) q[0],q[1];
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := prog.Circuit
+	res, err := Compile(in, Options{Strategy: EPOC, Device: hardware.LinearChain(2), Mode: QOCEstimate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lowered == nil {
+		t.Fatal("QOC flow returned no lowered circuit")
+	}
+	for i, s0 := range deterministicStates(in.NumQubits, 3) {
+		want, got := s0.Clone(), s0.Clone()
+		want.Run(in)
+		got.Run(res.Lowered)
+		if f := want.Fidelity(got); f < 1-equivTol {
+			t.Fatalf("product state %d: lowered circuit fidelity %g with the input", i, f)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,6 +128,34 @@ func TestPeepholeMergesRotations(t *testing.T) {
 	c2.Append(gate.New(gate.RX, -0.9), 0)
 	if Peephole(c2).Len() != 0 {
 		t.Fatal("opposite rotations should cancel")
+	}
+}
+
+// TestPeepholeControlledRotationPeriod: a controlled rotation has
+// period 4π (CR(θ+2π) = CR(θ)·Z on the control), so a merged pair must
+// keep its unitary, and a pair cancels only when its angles sum to a
+// multiple of 4π.
+func TestPeepholeControlledRotationPeriod(t *testing.T) {
+	for _, kind := range []gate.Kind{gate.CRX, gate.CRY, gate.CRZ} {
+		for _, pair := range [][2]float64{
+			{3, 3}, {math.Pi, math.Pi}, {-3, -3.5}, {5, 6}, {1.2, 0.4},
+			{2 * math.Pi, 2 * math.Pi}, {7, 4*math.Pi - 7}, {-1, 1},
+		} {
+			c := circuit.New(2)
+			c.Append(gate.New(kind, pair[0]), 0, 1)
+			c.Append(gate.New(kind, pair[1]), 0, 1)
+			out := Peephole(c)
+			context := fmt.Sprintf("%s(%g)·%s(%g) → %s", kind, pair[0], kind, pair[1], out)
+			equivalent(t, c, out, context)
+			if out.Len() > 1 {
+				t.Fatalf("%s: the pair did not merge", context)
+			}
+			if out.Len() == 1 {
+				if a := out.Ops[0].G.Params[0]; a <= -2*math.Pi || a > 2*math.Pi {
+					t.Fatalf("%s: merged angle %g outside (−2π, 2π]", context, a)
+				}
+			}
+		}
 	}
 }
 

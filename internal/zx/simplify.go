@@ -43,30 +43,40 @@ func (g *Graph) colorChange() {
 
 // fuseAll merges every pair of Z-spiders joined by a simple edge until
 // none remain. Returns whether anything changed.
+//
+// Fusions happen in a fixed order: always the smallest vertex that has
+// a simple-edge Z neighbour, fused with its smallest such neighbour.
+// Fusion only removes vertices, so one sorted snapshot serves the whole
+// loop, and a single pass over it finds them all: fuse(u, v) can give
+// u new partners, but never a vertex below u (DESIGN.md §14).
 func (g *Graph) fuseAll() bool {
 	changed := false
-	for {
-		u, v, found := g.findFusable()
-		if !found {
-			return changed
+	for _, u := range g.Vertices() {
+		for {
+			v, ok := g.fusePartner(u)
+			if !ok {
+				break
+			}
+			g.fuse(u, v)
+			changed = true
 		}
-		g.fuse(u, v)
-		changed = true
 	}
+	return changed
 }
 
-func (g *Graph) findFusable() (int, int, bool) {
-	for _, v := range g.Vertices() {
-		if g.kind[v] != ZSpider {
-			continue
-		}
-		for _, w := range g.Neighbors(v) {
-			if g.adj[v][w] == Simple && g.kind[w] == ZSpider {
-				return v, w, true
-			}
+// fusePartner returns u's smallest simple-edge Z-spider neighbour, if
+// u is a live Z-spider and has one.
+func (g *Graph) fusePartner(u int) (int, bool) {
+	if k, ok := g.kind[u]; !ok || k != ZSpider {
+		return 0, false
+	}
+	best, found := 0, false
+	for w, k := range g.adj[u] {
+		if k == Simple && g.kind[w] == ZSpider && (!found || w < best) {
+			best, found = w, true
 		}
 	}
-	return 0, 0, false
+	return best, found
 }
 
 // fuse merges v into u (both Z-spiders joined by a simple edge),
