@@ -69,8 +69,12 @@ bench-json:
 # regression. epoc-bench is the authoritative gate; epoc-stats then
 # renders the full baseline diff into the job log (and double-gates on
 # the headline metrics), so a failing run shows *what* moved, not just
-# that something did. Refresh the baseline with:
+# that something did. The grape suite (qaoa and qft, cold full-GRAPE
+# mode, about 2 s) gates stage 5 the same way: pulses exact, and the
+# duration-search probe and GRAPE iteration counts at zero slack.
+# Refresh the baselines with:
 #   go run ./cmd/epoc-bench -suite small -json bench/baseline
+#   go run ./cmd/epoc-bench -suite grape -json bench/baseline
 bench-gate:
 	rm -rf $(CURDIR)/.bench-gate
 	gate=0; \
@@ -78,6 +82,10 @@ bench-gate:
 		-baseline bench/baseline/BENCH_small.json || gate=$$?; \
 	$(GO) run ./cmd/epoc-stats -fail-on 'latency_ns=0.01%,fidelity=0.0001,qoc_runs=0' \
 		bench/baseline/BENCH_small.json $(CURDIR)/.bench-gate/BENCH_small.json || gate=$$?; \
+	$(GO) run ./cmd/epoc-bench -suite grape -json $(CURDIR)/.bench-gate \
+		-baseline bench/baseline/BENCH_grape.json || gate=$$?; \
+	$(GO) run ./cmd/epoc-stats -fail-on 'latency_ns=0,fidelity=0,qoc_probes=0,grape_iters=0' \
+		bench/baseline/BENCH_grape.json $(CURDIR)/.bench-gate/BENCH_grape.json || gate=$$?; \
 	exit $$gate
 
 # Store-warm gate: run the small suite in full-GRAPE mode twice over

@@ -13,6 +13,7 @@ import (
 	"epoc/internal/benchcirc"
 	"epoc/internal/core"
 	"epoc/internal/hardware"
+	"epoc/internal/obs"
 	"epoc/internal/pulse"
 	"epoc/internal/report"
 	"epoc/internal/store"
@@ -31,26 +32,33 @@ var budgetSpec string
 // compare against estimate baselines.
 var storeRoot string
 
-// suiteCircuits maps a suite name to its circuit list. Suites run the
-// EPOC strategy in estimate mode: every gated metric is then a pure
-// function of the circuit set and config, so the regression gate can
-// compare at tight tolerances across machines.
-func suiteCircuits(suite string) ([]string, error) {
+// suiteCircuits maps a suite name to its circuit list and QOC mode.
+// The estimate-mode suites make every gated metric a pure function of
+// the circuit set and config, so the regression gate can compare at
+// tight tolerances across machines. The grape suite runs GRAPE from
+// cold caches: its pulses, and the duration-search probe and GRAPE
+// iteration counts, are deterministic too.
+func suiteCircuits(suite string) ([]string, core.QOCMode, error) {
 	switch suite {
 	case "small":
-		return benchcirc.Table1Names(), nil
+		return benchcirc.Table1Names(), core.QOCEstimate, nil
 	case "all":
-		return benchcirc.AllNames(), nil
+		return benchcirc.AllNames(), core.QOCEstimate, nil
+	case "grape":
+		return []string{"qaoa", "qft"}, core.QOCFull, nil
 	}
-	return nil, fmt.Errorf("unknown -suite %q (suites: small, all)", suite)
+	return nil, 0, fmt.Errorf("unknown -suite %q (suites: small, all, grape)", suite)
 }
 
 // runSuite compiles every circuit in the suite and collects the flat
 // metric map of each into a sorted BenchArtifact.
 func runSuite(suite string) (*report.BenchArtifact, error) {
-	names, err := suiteCircuits(suite)
+	names, mode, err := suiteCircuits(suite)
 	if err != nil {
 		return nil, err
+	}
+	if storeRoot != "" {
+		mode = core.QOCFull
 	}
 	art := &report.BenchArtifact{
 		Version:  report.ManifestVersion,
@@ -61,9 +69,11 @@ func runSuite(suite string) (*report.BenchArtifact, error) {
 			"stage_budget": budgetSpec,
 		},
 	}
+	if mode == core.QOCFull {
+		art.Config["mode"] = "full"
+	}
 	var shared *store.Store
 	if storeRoot != "" {
-		art.Config["mode"] = "full"
 		art.Config["store"] = "on"
 		// One store shared by every circuit in the suite: the namespace
 		// ignores qubit count, so a single open covers the whole set and
@@ -99,24 +109,35 @@ func runSuite(suite string) (*report.BenchArtifact, error) {
 		opts := core.Options{
 			Strategy: core.EPOC,
 			Device:   hardware.LinearChain(c.NumQubits),
-			Mode:     core.QOCEstimate,
+			Mode:     mode,
 			Library:  pulse.NewLibrary(true),
 			Workers:  workerCount,
+			Store:    shared,
 		}
-		if shared != nil {
-			opts.Mode = core.QOCFull
-			opts.Store = shared
+		// Full-mode rows also count the stage-5 work from the compile's
+		// own recorder: duration-search probes and GRAPE iterations.
+		var rec *obs.Recorder
+		if mode == core.QOCFull {
+			rec = obs.New()
+			opts.Obs = rec
 		}
 		res, err := compile(c, opts)
 		if err != nil {
 			return nil, fmt.Errorf("suite %s, circuit %s: %w", suite, name, err)
 		}
+		metrics := res.MetricMap()
+		if rec != nil {
+			snap := rec.Snapshot()
+			metrics["qoc_probes"] = float64(snap.Counters["qoc/duration_probes"])
+			metrics["grape_iters"] = snap.Dists["qoc/grape/iterations"].Sum
+			benchObs.Merge(snap)
+		}
 		art.Circuits = append(art.Circuits, report.CircuitResult{
 			Name:    name,
-			Metrics: res.MetricMap(),
+			Metrics: metrics,
 		})
 		fmt.Printf("  %-12s latency %8.1f ns  fidelity %.5f  pulses %3.0f\n",
-			name, res.Latency, res.Fidelity, res.MetricMap()["pulses"])
+			name, res.Latency, res.Fidelity, metrics["pulses"])
 	}
 	art.Sort()
 	return art, nil
@@ -128,6 +149,8 @@ func runSuite(suite string) (*report.BenchArtifact, error) {
 func runSuiteMode(suite, jsonDir, baselinePath string) {
 	if storeRoot != "" {
 		fmt.Printf("== Suite %s (EPOC, full mode, store %s) ==\n", suite, storeRoot)
+	} else if suite == "grape" {
+		fmt.Printf("== Suite %s (EPOC, full mode, cold) ==\n", suite)
 	} else {
 		fmt.Printf("== Suite %s (EPOC, estimate mode) ==\n", suite)
 	}
@@ -162,7 +185,14 @@ func runSuiteMode(suite, jsonDir, baselinePath string) {
 		if err != nil {
 			fatalErr(fmt.Errorf("baseline %s: %w", baselinePath, err))
 		}
-		regs, err := report.CompareBaseline(base, art, nil)
+		th := report.DefaultThresholds()
+		if art.Config["mode"] == "full" && art.Config["store"] == "" {
+			// A cold full-mode run spends its stage-5 time in GRAPE:
+			// wall clock, like compile time. The probe and iteration
+			// counts gate that work instead.
+			th["qoc_time_ns"] = report.Threshold{Informational: true}
+		}
+		regs, err := report.CompareBaseline(base, art, th)
 		if err != nil {
 			fatalErr(fmt.Errorf("baseline %s: %w", baselinePath, err))
 		}

@@ -52,7 +52,7 @@ func main() {
 		budgets    = flag.String("stage-budget", "", "per-compile budgets, degrade instead of overrunning: total=30s,synth=2s,qoc=5s,synth-nodes=500,qoc-iters=50")
 		cpuprofile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a runtime/pprof heap profile to this file")
-		suite      = flag.String("suite", "", "run a fixed benchmark suite (small | all) for -json/-baseline")
+		suite      = flag.String("suite", "", "run a fixed benchmark suite (small | all | grape) for -json/-baseline")
 		jsonDir    = flag.String("json", "", "with -suite: write the BENCH_<suite>.json artifact into this directory")
 		baseline   = flag.String("baseline", "", "with -suite: compare against this artifact and exit non-zero on regression")
 		storeFlag  = flag.String("store", "", "with -suite: run full GRAPE backed by a persistent pulse/synth store at this root (artifact becomes BENCH_<suite>_warm.json)")

@@ -584,22 +584,22 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 	}
 	model := o.Device.BlockModel(k)
 	maxSlots := o.Device.MaxSlots(k)
-	step := 2
-	if k == 2 {
-		step = o.SlotStep2Q
-	} else if k > 2 {
-		step = 2 * o.SlotStep2Q
-	}
+	// The duration search starts at the estimator's prediction: most
+	// blocks finish well below maxSlots, and each probe costs time in
+	// proportion to its slot count.
+	est, _ := estimatePulse(op, o)
+	start := int(math.Ceil(est / o.Device.Dt))
 	st.QOCRuns++
-	var r qoc.Result
+	var run qoc.Runner
 	if o.Algorithm == AlgCRAB {
-		r = qoc.DurationSearchCRAB(model, u, 2, maxSlots, step, qoc.CRABConfig{
+		cfg := qoc.CRABConfig{
 			Target:      o.FidelityTarget,
 			Seed:        o.Seed,
 			Gate:        o.qocGate,
 			BudgetIters: o.Budgets.QOCIters,
 			Region:      tsp,
-		})
+		}
+		run = func(slots int) qoc.Result { return qoc.CRAB(model, u, slots, cfg) }
 	} else {
 		cfg := qoc.GRAPEConfig{
 			MaxIter:     o.GRAPEIters,
@@ -609,14 +609,10 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 			BudgetIters: o.Budgets.QOCIters,
 			Region:      tsp,
 		}
-		if warm == nil {
-			r = qoc.DurationSearch(model, u, 2, maxSlots, step, cfg)
-		} else {
-			r = qoc.SearchDuration(cfg.Gate, 2, maxSlots, step, cfg.Target, qoc.Probes(tsp, func(slots int) qoc.Result {
-				return qoc.WarmStartGRAPE(model, u, slots, warm, cfg)
-			}))
-		}
+		// A nil warm start is a cold GRAPE run.
+		run = func(slots int) qoc.Result { return qoc.WarmStartGRAPE(model, u, slots, warm, cfg) }
 	}
+	r := qoc.SearchDurationFrom(o.qocGate, 2, start, maxSlots, slotStep(k, o), o.FidelityTarget, qoc.Probes(tsp, run))
 	tsp.SetInt("slots", int64(r.Slots)).
 		SetInt("iterations", int64(r.Iterations)).
 		SetFloat("duration_ns", r.Duration).
@@ -652,6 +648,18 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 		Slots:    r.Slots,
 		Amps:     r.Amps,
 	}, r.Err
+}
+
+// slotStep is the duration-search grid step for a k-qubit block.
+func slotStep(k int, o Options) int {
+	switch {
+	case k <= 1:
+		return 2
+	case k == 2:
+		return o.SlotStep2Q
+	default:
+		return 2 * o.SlotStep2Q
+	}
 }
 
 // fingerprintPrefix shortens a unitary fingerprint to a readable trace

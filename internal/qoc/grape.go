@@ -173,6 +173,9 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 		if zAbs < 1e-14 {
 			zAbs = 1e-14
 		}
+		// Adam's bias corrections depend only on the iteration.
+		bc1 := 1 - math.Pow(beta1, float64(iter+1))
+		bc2 := 1 - math.Pow(beta2, float64(iter+1))
 		for k := 0; k < slots; k++ {
 			// left = target†·suffix_{k+1} (adjoint fused, never
 			// materialized); right = step_k·prefix_k = prefix_{k+1}.
@@ -187,8 +190,8 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 				// Adam ascent step (maximize fidelity).
 				mAdam[k][j] = beta1*mAdam[k][j] + (1-beta1)*grad
 				vAdam[k][j] = beta2*vAdam[k][j] + (1-beta2)*grad*grad
-				mh := mAdam[k][j] / (1 - math.Pow(beta1, float64(iter+1)))
-				vh := vAdam[k][j] / (1 - math.Pow(beta2, float64(iter+1)))
+				mh := mAdam[k][j] / bc1
+				vh := vAdam[k][j] / bc2
 				amps[k][j] += lr * m.MaxAmp[j] * mh / (math.Sqrt(vh) + eps)
 				// Project onto the hardware amplitude bound.
 				if amps[k][j] > m.MaxAmp[j] {
@@ -281,7 +284,7 @@ type Runner func(slots int) Result
 // probe's achieved fidelity and iteration count. The recorder also
 // gets the probe counter, the probed slot sequence ("qoc/probe_slots"
 // series, in probe order) and an event per probe. Slot counts are
-// unique per search (SearchDuration memoizes probes), which keeps
+// unique per search (the duration search memoizes probes), which keeps
 // sibling probe spans canonically orderable and traced compiles
 // byte-identical across worker counts.
 func Probes(pulse trace.Region, run Runner) Runner {
@@ -307,7 +310,26 @@ func Probes(pulse trace.Region, run Runner) Runner {
 // whose fidelity reaches target, using binary search over the
 // quantized slot grid (the AccQOC strategy). It returns the best pulse
 // found; if even maxSlots cannot reach the target, the maxSlots result
-// is returned with its achieved fidelity.
+// is returned with its achieved fidelity. It is SearchDurationFrom
+// started at maxSlots: the first probe is the longest pulse, then the
+// search bisects [minSlots, maxSlots].
+func SearchDuration(g *faultclock.Gate, minSlots, maxSlots, step int, target float64, run Runner) Result {
+	return SearchDurationFrom(g, minSlots, maxSlots, maxSlots, step, target, run)
+}
+
+// SearchDurationFrom is the duration search started at a predicted
+// slot count. The slot grid is minSlots, minSlots+step, … up to
+// maxSlots; start snaps up to the first grid point at or above it
+// (clamped to the grid's ends) and is probed first:
+//
+//   - if it reaches the target, the search bisects [minSlots, start];
+//   - if it misses, maxSlots is probed next — a miss there returns the
+//     maxSlots result, a hit bisects (start, maxSlots].
+//
+// A probe costs time in proportion to its slot count, so a start near
+// the answer skips the long probes of a full-range search, which
+// always succeed and dominate its cost. With start ≥ maxSlots the
+// probe sequence is exactly SearchDuration's.
 //
 // The gate g (nil for unbudgeted searches) is checked before every
 // probe (faultclock.SiteDurationProbe), and a probe that itself
@@ -317,20 +339,30 @@ func Probes(pulse trace.Region, run Runner) Runner {
 // higher raw fidelity, and shorter target-reaching pulses beat longer
 // ones — with Err set to the cause. A budget exit therefore still
 // yields a usable (if longer-than-optimal) pulse; a cancellation exit
-// tells the caller to discard it.
-func SearchDuration(g *faultclock.Gate, minSlots, maxSlots, step int, target float64, run Runner) Result {
+// tells the caller to discard it. Under a budget the first probe, and
+// so the earliest best-so-far, is the start point, not maxSlots.
+func SearchDurationFrom(g *faultclock.Gate, minSlots, start, maxSlots, step int, target float64, run Runner) Result {
 	if minSlots < 1 {
 		minSlots = 1
 	}
 	if step < 1 {
 		step = 1
 	}
-	// Quantized grid of candidate slot counts.
+	// Quantized grid of candidate slot counts; first is the index of
+	// the start point on it.
 	var grid []int
+	first := -1
 	for s := minSlots; s < maxSlots; s += step {
+		if first < 0 && s >= start {
+			first = len(grid)
+		}
 		grid = append(grid, s)
 	}
 	grid = append(grid, maxSlots)
+	last := len(grid) - 1
+	if first < 0 {
+		first = last
+	}
 
 	best := Result{Fidelity: -1}
 	haveBest := false
@@ -371,13 +403,22 @@ func SearchDuration(g *faultclock.Gate, minSlots, maxSlots, step int, target flo
 		return out
 	}
 
-	lo, hi := 0, len(grid)-1
-	r, err := memo(grid[hi])
+	lo, hi := 0, first
+	r, err := memo(grid[first])
 	if err != nil {
 		return partial(err)
 	}
 	if r.Fidelity < target {
-		return r // even the longest pulse fails; report it
+		if first == last {
+			return r // even the longest pulse fails; report it
+		}
+		lo, hi = first+1, last
+		if r, err = memo(grid[last]); err != nil {
+			return partial(err)
+		}
+		if r.Fidelity < target {
+			return r
+		}
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -403,13 +444,5 @@ func DurationSearch(m *Model, target *linalg.Matrix, minSlots, maxSlots int, ste
 	cfg.defaults()
 	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, Probes(cfg.Region, func(slots int) Result {
 		return GRAPE(m, target, slots, cfg)
-	}))
-}
-
-// DurationSearchCRAB is SearchDuration specialized to CRAB.
-func DurationSearchCRAB(m *Model, target *linalg.Matrix, minSlots, maxSlots int, step int, cfg CRABConfig) Result {
-	cfg.defaults()
-	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, Probes(cfg.Region, func(slots int) Result {
-		return CRAB(m, target, slots, cfg)
 	}))
 }

@@ -89,6 +89,10 @@ func DefaultThresholds() map[string]Threshold {
 		"qoc_runs":        {},
 		"warm_starts":     {},
 		"degraded":        {},
+		// Full-mode suites only: stage-5 work counts, deterministic
+		// because GRAPE is seeded and the duration search is.
+		"qoc_probes":      {},
+		"grape_iters":     {},
 		"compile_time_ns": {Informational: true},
 		// qoc_time_ns is wall clock, but unlike whole-compile time it is
 		// the store-warm gate's success metric: a warm run serves every

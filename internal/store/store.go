@@ -7,7 +7,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"weak"
 
+	"epoc/internal/linalg"
 	"epoc/internal/pulse"
 	"epoc/internal/report"
 	"epoc/internal/synth"
@@ -59,7 +61,15 @@ type Store struct {
 	pending  map[string][]byte // staged records: filename -> framed bytes
 	onDisk   map[string]bool   // filenames known to exist with valid content
 	counters Counters
-	closed   bool
+
+	// harvested holds the library and cache entries, by unitary, whose
+	// records are already staged or on disk, so a repeat harvest skips
+	// them without encoding. Entries are never evicted or mutated once
+	// exported, so the unitary's identity is a stable key. Weak keys
+	// keep the set from pinning the matrices of discarded libraries;
+	// such a stale key costs only its map slot.
+	harvested map[weak.Pointer[linalg.Matrix]]bool
+	closed    bool
 }
 
 // Open loads (or creates) the namespace directory under root. Corrupt
@@ -75,11 +85,12 @@ func Open(root, namespace string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		root:    root,
-		ns:      namespace,
-		dir:     dir,
-		pending: map[string][]byte{},
-		onDisk:  map[string]bool{},
+		root:      root,
+		ns:        namespace,
+		dir:       dir,
+		pending:   map[string][]byte{},
+		onDisk:    map[string]bool{},
+		harvested: map[weak.Pointer[linalg.Matrix]]bool{},
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -194,16 +205,9 @@ func (s *Store) HarvestLibrary(l *pulse.Library) int {
 	}
 	staged := 0
 	for _, e := range entries {
-		name, data, err := EncodePulseRecord(e.U, e.P)
-		if err != nil {
-			s.counters.Skipped++
-			continue
+		if s.stageLocked(e.U, func() (string, []byte, error) { return EncodePulseRecord(e.U, e.P) }) {
+			staged++
 		}
-		if s.onDisk[name] || s.pending[name] != nil {
-			continue
-		}
-		s.pending[name] = data
-		staged++
 	}
 	s.counters.PulseHarvested += int64(staged)
 	return staged
@@ -223,19 +227,35 @@ func (s *Store) HarvestSynthCache(c *synth.Cache) int {
 	}
 	staged := 0
 	for _, e := range entries {
-		name, data, err := EncodeSynthRecord(e.U, e.Circ, e.Ok)
-		if err != nil {
-			s.counters.Skipped++
-			continue
+		if s.stageLocked(e.U, func() (string, []byte, error) { return EncodeSynthRecord(e.U, e.Circ, e.Ok) }) {
+			staged++
 		}
-		if s.onDisk[name] || s.pending[name] != nil {
-			continue
-		}
-		s.pending[name] = data
-		staged++
 	}
 	s.counters.SynthHarvested += int64(staged)
 	return staged
+}
+
+// stageLocked stages the record of one harvested entry unless it is
+// already staged or on disk, reporting whether it was staged. An entry
+// seen by an earlier harvest is skipped before encoding: encoding and
+// hashing every entry on every harvest would make each compile's
+// harvest grow with the store. The caller must hold s.mu.
+func (s *Store) stageLocked(u *linalg.Matrix, encode func() (string, []byte, error)) bool {
+	key := weak.Make(u)
+	if s.harvested[key] {
+		return false
+	}
+	name, data, err := encode()
+	if err != nil {
+		s.counters.Skipped++
+		return false
+	}
+	s.harvested[key] = true
+	if s.onDisk[name] || s.pending[name] != nil {
+		return false
+	}
+	s.pending[name] = data
+	return true
 }
 
 // Flush writes every staged record to disk: temp file, then an atomic

@@ -193,6 +193,65 @@ func TestStoreRoundTripThroughDisk(t *testing.T) {
 	}
 }
 
+// TestHarvestSkipsEntriesAlreadySeen: a harvest remembers the entries
+// it staged or found on disk and does not encode them again. Each
+// harvested pulse is then made unencodable in place — something a
+// library never does to its entries — so any re-encode would show up
+// as a Skipped count; an entry added later is still staged.
+func TestHarvestSkipsEntriesAlreadySeen(t *testing.T) {
+	root := t.TempDir()
+	spoil := func(lib *pulse.Library) {
+		for _, e := range lib.Export() {
+			e.P.Label = strings.Repeat("x", maxLabelLen+1)
+		}
+	}
+	s1, err := Open(root, "ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := pulse.NewLibrary(true)
+	for i := 0; i < 3; i++ {
+		lib.Store(testPulse(i))
+	}
+	if n := s1.HarvestLibrary(lib); n != 3 {
+		t.Fatalf("first harvest staged %d, want 3", n)
+	}
+	if err := s1.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	spoil(lib)
+	if n := s1.HarvestLibrary(lib); n != 0 || s1.Counters().Skipped != 0 {
+		t.Fatalf("second harvest staged %d and skipped %d: it re-encoded seen entries", n, s1.Counters().Skipped)
+	}
+	lib.Store(testPulse(3))
+	if n := s1.HarvestLibrary(lib); n != 1 || s1.Counters().Skipped != 0 {
+		t.Fatalf("harvest after adding one entry staged %d (skipped %d), want 1 (0)", n, s1.Counters().Skipped)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Entries warmed from disk are found there by the first harvest and
+	// skipped, unencoded, by every later one.
+	s2, err := Open(root, "ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s2.Close() }()
+	if p, _ := s2.Len(); p != 4 {
+		t.Fatalf("reopened store holds %d pulses, want 4", p)
+	}
+	lib2 := pulse.NewLibrary(true)
+	s2.WarmLibrary(lib2)
+	if n := s2.HarvestLibrary(lib2); n != 0 {
+		t.Fatalf("harvest of a warmed library staged %d", n)
+	}
+	spoil(lib2)
+	if n := s2.HarvestLibrary(lib2); n != 0 || s2.Counters().Skipped != 0 {
+		t.Fatalf("repeat harvest of a warmed library staged %d and skipped %d", n, s2.Counters().Skipped)
+	}
+}
+
 // corruptionCase writes one damaged file into a store directory and
 // says how it should be accounted at Open.
 type corruptionCase struct {
