@@ -51,11 +51,12 @@ bench:
 # baselines, the cached GRAPE propagator loop, the QSearch template
 # gradient (in-place evaluator against the dense rebuild), and the
 # stage-1 rewrite loops (incremental Peephole and resuming spider
-# fusion against their restart-from-scratch references). -benchmem
-# makes the zero-allocation claim visible in the output.
+# fusion against their restart-from-scratch references), and the
+# state-vector stride kernels against the bit-spreading reference.
+# -benchmem makes the zero-allocation claim visible in the output.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify' \
-		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkApplyMatrix' \
+		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim
 
 # Machine-readable benchmark artifact: the small suite (Table 1
 # circuits, estimate mode) as bench/BENCH_small.json. Deterministic
@@ -102,14 +103,15 @@ store-warm-gate:
 		-baseline bench/baseline/BENCH_small_warm.json
 
 # Native Go fuzzing of the QASM parser, the store record codec, the
-# linalg kernel layer and the Peephole rewriter (bounded; CI runs the
-# same targets on every push).
+# linalg kernel layer, the Peephole rewriter and the state-vector
+# kernels (bounded; CI runs the same targets on every push).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/qasm
 	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=30s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzKernelMatmul -fuzztime=30s ./internal/linalg/kerneltest
 	$(GO) test -run='^$$' -fuzz=FuzzKernelExpm -fuzztime=30s ./internal/linalg/kerneltest
 	$(GO) test -run='^$$' -fuzz=FuzzPeephole -fuzztime=30s ./internal/optimize
+	$(GO) test -run='^$$' -fuzz=FuzzApplyMatrix -fuzztime=30s ./internal/sim
 
 # Run the compile service locally (see SERVING.md for the API).
 serve:

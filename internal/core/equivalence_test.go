@@ -84,10 +84,9 @@ func TestCompileEquivalenceGateBased(t *testing.T) {
 
 // TestCompileControlledRotationPairQASM: two CRZ(3) on the same qubits
 // sum to 6, past 2π but not a multiple of the controlled rotation's 4π
-// period. The ZX stage considers Peephole's output without verifying
-// it, so a 2π-periodic merge (crz(6−2π), off by Z on the control)
-// would reach the lowered circuit. Checked on product states with the
-// state-vector simulator.
+// period. A 2π-periodic merge (crz(6−2π), off by Z on the control)
+// must not reach the lowered circuit. Checked on product states with
+// the state-vector simulator.
 func TestCompileControlledRotationPairQASM(t *testing.T) {
 	prog, err := qasm.Parse(`OPENQASM 2.0;
 include "qelib1.inc";

@@ -10,6 +10,7 @@ import (
 	"epoc/internal/faultclock"
 	"epoc/internal/gate"
 	"epoc/internal/linalg"
+	"epoc/internal/obs"
 	"epoc/internal/optimize"
 	"epoc/internal/partition"
 	"epoc/internal/pulse"
@@ -76,7 +77,7 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 		res.DegradeReasons = append(res.DegradeReasons, "zx")
 	} else if *o.UseZX {
-		o.inStage("stage/zx", func() { work = zxOptimize(work) })
+		o.inStage("stage/zx", func() { work = zxOptimize(work, o.Obs) })
 	}
 	res.Stats.DepthAfterZX = work.Depth()
 	res.Stats.GatesAfterZX = work.Len()
@@ -699,10 +700,11 @@ func estimatePulse(op circuit.Op, o Options) (dur, fid float64) {
 
 // DepthOptimize exposes the graph-based depth-optimization stage on
 // its own (used by the Figure 5 experiment and cmd/zxopt): it returns
-// the shallowest verified equivalent of c found via ZX simplification
-// and extraction, never worse than c itself.
+// the shallowest equivalent of c found via ZX simplification,
+// extraction and gate-level cleanup, never worse than c itself. Up to
+// 12 qubits the returned circuit has been simulated against c.
 func DepthOptimize(c *circuit.Circuit) *circuit.Circuit {
-	return zxSelect(c, func(cand *circuit.Circuit) float64 { return float64(cand.Depth()) })
+	return zxSelect(c, func(cand *circuit.Circuit) float64 { return float64(cand.Depth()) }, nil)
 }
 
 // zxOptimize is the pipeline's ZX stage. Unlike DepthOptimize it
@@ -710,8 +712,8 @@ func DepthOptimize(c *circuit.Circuit) *circuit.Circuit {
 // two-qubit ops an order of magnitude more expensive than single-qubit
 // ops — because extraction can trade depth for extra CNOT scaffolding
 // that would lengthen the final schedule.
-func zxOptimize(c *circuit.Circuit) *circuit.Circuit {
-	return zxSelect(c, latencyProxy)
+func zxOptimize(c *circuit.Circuit, rec *obs.Recorder) *circuit.Circuit {
+	return zxSelect(c, latencyProxy, rec)
 }
 
 func latencyProxy(c *circuit.Circuit) float64 {
@@ -723,54 +725,104 @@ func latencyProxy(c *circuit.Circuit) float64 {
 	})
 }
 
-// zxSelect applies the ZX pass with verification and a safe fallback:
-// the extracted circuit must reproduce the original unitary on random
-// product states (up to 12 qubits); on extraction failure or
-// verification mismatch the gate-level peephole optimizer stands in.
-// Among the verified candidates (original, peephole-cleaned original,
-// cleaned extraction) the best under `score` wins, so the pass never
-// hurts.
-func zxSelect(c *circuit.Circuit, score func(*circuit.Circuit) float64) *circuit.Circuit {
-	best := c
-	bestScore := score(c)
-	consider := func(cand *circuit.Circuit) {
-		if s := score(cand); s < bestScore {
-			best = cand
-			bestScore = s
-		}
-	}
-	peep := optimize.Peephole(c)
-	consider(peep)
-	consider(optimize.MergeSingleQubitRuns(peep))
+// zxSelect returns the best of c and its rewritten candidates under
+// score, so the pass never hurts. A candidate that would become the
+// new best is first simulated against c (up to 12 qubits, see
+// zxSelection.consider), so whatever zxSelect returns has been checked.
+func zxSelect(c *circuit.Circuit, score func(*circuit.Circuit) float64, rec *obs.Recorder) *circuit.Circuit {
+	sel := newZXSelection(c, score, rec)
+	zxCandidates(c, sel.consider)
+	return sel.best
+}
 
-	tryExtract := func(simplify func(*zx.Graph)) {
+// zxCandidates yields stage 1's rewrites of c in a fixed order:
+// Peephole(c) and its merged single-qubit runs, then for each of the
+// two ZX simplifications the extracted circuit, its Peephole and that
+// Peephole's merged runs. An extraction that fails yields nothing.
+func zxCandidates(c *circuit.Circuit, yield func(*circuit.Circuit)) {
+	peep := optimize.Peephole(c)
+	yield(peep)
+	yield(optimize.MergeSingleQubitRuns(peep))
+	for _, simplify := range []func(*zx.Graph){(*zx.Graph).Simplify, (*zx.Graph).FullSimplify} {
 		g := zx.FromCircuit(c)
 		simplify(g)
 		out, err := g.ToCircuit()
 		if err != nil {
-			return
+			continue
 		}
-		if c.NumQubits <= 12 && !verifyEquivalent(c, out) {
-			return
-		}
-		consider(out)
+		yield(out)
 		peepOut := optimize.Peephole(out)
-		consider(peepOut)
-		consider(optimize.MergeSingleQubitRuns(peepOut))
+		yield(peepOut)
+		yield(optimize.MergeSingleQubitRuns(peepOut))
 	}
-	tryExtract(func(g *zx.Graph) { g.Simplify() })
-	tryExtract(func(g *zx.Graph) { g.FullSimplify() })
-	return best
 }
 
-// verifyEquivalent checks circuit equality up to global phase on
-// random product states.
-func verifyEquivalent(a, b *circuit.Circuit) bool {
-	if a.NumQubits != b.NumQubits {
+// maxVerifyQubits bounds stage-1 verification: 2^12 amplitudes per
+// state keeps a check well under a millisecond.
+const maxVerifyQubits = 12
+
+// zxSelection is stage 1's incumbent and its equivalence check. The
+// input is run on three fixed product states once, at the first
+// check, and every check compares a candidate's results with those.
+type zxSelection struct {
+	in        *circuit.Circuit
+	score     func(*circuit.Circuit) float64
+	rec       *obs.Recorder
+	best      *circuit.Circuit
+	bestScore float64
+
+	seeds   []*sim.State // deterministicStates, built on the first check
+	want    []*sim.State // seeds run through in
+	scratch *sim.State
+}
+
+func newZXSelection(in *circuit.Circuit, score func(*circuit.Circuit) float64, rec *obs.Recorder) *zxSelection {
+	return &zxSelection{in: in, score: score, rec: rec, best: in, bestScore: score(in)}
+}
+
+// consider makes cand the incumbent if it scores strictly better and
+// passes the equivalence check; a candidate that fails is counted in
+// zx/verify/rejected and dropped.
+func (z *zxSelection) consider(cand *circuit.Circuit) {
+	s := z.score(cand)
+	if s >= z.bestScore {
+		return
+	}
+	if !z.equivalent(cand) {
+		z.rec.Add("zx/verify/rejected", 1)
+		return
+	}
+	z.best, z.bestScore = cand, s
+}
+
+// equivalent reports whether cand matches the input up to global
+// phase on the deterministic product states, at fidelity 1 − 1e-9.
+// Inputs wider than maxVerifyQubits pass unchecked.
+func (z *zxSelection) equivalent(cand *circuit.Circuit) bool {
+	n := z.in.NumQubits
+	if cand.NumQubits != n {
 		return false
 	}
-	seeds := deterministicStates(a.NumQubits, 3)
-	return sim.EquivalentCircuits(a, b, len(seeds), seeds)
+	if n > maxVerifyQubits {
+		return true
+	}
+	if z.want == nil {
+		z.seeds = deterministicStates(n, 3)
+		for _, s := range z.seeds {
+			w := s.Clone()
+			w.Run(z.in)
+			z.want = append(z.want, w)
+		}
+		z.scratch = sim.NewState(n)
+	}
+	for i, seed := range z.seeds {
+		copy(z.scratch.Amp, seed.Amp)
+		z.scratch.Run(cand)
+		if z.want[i].Fidelity(z.scratch) < 1-1e-9 {
+			return false
+		}
+	}
+	return true
 }
 
 func deterministicStates(n, count int) []*sim.State {
