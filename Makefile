@@ -66,13 +66,14 @@ bench-json:
 	$(GO) run ./cmd/epoc-bench -suite small -json bench
 
 # Perf regression gate: re-run the small suite and compare against the
-# committed seed baseline. Non-zero exit on any gated-metric
-# regression. epoc-bench is the authoritative gate; epoc-stats then
-# renders the full baseline diff into the job log (and double-gates on
-# the headline metrics), so a failing run shows *what* moved, not just
-# that something did. The grape suite (qaoa and qft, cold full-GRAPE
-# mode, about 2 s) gates stage 5 the same way: pulses exact, and the
-# duration-search probe and GRAPE iteration counts at zero slack.
+# committed seed baseline. epoc-bench -baseline prints the full baseline
+# diff (so a failing run shows *what* moved, not just that something
+# did) and gates it under report.BenchGatePolicy, the same -fail-on
+# engine epoc-stats uses: latency, fidelity and every count at zero
+# slack, compile time informational. Non-zero exit on any regression,
+# or on a baseline from another suite or config. The grape suite (qaoa
+# and qft, cold full-GRAPE mode, about 2 s) gates stage 5 the same way,
+# including the duration-search probe and GRAPE iteration counts.
 # Refresh the baselines with:
 #   go run ./cmd/epoc-bench -suite small -json bench/baseline
 #   go run ./cmd/epoc-bench -suite grape -json bench/baseline
@@ -81,12 +82,8 @@ bench-gate:
 	gate=0; \
 	$(GO) run ./cmd/epoc-bench -suite small -json $(CURDIR)/.bench-gate \
 		-baseline bench/baseline/BENCH_small.json || gate=$$?; \
-	$(GO) run ./cmd/epoc-stats -fail-on 'latency_ns=0.01%,fidelity=0.0001,qoc_runs=0' \
-		bench/baseline/BENCH_small.json $(CURDIR)/.bench-gate/BENCH_small.json || gate=$$?; \
 	$(GO) run ./cmd/epoc-bench -suite grape -json $(CURDIR)/.bench-gate \
 		-baseline bench/baseline/BENCH_grape.json || gate=$$?; \
-	$(GO) run ./cmd/epoc-stats -fail-on 'latency_ns=0,fidelity=0,qoc_probes=0,grape_iters=0' \
-		bench/baseline/BENCH_grape.json $(CURDIR)/.bench-gate/BENCH_grape.json || gate=$$?; \
 	exit $$gate
 
 # Store-warm gate: run the small suite in full-GRAPE mode twice over

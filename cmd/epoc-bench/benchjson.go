@@ -6,9 +6,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 
 	"epoc/internal/benchcirc"
 	"epoc/internal/core"
@@ -177,36 +178,62 @@ func runSuiteMode(suite, jsonDir, baselinePath string) {
 		fmt.Println("wrote", path)
 	}
 	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			fatalErr(err)
+		if code := gateBaseline(art, baselinePath, os.Stdout, os.Stderr); code != 0 {
+			os.Exit(code)
 		}
-		base, err := report.DecodeArtifact(raw)
-		if err != nil {
-			fatalErr(fmt.Errorf("baseline %s: %w", baselinePath, err))
-		}
-		th := report.DefaultThresholds()
-		if art.Config["mode"] == "full" && art.Config["store"] == "" {
-			// A cold full-mode run spends its stage-5 time in GRAPE:
-			// wall clock, like compile time. The probe and iteration
-			// counts gate that work instead.
-			th["qoc_time_ns"] = report.Threshold{Informational: true}
-		}
-		regs, err := report.CompareBaseline(base, art, th)
-		if err != nil {
-			fatalErr(fmt.Errorf("baseline %s: %w", baselinePath, err))
-		}
-		if len(regs) > 0 {
-			var b strings.Builder
-			for _, r := range regs {
-				fmt.Fprintf(&b, "  %s\n", r.String())
-			}
-			fmt.Fprintf(os.Stderr, "epoc-bench: %d regression(s) vs %s:\n%s", len(regs), baselinePath, b.String())
-			os.Exit(1)
-		}
-		fmt.Printf("baseline check passed: %d circuits, no regressions vs %s\n",
-			len(art.Circuits), baselinePath)
 	}
+}
+
+// gateBaseline diffs the run against the bench artifact at
+// baselinePath, prints the diff table, and gates the diff under
+// report.BenchGatePolicy. It returns the exit code: 0 clean, 1 on an
+// unreadable or incomparable baseline or any regression.
+func gateBaseline(art *report.BenchArtifact, baselinePath string, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "epoc-bench: baseline %s: %v\n", baselinePath, err)
+		return 1
+	}
+	raw, err := os.ReadFile(baselinePath)
+	if err != nil {
+		return fail(err)
+	}
+	base, err := report.LoadRunStats("baseline", raw)
+	if err != nil {
+		return fail(err)
+	}
+	if base.Source != "bench" {
+		return fail(fmt.Errorf("is a %s, not a bench artifact", base.Source))
+	}
+	data, err := report.EncodeArtifact(art)
+	if err != nil {
+		return fail(err)
+	}
+	cur, err := report.LoadRunStats("current", data)
+	if err != nil {
+		return fail(err)
+	}
+	rules, err := report.ParseFailOn(report.BenchGatePolicy)
+	if err != nil {
+		return fail(err)
+	}
+	if art.Config["mode"] == "full" && art.Config["store"] == "" {
+		// A cold full-mode run spends its stage-5 time in GRAPE: wall
+		// clock, like compile time. The probe and iteration counts gate
+		// that work instead.
+		rules = slices.DeleteFunc(rules, func(r report.FailRule) bool { return r.Metric == "qoc_time_ns" })
+	}
+	d := report.DiffRunStats(base, cur)
+	fmt.Fprint(stdout, report.FormatDiff(d))
+	if violations := report.GateDiff(d, rules); len(violations) > 0 {
+		fmt.Fprintf(stderr, "epoc-bench: %d regression(s) vs %s:\n", len(violations), baselinePath)
+		for _, v := range violations {
+			fmt.Fprintf(stderr, "  %s\n", v)
+		}
+		return 1
+	}
+	fmt.Fprintf(stdout, "baseline check passed: %d circuits, no regressions vs %s\n",
+		len(art.Circuits), baselinePath)
+	return 0
 }
 
 func fatalErr(err error) {

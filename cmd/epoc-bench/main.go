@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -59,6 +60,11 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof and the /metrics obs exposition on this address while the run is live")
 	)
 	flag.Parse()
+	if err := checkSuiteFlags(*suite, *jsonDir, *baseline, *storeFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "epoc-bench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	statsMode = *stats
 	workerCount = *workers
 	b, err := core.ParseBudgets(*budgets)
@@ -151,4 +157,13 @@ func main() {
 		}
 		f.Close()
 	}
+}
+
+// checkSuiteFlags rejects the suite-only flags without -suite, where
+// they would be silently ignored: a -baseline that gates nothing.
+func checkSuiteFlags(suite, jsonDir, baseline, store string) error {
+	if suite == "" && (jsonDir != "" || baseline != "" || store != "") {
+		return errors.New("-json, -baseline and -store only apply with -suite")
+	}
+	return nil
 }

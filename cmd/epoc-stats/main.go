@@ -15,8 +15,8 @@
 //
 // The diff table lists every metric either side carries with delta
 // and percent change; -fail-on turns selected deltas into a gate
-// (exit 1) so the same binary renders CI bench diffs and enforces
-// them. -promcheck instead validates a Prometheus text-format scrape
+// (exit 1). It is the engine epoc-bench -baseline gates with, under
+// the policy report.BenchGatePolicy, here for ad-hoc runs. -promcheck instead validates a Prometheus text-format scrape
 // (a file, or - for stdin) with the strict parser the exposition
 // tests use, for the metrics-smoke CI job.
 //
@@ -58,6 +58,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *promcheck {
+		if *failOn != "" {
+			fmt.Fprintln(stderr, "epoc-stats: -fail-on does not apply with -promcheck")
+			return 2
+		}
 		return runPromcheck(fs.Args(), *require, stdout, stderr)
 	}
 	if *require != "" {

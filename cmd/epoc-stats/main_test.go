@@ -89,6 +89,15 @@ func TestUsageAndLoadErrors(t *testing.T) {
 	if code := run([]string{good, bad}, &out, &errb); code != 2 {
 		t.Fatalf("unrecognized artifact exit %d, want 2", code)
 	}
+
+	// -promcheck validates one scrape; a -fail-on there would gate nothing.
+	scrape := filepath.Join(dir, "scrape.prom")
+	if err := os.WriteFile(scrape, []byte(validScrape), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-promcheck", "-fail-on", "latency_ns=0", scrape}, &out, &errb); code != 2 {
+		t.Fatalf("-promcheck with -fail-on exit %d, want 2", code)
+	}
 }
 
 const validScrape = `# HELP epoc_serve_requests_total Total compile requests.

@@ -3,7 +3,6 @@ package report
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -135,64 +134,6 @@ func artifactPair() (*BenchArtifact, *BenchArtifact) {
 		}
 	}
 	return mk(), mk()
-}
-
-func TestCompareBaselineClean(t *testing.T) {
-	base, cur := artifactPair()
-	// Improvements and informational movement never gate.
-	cur.Circuits[0].Metrics["latency_ns"] = 900
-	cur.Circuits[0].Metrics["fidelity"] = 0.9995
-	cur.Circuits[1].Metrics["compile_time_ns"] = 9e9
-	regs, err := CompareBaseline(base, cur, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %v", regs)
-	}
-}
-
-func TestCompareBaselineRegressions(t *testing.T) {
-	base, cur := artifactPair()
-	cur.Circuits[0].Metrics["latency_ns"] = 1001 // worse latency
-	cur.Circuits[1].Metrics["fidelity"] = 0.99   // worse fidelity
-	cur.Circuits[1].Metrics["pulses"] = 21       // count crept up
-	regs, err := CompareBaseline(base, cur, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 3 {
-		t.Fatalf("want 3 regressions, got %v", regs)
-	}
-	// Sorted by (circuit, metric).
-	wantMetrics := []string{"latency_ns", "fidelity", "pulses"}
-	wantCircuits := []string{"bv_5", "qft_4", "qft_4"}
-	for i, r := range regs {
-		if r.Circuit != wantCircuits[i] || r.Metric != wantMetrics[i] {
-			t.Fatalf("regression %d = %v, want %s/%s", i, r, wantCircuits[i], wantMetrics[i])
-		}
-		if !strings.Contains(r.String(), "regressed") {
-			t.Fatalf("unhelpful regression message %q", r.String())
-		}
-	}
-}
-
-func TestCompareBaselineIncomparable(t *testing.T) {
-	base, cur := artifactPair()
-	cur.ConfigFingerprint = "different"
-	if _, err := CompareBaseline(base, cur, nil); err == nil {
-		t.Fatal("compared artifacts with different config fingerprints")
-	}
-	base, cur = artifactPair()
-	cur.Suite = "large"
-	if _, err := CompareBaseline(base, cur, nil); err == nil {
-		t.Fatal("compared artifacts from different suites")
-	}
-	base, cur = artifactPair()
-	cur.Circuits = cur.Circuits[:1]
-	if _, err := CompareBaseline(base, cur, nil); err == nil {
-		t.Fatal("dropped circuit did not fail the gate")
-	}
 }
 
 // TestArtifactEncodeSorted pins that artifact bytes are independent of

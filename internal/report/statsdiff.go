@@ -8,6 +8,7 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,9 +22,8 @@ type RunStats struct {
 	Source string // manifest | bench | stats
 	Suite  string
 	// Fingerprint is the config fingerprint when the source carries
-	// one; DiffRunStats warns — via the returned note — when the two
-	// sides differ, but does not refuse (epoc-stats is a lens, the
-	// bench gate is the comparability cop).
+	// one. When the two sides differ, DiffRunStats only notes it (the
+	// plain diff is a lens); GateDiff refuses to gate them.
 	Fingerprint string
 	Circuits    map[string]map[string]float64
 	Run         map[string]float64
@@ -196,15 +196,7 @@ type RunDiff struct {
 // never fails: incomparable inputs produce notes, and the gate — not
 // the diff — decides what is fatal.
 func DiffRunStats(base, cur *RunStats) *RunDiff {
-	d := &RunDiff{Base: base, Cur: cur}
-	if base.Fingerprint != "" && cur.Fingerprint != "" && base.Fingerprint != cur.Fingerprint {
-		d.Notes = append(d.Notes, fmt.Sprintf(
-			"config fingerprint differs (%.12s… vs %.12s…): deltas include config changes",
-			base.Fingerprint, cur.Fingerprint))
-	}
-	if base.Suite != cur.Suite && base.Suite != "" && cur.Suite != "" {
-		d.Notes = append(d.Notes, fmt.Sprintf("suite differs: %q vs %q", base.Suite, cur.Suite))
-	}
+	d := &RunDiff{Base: base, Cur: cur, Notes: incomparable(base, cur)}
 
 	d.Rows = append(d.Rows, diffMaps("", base.Run, cur.Run)...)
 	for _, scope := range unionKeys(circuitNames(base), circuitNames(cur)) {
@@ -219,6 +211,21 @@ func DiffRunStats(base, cur *RunStats) *RunDiff {
 		}
 	}
 	return d
+}
+
+// incomparable lists why two runs' deltas are not behaviour changes:
+// both sides carry a config fingerprint or a suite, and they differ.
+func incomparable(base, cur *RunStats) []string {
+	var out []string
+	if base.Fingerprint != "" && cur.Fingerprint != "" && base.Fingerprint != cur.Fingerprint {
+		out = append(out, fmt.Sprintf(
+			"config fingerprint differs (%.12s… vs %.12s…): deltas include config changes",
+			base.Fingerprint, cur.Fingerprint))
+	}
+	if base.Suite != "" && cur.Suite != "" && base.Suite != cur.Suite {
+		out = append(out, fmt.Sprintf("suite differs: %q vs %q", base.Suite, cur.Suite))
+	}
+	return out
 }
 
 func diffMaps(scope string, base, cur map[string]float64) []DiffRow {
@@ -327,29 +334,33 @@ type FailRule struct {
 //	metric=limit[,metric=limit...]
 //
 // where limit is an absolute delta ("latency_ns=100") or a percentage
-// ("latency_ns=2%"). "metric=0" means any worsening fails.
+// ("latency_ns=2%"). "metric=0" means any worsening fails. A limit
+// must be finite and non-negative — NaN or Inf slack would switch the
+// gate off — and each metric may appear in one clause only.
 func ParseFailOn(spec string) ([]FailRule, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("report: empty -fail-on spec")
 	}
 	var rules []FailRule
+	seen := map[string]bool{}
 	for _, clause := range strings.Split(spec, ",") {
 		name, limit, ok := strings.Cut(strings.TrimSpace(clause), "=")
 		if !ok || name == "" {
 			return nil, fmt.Errorf("report: -fail-on clause %q: want metric=limit", clause)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("report: -fail-on %s: metric appears in two clauses", name)
+		}
+		seen[name] = true
+		num, isPct := strings.CutSuffix(limit, "%")
+		v, err := strconv.ParseFloat(num, 64)
+		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("report: -fail-on %s: bad limit %q", name, limit)
+		}
 		r := FailRule{Metric: name}
-		if pct, isPct := strings.CutSuffix(limit, "%"); isPct {
-			v, err := strconv.ParseFloat(pct, 64)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("report: -fail-on %s: bad percentage %q", name, limit)
-			}
+		if isPct {
 			r.Rel = v / 100
 		} else {
-			v, err := strconv.ParseFloat(limit, 64)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("report: -fail-on %s: bad limit %q", name, limit)
-			}
 			r.Abs = v
 		}
 		rules = append(rules, r)
@@ -357,21 +368,24 @@ func ParseFailOn(spec string) ([]FailRule, error) {
 	return rules, nil
 }
 
-// higherIsBetter says which direction is a regression for a metric:
-// the bench gate's threshold table is authoritative for its metrics,
-// and rates/fidelity-like names default to higher-is-better.
+// higherIsBetter says which direction is a regression for a metric,
+// from its name alone: rates and fidelities rise when things improve,
+// everything else (latencies, times, counts) falls.
 func higherIsBetter(metric string) bool {
-	if th, ok := DefaultThresholds()[metric]; ok {
-		return th.HigherIsBetter
-	}
 	return strings.HasSuffix(metric, "hit_rate") || strings.HasSuffix(metric, "fidelity")
 }
 
 // GateDiff applies -fail-on rules to a diff and returns one violation
 // line per breach: a gated metric that worsened past its allowance,
 // or that disappeared from the current side entirely (coverage loss).
+// With any rules it also refuses inputs whose deltas are not behaviour
+// changes — a different suite or config fingerprint — instead of
+// gating them.
 func GateDiff(d *RunDiff, rules []FailRule) []string {
-	var out []string
+	if len(rules) == 0 {
+		return nil
+	}
+	out := incomparable(d.Base, d.Cur)
 	for _, rule := range rules {
 		for _, r := range d.Rows {
 			if r.Metric != rule.Metric || !r.HasBase {

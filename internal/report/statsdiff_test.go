@@ -166,7 +166,13 @@ func TestDiffNotes(t *testing.T) {
 }
 
 func TestParseFailOnErrors(t *testing.T) {
-	for _, bad := range []string{"", "latency_ns", "=3", "latency_ns=x", "latency_ns=-1", "latency_ns=12%%"} {
+	for _, bad := range []string{
+		"", "latency_ns", "=3", "latency_ns=x", "latency_ns=-1", "latency_ns=12%%",
+		// Non-finite slack would make every comparison pass.
+		"latency_ns=NaN", "latency_ns=Inf", "latency_ns=+Inf", "latency_ns=NaN%", "latency_ns=inf%",
+		// A metric in two clauses has no single limit.
+		"latency_ns=1,latency_ns=2", "fidelity=0, latency_ns=0, fidelity=0",
+	} {
 		if _, err := ParseFailOn(bad); err == nil {
 			t.Errorf("ParseFailOn(%q) accepted", bad)
 		}
@@ -177,5 +183,76 @@ func TestParseFailOnErrors(t *testing.T) {
 	}
 	if len(rules) != 2 || rules[0].Rel != 0.02 || rules[1].Abs != 0.001 {
 		t.Fatalf("rules: %+v", rules)
+	}
+}
+
+// gateArtifacts gates cur against base under BenchGatePolicy, the path
+// epoc-bench -baseline takes.
+func gateArtifacts(t *testing.T, base, cur *BenchArtifact) []string {
+	t.Helper()
+	rules, err := ParseFailOn(BenchGatePolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return GateDiff(DiffRunStats(fromArtifact("base", base), fromArtifact("cur", cur)), rules)
+}
+
+func TestGateDiffClean(t *testing.T) {
+	base, cur := artifactPair()
+	// Improvements and informational movement never gate.
+	cur.Circuits[0].Metrics["latency_ns"] = 900
+	cur.Circuits[0].Metrics["fidelity"] = 0.9995
+	cur.Circuits[1].Metrics["compile_time_ns"] = 9e9
+	if v := gateArtifacts(t, base, cur); len(v) != 0 {
+		t.Fatalf("unexpected violations: %v", v)
+	}
+}
+
+func TestGateDiffRegressions(t *testing.T) {
+	base, cur := artifactPair()
+	cur.Circuits[0].Metrics["latency_ns"] = 1001 // worse latency
+	cur.Circuits[1].Metrics["fidelity"] = 0.99   // worse fidelity
+	cur.Circuits[1].Metrics["pulses"] = 21       // count crept up
+	v := gateArtifacts(t, base, cur)
+	// Sorted by circuit, then metric.
+	want := []string{"bv_5: latency_ns worsened", "qft_4: fidelity worsened", "qft_4: pulses worsened"}
+	if len(v) != len(want) {
+		t.Fatalf("want %d violations, got %v", len(want), v)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(v[i], w) {
+			t.Fatalf("violation %d = %q, want prefix %q", i, v[i], w)
+		}
+	}
+
+	// A gated metric missing from the current run is coverage loss.
+	base, cur = artifactPair()
+	delete(cur.Circuits[1].Metrics, "pulses")
+	v = gateArtifacts(t, base, cur)
+	if len(v) != 1 || !strings.HasPrefix(v[0], "qft_4: pulses present in baseline but missing from current") {
+		t.Fatalf("missing metric: %v", v)
+	}
+}
+
+func TestGateDiffIncomparable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		plant  func(cur *BenchArtifact)
+		reason string
+	}{
+		{"fingerprint", func(cur *BenchArtifact) { cur.ConfigFingerprint = "different" }, "config fingerprint differs"},
+		{"suite", func(cur *BenchArtifact) { cur.Suite = "large" }, "suite differs"},
+		{"dropped circuit", func(cur *BenchArtifact) { cur.Circuits = cur.Circuits[:1] }, "qft_4: latency_ns present in baseline but missing from current"},
+	} {
+		base, cur := artifactPair()
+		tc.plant(cur)
+		v := gateArtifacts(t, base, cur)
+		if !strings.Contains(strings.Join(v, "\n"), tc.reason) {
+			t.Errorf("%s: gate did not refuse: %v", tc.name, v)
+		}
+		// The plain diff only notes structural differences.
+		if v := GateDiff(DiffRunStats(fromArtifact("base", base), fromArtifact("cur", cur)), nil); v != nil {
+			t.Errorf("%s: ungated diff failed: %v", tc.name, v)
+		}
 	}
 }
