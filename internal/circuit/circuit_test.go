@@ -75,32 +75,6 @@ func TestDepthSerialVsParallel(t *testing.T) {
 	}
 }
 
-func TestMomentsStructure(t *testing.T) {
-	c := New(3)
-	c.Append(gate.New(gate.H), 0)
-	c.Append(gate.New(gate.H), 1)
-	c.Append(gate.New(gate.CX), 0, 1)
-	c.Append(gate.New(gate.X), 2)
-	layers := c.Moments()
-	if len(layers) != 2 {
-		t.Fatalf("expected 2 layers, got %d", len(layers))
-	}
-	if len(layers[0]) != 3 { // H0, H1, X2 all fit in layer 0
-		t.Fatalf("layer 0 has %d ops", len(layers[0]))
-	}
-	if len(layers[1]) != 1 {
-		t.Fatalf("layer 1 has %d ops", len(layers[1]))
-	}
-	// Total op count preserved.
-	total := 0
-	for _, l := range layers {
-		total += len(l)
-	}
-	if total != c.Len() {
-		t.Fatal("Moments lost ops")
-	}
-}
-
 func TestCriticalPathWeights(t *testing.T) {
 	c := New(2)
 	c.Append(gate.New(gate.X), 0)     // 10
@@ -178,41 +152,8 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestUsedQubits(t *testing.T) {
-	c := New(5)
-	c.Append(gate.New(gate.X), 1)
-	c.Append(gate.New(gate.CX), 3, 1)
-	got := c.UsedQubits()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("UsedQubits = %v", got)
-	}
-}
-
-func TestRemap(t *testing.T) {
-	c := New(2)
-	c.Append(gate.New(gate.CX), 0, 1)
-	m := c.Remap(map[int]int{0: 2, 1: 0}, 3)
-	if m.NumQubits != 3 {
-		t.Fatal("Remap qubit count")
-	}
-	if m.Ops[0].Qubits[0] != 2 || m.Ops[0].Qubits[1] != 0 {
-		t.Fatalf("Remap qubits = %v", m.Ops[0].Qubits)
-	}
-	// Missing mapping should panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for missing mapping")
-		}
-	}()
-	c.Remap(map[int]int{0: 1}, 2)
-}
-
-func TestStatsAndString(t *testing.T) {
+func TestString(t *testing.T) {
 	c := bell()
-	st := c.GetStats()
-	if st.Qubits != 2 || st.Gates != 2 || st.TwoQubit != 1 || st.Depth != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
 	if len(c.String()) == 0 || len(c.Ops[0].String()) == 0 {
 		t.Fatal("empty String()")
 	}
@@ -222,7 +163,8 @@ func TestQuickDepthNeverExceedsLen(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(4, 30, rng)
-		return c.Depth() <= c.Len() && c.Depth() == len(c.Moments())
+		unit := c.CriticalPath(func(Op) float64 { return 1 })
+		return c.Depth() <= c.Len() && float64(c.Depth()) == unit
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

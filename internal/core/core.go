@@ -280,12 +280,7 @@ func (o *Options) withDefaults() Options {
 		panic(fmt.Sprintf("core: unknown strategy %q", out.Strategy))
 	}
 	if out.PartitionMaxQubits == 0 {
-		switch out.Strategy {
-		case AccQOC:
-			out.PartitionMaxQubits = 2
-		default:
-			out.PartitionMaxQubits = 2
-		}
+		out.PartitionMaxQubits = 2
 	}
 	if out.PartitionMaxGates == 0 {
 		switch out.Strategy {
@@ -353,8 +348,8 @@ type Stats struct {
 	PulseCount       int
 	QOCRuns          int // GRAPE duration searches actually executed
 	WarmStarts       int // QOC runs seeded from a similar stored pulse
-	LibraryHits      int
-	LibraryMisses    int
+	LibraryHits      int // pulse-library lookups this compile served
+	LibraryMisses    int // pulse-library lookups this compile missed
 	SynthDegraded    int // blocks whose synthesis stopped on a budget
 	QOCDegraded      int // pulses kept as best-so-far or estimated on a budget
 }
@@ -392,10 +387,10 @@ type Result struct {
 }
 
 // MetricMap flattens the result into the flat float64 metric set the
-// run manifest and bench artifacts carry, keyed to match the
-// regression gate's default thresholds. compile_time_ns is the only
-// wall-clock-dependent entry; everything else is deterministic for a
-// given circuit and config.
+// run manifest and bench artifacts carry, keyed to match the metric
+// names of the regression gate's policy, report.BenchGatePolicy.
+// compile_time_ns is the only wall-clock-dependent entry; everything
+// else is deterministic for a given circuit and config.
 func (r *Result) MetricMap() map[string]float64 {
 	degraded := 0.0
 	if r.Degraded {
@@ -476,8 +471,8 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 		decay := math.Exp(-float64(c.NumQubits) * res.Latency / o.Device.T2)
 		res.Fidelity *= decay
 	}
-	res.Stats.LibraryHits = hits1
-	res.Stats.LibraryMisses = misses1
+	res.Stats.LibraryHits = hits1 - hits0
+	res.Stats.LibraryMisses = misses1 - misses0
 	if o.Log.Enabled() {
 		o.Log.Info("compile done",
 			"strategy", string(o.Strategy),

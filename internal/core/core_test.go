@@ -124,7 +124,8 @@ func TestSharedLibraryHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	missesAfterFirst := shared.Misses
-	if _, err := Compile(c, o); err != nil {
+	res, err := Compile(c, o)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if shared.Misses != missesAfterFirst {
@@ -133,6 +134,11 @@ func TestSharedLibraryHits(t *testing.T) {
 	}
 	if shared.Hits == 0 {
 		t.Fatal("no library hits on identical recompile")
+	}
+	// Stats count this compile's lookups, not the library's lifetime.
+	if res.Stats.LibraryMisses != 0 || res.Stats.LibraryHits == 0 {
+		t.Fatalf("second compile Stats: %d library hits, %d misses; want > 0 and 0",
+			res.Stats.LibraryHits, res.Stats.LibraryMisses)
 	}
 }
 

@@ -263,15 +263,6 @@ func (g Gate) Dagger() Gate {
 	}
 }
 
-// IsSelfInverse reports whether applying the gate twice is the identity.
-func (g Gate) IsSelfInverse() bool {
-	switch g.Kind {
-	case I, X, Y, Z, H, CX, CY, CZ, CH, SWAP, CCX, CSWP:
-		return true
-	}
-	return false
-}
-
 // IsDiagonal reports whether the gate's matrix is diagonal in the
 // computational basis (commutes with Z-basis operations).
 func (g Gate) IsDiagonal() bool {

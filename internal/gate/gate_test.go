@@ -256,20 +256,6 @@ func TestIsDiagonal(t *testing.T) {
 	}
 }
 
-func TestIsSelfInverseConsistent(t *testing.T) {
-	for kind, spec := range Registry {
-		if spec.Params > 0 {
-			continue
-		}
-		g := New(kind)
-		claims := g.IsSelfInverse()
-		actual := g.Matrix().Mul(g.Matrix()).Equal(linalg.Identity(1<<spec.Qubits), 1e-9)
-		if claims != actual {
-			t.Errorf("%s: IsSelfInverse=%v but matrix says %v", kind, claims, actual)
-		}
-	}
-}
-
 func TestStringFormats(t *testing.T) {
 	if New(X).String() != "x" {
 		t.Fatalf("X string: %q", New(X).String())

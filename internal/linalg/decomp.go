@@ -10,37 +10,15 @@ import (
 // numerically singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
-// LU holds an LU factorization with partial pivoting: P·A = L·U where L
-// is unit lower triangular and U is upper triangular, both packed into
-// the single matrix LU.
-type LU struct {
-	LU    *Matrix
-	Pivot []int // row i of the factorization came from row Pivot[i] of A
-	Sign  int   // +1 or -1, parity of the permutation
-}
-
-// LUDecompose factors the square matrix a with partial pivoting.
-func LUDecompose(a *Matrix) (*LU, error) {
-	mustSquare(a)
-	lu := a.Clone()
-	piv := make([]int, a.Rows)
-	sign, err := luFactor(lu, piv)
-	if err != nil {
-		return nil, err
-	}
-	return &LU{LU: lu, Pivot: piv, Sign: sign}, nil
-}
-
-// luFactor factors lu in place with partial pivoting, filling piv
-// (len n) with the source row of each factored row. It is the
-// allocation-free core shared by LUDecompose and the workspace-backed
-// Padé solve in ExpmInto.
-func luFactor(lu *Matrix, piv []int) (sign int, err error) {
+// luFactor factors lu in place with partial pivoting (P·A = L·U, L
+// unit lower triangular, both packed into lu), filling piv (len n)
+// with the source row of each factored row. It is the allocation-free
+// core of the Padé solve in ExpmInto.
+func luFactor(lu *Matrix, piv []int) error {
 	n := lu.Rows
 	for i := range piv {
 		piv[i] = i
 	}
-	sign = 1
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p := k
@@ -53,12 +31,11 @@ func luFactor(lu *Matrix, piv []int) (sign int, err error) {
 		}
 		//epoc:lint-ignore floatcmp pivot magnitude exactly 0 means structurally singular
 		if best == 0 {
-			return sign, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			swapRows(lu, p, k)
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -73,7 +50,7 @@ func luFactor(lu *Matrix, piv []int) (sign int, err error) {
 			}
 		}
 	}
-	return sign, nil
+	return nil
 }
 
 // luSolvePermuted substitutes through a factored matrix in place: x
@@ -99,77 +76,6 @@ func luSolvePermuted(lu *Matrix, x []complex128) {
 		}
 		x[i] = (x[i] - s) / lu.Data[i*n+i]
 	}
-}
-
-// Solve returns x with A·x = b for the factored matrix.
-func (f *LU) Solve(b []complex128) []complex128 {
-	n := f.LU.Rows
-	if len(b) != n {
-		panic("linalg: Solve dimension mismatch")
-	}
-	x := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.Pivot[i]]
-	}
-	luSolvePermuted(f.LU, x)
-	return x
-}
-
-// SolveMatrix returns X with A·X = B.
-func (f *LU) SolveMatrix(b *Matrix) *Matrix {
-	n := f.LU.Rows
-	if b.Rows != n {
-		panic("linalg: SolveMatrix dimension mismatch")
-	}
-	out := NewMatrix(n, b.Cols)
-	col := make([]complex128, n)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x := f.Solve(col)
-		for i := 0; i < n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() complex128 {
-	d := complex(float64(f.Sign), 0)
-	n := f.LU.Rows
-	for i := 0; i < n; i++ {
-		d *= f.LU.At(i, i)
-	}
-	return d
-}
-
-// Inverse returns A⁻¹ for a square matrix, or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := LUDecompose(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(Identity(a.Rows)), nil
-}
-
-// Solve solves A·x = b directly.
-func Solve(a *Matrix, b []complex128) ([]complex128, error) {
-	f, err := LUDecompose(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// Det returns the determinant of a square matrix (0 if singular).
-func Det(a *Matrix) complex128 {
-	f, err := LUDecompose(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }
 
 // QRDecompose computes a Householder QR factorization A = Q·R with Q

@@ -155,40 +155,3 @@ func offDiagNorm(m *Matrix) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// EigSymmetricReal diagonalizes a real symmetric matrix given as a
-// complex Matrix with negligible imaginary parts. It returns ascending
-// eigenvalues and a real orthogonal eigenvector matrix. It is a thin
-// wrapper over EigHermitian that strips imaginary round-off, used by the
-// KAK decomposition where real orthogonal eigenbases are required.
-func EigSymmetricReal(a *Matrix) (vals []float64, vecs *Matrix) {
-	re := NewMatrix(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		re.Data[i] = complex(real(v), 0)
-	}
-	vals, vecs = EigHermitian(re)
-	// A real symmetric matrix has a real eigenbasis, but the complex
-	// Jacobi sweep can introduce a constant phase per column; rotate each
-	// column to be real.
-	n := vecs.Rows
-	for c := 0; c < n; c++ {
-		// Find the largest-magnitude entry and divide out its phase.
-		var best complex128
-		var bestAbs float64
-		for r := 0; r < n; r++ {
-			if ab := cmplx.Abs(vecs.At(r, c)); ab > bestAbs {
-				bestAbs = ab
-				best = vecs.At(r, c)
-			}
-		}
-		//epoc:lint-ignore floatcmp guards normalization when the eigencolumn is exactly zero
-		if bestAbs == 0 {
-			continue
-		}
-		ph := best / complex(bestAbs, 0)
-		for r := 0; r < n; r++ {
-			vecs.Set(r, c, vecs.At(r, c)/ph)
-		}
-	}
-	return vals, vecs
-}

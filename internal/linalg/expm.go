@@ -141,7 +141,7 @@ func padeInto(ws *kernel.Workspace, dst, a *Matrix, m int) {
 		v.Data[i] -= u.Data[i] // v becomes the denominator
 	}
 	piv := ws.TakeInt(n)
-	if _, err := luFactor(&v, piv); err != nil {
+	if err := luFactor(&v, piv); err != nil {
 		panic("linalg: Expm Padé denominator singular")
 	}
 	b := ws.TakeComplex(n)
@@ -207,26 +207,6 @@ func ExpIHermitianInto(ws *kernel.Workspace, dst, h *Matrix, s float64) {
 	vecs := matrixAt(ws, n, n)
 	EigHermitianInto(ws, h, vals, &vecs)
 	ExpIFromEigInto(ws, dst, vals, &vecs, s)
-}
-
-// HermitianEig bundles a reusable eigendecomposition of a Hermitian
-// matrix.
-type HermitianEig struct {
-	Vals []float64
-	Vecs *Matrix
-}
-
-// NewHermitianEig eagerly diagonalizes h.
-func NewHermitianEig(h *Matrix) *HermitianEig {
-	vals, vecs := EigHermitian(h)
-	return &HermitianEig{Vals: vals, Vecs: vecs}
-}
-
-// ExpI returns e^{i·s·H} from the stored eigendecomposition.
-func (e *HermitianEig) ExpI(s float64) *Matrix {
-	out := NewMatrix(e.Vecs.Rows, e.Vecs.Rows)
-	ExpIFromEigInto(nil, out, e.Vals, e.Vecs, s)
-	return out
 }
 
 // ExpIFromEigInto reconstructs e^{i·s·H} = V·diag(e^{i·s·λ})·V† from an

@@ -244,18 +244,6 @@ func (m *Matrix) Kron(n *Matrix) *Matrix {
 	return out
 }
 
-// KronAll returns the Kronecker product of all arguments left to right.
-func KronAll(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return Identity(1)
-	}
-	out := ms[0]
-	for _, m := range ms[1:] {
-		out = out.Kron(m)
-	}
-	return out
-}
-
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64

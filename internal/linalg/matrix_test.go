@@ -132,12 +132,6 @@ func TestKronSmall(t *testing.T) {
 	}
 }
 
-func TestKronAllEmpty(t *testing.T) {
-	if got := KronAll(); got.Rows != 1 || got.At(0, 0) != 1 {
-		t.Fatalf("KronAll() = %v", got)
-	}
-}
-
 func TestKronMixedProductProperty(t *testing.T) {
 	// (A⊗B)(C⊗D) = (AC)⊗(BD)
 	rng := rand.New(rand.NewSource(7))

@@ -75,17 +75,6 @@ func FrobeniusDistance(a, b *Matrix) float64 {
 	return a.Sub(b).FrobeniusNorm()
 }
 
-// AlignPhase returns B rotated by the global phase that best matches A,
-// i.e. e^{iφ}·B with φ = arg tr(B†A).
-func AlignPhase(a, b *Matrix) *Matrix {
-	ip := HSInner(b, a)
-	if cmplx.Abs(ip) == 0 {
-		return b.Clone()
-	}
-	ph := ip / complex(cmplx.Abs(ip), 0)
-	return b.Scale(ph)
-}
-
 // CanonicalPhase returns U scaled by a global phase so that its first
 // element of largest magnitude is real and positive. Two unitaries that
 // are equal up to global phase canonicalize to (numerically) the same

@@ -46,21 +46,6 @@ func TestPhaseDistanceInvariance(t *testing.T) {
 	}
 }
 
-func TestAlignPhase(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	u := RandomUnitary(3, rng)
-	b := u.Scale(cmplx.Exp(complex(0, 2.1)))
-	aligned := AlignPhase(u, b)
-	if FrobeniusDistance(u, aligned) > 1e-9 {
-		t.Fatalf("AlignPhase residual %v", FrobeniusDistance(u, aligned))
-	}
-	// Degenerate case: zero inner product must not blow up.
-	z := NewMatrix(2, 2)
-	if got := AlignPhase(z, Identity(2)); got == nil {
-		t.Fatal("AlignPhase returned nil")
-	}
-}
-
 func TestCanonicalPhaseStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	u := RandomUnitary(4, rng)

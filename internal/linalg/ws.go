@@ -46,29 +46,6 @@ func MulAdjointInto(dst, a, b *Matrix) {
 	kernel.MulAdjoint(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows)
 }
 
-// MulVecInto sets dst = m·v. dst must have length m.Rows and must not
-// alias v.
-func MulVecInto(dst []complex128, m *Matrix, v []complex128) {
-	if m.Cols != len(v) || m.Rows != len(dst) {
-		panic("linalg: MulVecInto dimension mismatch")
-	}
-	kernel.MulVec(dst, m.Data, v, m.Rows, m.Cols)
-}
-
-// AdjointMul returns a†·b (allocating convenience over AdjointMulInto).
-func AdjointMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, b.Cols)
-	AdjointMulInto(out, a, b)
-	return out
-}
-
-// MulAdjoint returns a·b† (allocating convenience over MulAdjointInto).
-func MulAdjoint(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Rows)
-	MulAdjointInto(out, a, b)
-	return out
-}
-
 // matrixAt wraps a workspace-checked-out buffer as an r×c Matrix. The
 // matrix obeys arena ownership: it is dead after the Rewind of the
 // frame it was taken in. It returns a value, not a pointer, so the

@@ -7,12 +7,14 @@ import (
 
 // Errcheck flags calls to in-module functions whose error or trailing
 // (..., ok) result is silently dropped: a bare call statement, or a
-// go/defer of such a call. PR 1 exists because exactly this bug
-// shipped — synth.SynthesizeBlock's fallback signal was ignored and
-// Stats.SynthFallback never counted. Stdlib calls are out of scope
-// (go vet and convention cover fmt.Println and friends); the module's
-// own APIs return error/ok for control-flow reasons and dropping them
-// is always a bug or needs a written justification.
+// go/defer of such a call. The bug it guards against has shipped
+// before: a caller that ignores the ok of synth.SynthesizeOutcome's
+// (circuit, ok, err) keeps an out-of-threshold circuit instead of the
+// block's fallback, and Stats.SynthFallback never counts. Stdlib
+// calls are out of scope (go vet and convention cover fmt.Println and
+// friends); the module's own APIs return error/ok for control-flow
+// reasons and dropping them is always a bug or needs a written
+// justification.
 //
 // Explicit discards (`_ = f()`, `v, _ := f()`) are allowed: the
 // blank identifier is the visible, reviewable form of "I mean it".

@@ -216,18 +216,6 @@ func Run(m *Module, analyzers []*Analyzer) []Finding {
 	return findings
 }
 
-// Unsuppressed filters Run's output down to the findings that fail a
-// lint run.
-func Unsuppressed(all []Finding) []Finding {
-	var out []Finding
-	for _, f := range all {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // collectIgnores scans every file's comments for suppression
 // directives. It returns well-formed ignores keyed by filename, plus
 // findings for malformed ones (missing reason, unknown analyzer).

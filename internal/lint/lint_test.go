@@ -39,7 +39,7 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			findings := Unsuppressed(Run(mod, analyzers))
+			findings := unsuppressed(Run(mod, analyzers))
 			if len(findings) == 0 {
 				t.Errorf("fixture produced no findings; positive cases are missing")
 			}
@@ -110,7 +110,7 @@ func TestIgnoreValidation(t *testing.T) {
 	findings := Run(mod, All())
 
 	var unsup []string
-	for _, f := range Unsuppressed(findings) {
+	for _, f := range unsuppressed(findings) {
 		unsup = append(unsup, fmt.Sprintf("%s: %s", f.Analyzer, f.Message))
 	}
 	wantSubstrings := []string{
@@ -165,4 +165,16 @@ func TestFindModuleRoot(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("root %s has no go.mod: %v", root, err)
 	}
+}
+
+// unsuppressed filters Run's output down to the findings that fail a
+// lint run.
+func unsuppressed(all []Finding) []Finding {
+	var out []Finding
+	for _, f := range all {
+		if !f.Suppressed {
+			out = append(out, f)
+		}
+	}
+	return out
 }

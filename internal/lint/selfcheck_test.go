@@ -2,6 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +24,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 
 	findings := Run(mod, All())
-	for _, f := range Unsuppressed(findings) {
+	for _, f := range unsuppressed(findings) {
 		t.Errorf("%s", f)
 	}
 	if t.Failed() {
@@ -103,6 +106,98 @@ func TestHotAnnotationsPresent(t *testing.T) {
 			if !hot[name] {
 				t.Errorf("%s.%s has lost its //epoc:hot annotation", rel, name)
 			}
+		}
+	}
+}
+
+// testOnlyAllowed lists the exported internal functions that may have
+// no caller in shipped code: each is an oracle other packages' tests
+// compare against, or an invariant checker or fixture the tests share.
+var testOnlyAllowed = map[string]string{
+	"internal/sim.RunCircuit":         "state-vector oracle the benchmark, QASM and densesim tests compare against",
+	"internal/sim.FromAmplitudes":     "builds oracle states for the simulator and equivalence tests",
+	"internal/linalg.EigHermitian":    "allocating eigensolver the Hermitian-exponential tests reconstruct against",
+	"internal/partition.Validate":     "invariant checker: a partition is a faithful reordering of its circuit",
+	"internal/route.Validate":         "invariant checker: every routed multi-qubit gate sits on a coupler",
+	"internal/route.Linear":           "topology fixture for the routing tests",
+	"internal/route.Grid":             "topology fixture for the routing tests",
+	"internal/faultclock.NewFake":     "fake clock fixture that makes budget expiry deterministic in tests",
+	"internal/faultclock.NewInjector": "trip-point fixture that fires cancellation at an exact loop iteration",
+	"internal/faultclock.Sites":       "lists every trip point for the table-driven conformance tests",
+}
+
+// testSupportPackages hold only oracles for other packages' tests.
+var testSupportPackages = map[string]bool{
+	"internal/densesim":          true, // dense density-matrix reference simulator
+	"internal/linalg/kerneltest": true, // differential and metamorphic kernel checks
+}
+
+// TestNoTestOnlyFuncs keeps production packages free of code that only
+// tests use: every exported package-level function under internal/
+// must be referenced from a non-test file of the module (LoadModule
+// parses no test files), or be allowlisted above with its reason.
+// Methods are out of scope, because interface dispatch is not
+// resolved statically.
+func TestNoTestOnlyFuncs(t *testing.T) {
+	root, modPath, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := LoadModule(root, modPath)
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	if mod.Packages[modPath+"/perfbench"] == nil {
+		t.Fatalf("perfbench is not in the load; its calls into internal/ would go unseen")
+	}
+
+	type site struct {
+		name string
+		decl *ast.FuncDecl
+	}
+	funcs := map[types.Object]site{}
+	for _, pkg := range mod.Sorted() {
+		rel := strings.TrimPrefix(pkg.Path, modPath+"/")
+		if !strings.HasPrefix(rel, "internal/") || testSupportPackages[rel] {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil || !fn.Name.IsExported() {
+					continue
+				}
+				funcs[pkg.Info.Defs[fn.Name]] = site{rel + "." + fn.Name.Name, fn}
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for _, pkg := range mod.Sorted() {
+		for id, obj := range pkg.Info.Uses {
+			// A recursive call is not a caller.
+			if s, ok := funcs[obj]; ok && (id.Pos() < s.decl.Pos() || id.Pos() >= s.decl.End()) {
+				used[obj] = true
+			}
+		}
+	}
+
+	var unused []string
+	declared := map[string]bool{}
+	for obj, s := range funcs {
+		declared[s.name] = true
+		if !used[obj] && testOnlyAllowed[s.name] == "" {
+			unused = append(unused, s.name)
+		}
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("%s has no caller outside tests: delete it, or allowlist it in testOnlyAllowed with a reason", name)
+	}
+	// Table hygiene, as for layeringDAG: no stale allowlist rows.
+	for name := range testOnlyAllowed {
+		if !declared[name] {
+			t.Errorf("testOnlyAllowed names %s, which is not an exported internal function", name)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import "errors"
 // Fallible returns an error that callers must check.
 func Fallible() error { return errors.New("boom") }
 
-// Lookup mimics synth.SynthesizeBlock's (value, ok) signature.
+// Lookup mimics the trailing ok of synth.SynthesizeOutcome's result.
 func Lookup(k string) (int, bool) { return 0, k != "" }
 
 // Value has no error/ok result; bare calls are fine.

@@ -9,51 +9,22 @@ import (
 	"epoc/internal/qoc"
 )
 
-func integral(samples []float64, dt float64) float64 {
-	s := 0.0
-	for _, v := range samples {
-		s += v * dt
+// gaussianSquare samples a flat-top envelope with Gaussian edges (σ =
+// edge/2) whose time-integral is area; edge = duration/2 leaves no
+// plateau, a plain Gaussian.
+func gaussianSquare(area, duration, edge, dt float64) []float64 {
+	env := make([]float64, int(math.Round(duration/dt)))
+	sum := 0.0
+	for k := range env {
+		t := (float64(k) + 0.5) * dt
+		x := math.Max(math.Max(edge-t, t-(duration-edge)), 0) / (edge / 2)
+		env[k] = math.Exp(-0.5 * x * x)
+		sum += env[k] * dt
 	}
-	return s
-}
-
-func TestGaussianArea(t *testing.T) {
-	for _, area := range []float64{math.Pi, math.Pi / 2, 0.3} {
-		env := Gaussian(area, 32, 2)
-		if got := integral(env, 2); math.Abs(got-area) > 1e-9 {
-			t.Fatalf("area %v, want %v", got, area)
-		}
+	for k := range env {
+		env[k] *= area / sum
 	}
-}
-
-func TestGaussianShape(t *testing.T) {
-	env := Gaussian(math.Pi, 40, 2)
-	// Peak in the middle, near-zero at the edges, symmetric.
-	mid := len(env) / 2
-	if env[0] > env[mid]/4 || env[len(env)-1] > env[mid]/4 {
-		t.Fatalf("edges not suppressed: %v ... %v vs peak %v", env[0], env[len(env)-1], env[mid])
-	}
-	for k := 0; k < len(env)/2; k++ {
-		if math.Abs(env[k]-env[len(env)-1-k]) > 1e-9 {
-			t.Fatalf("asymmetric at %d", k)
-		}
-	}
-}
-
-func TestGaussianSquarePlateau(t *testing.T) {
-	env := GaussianSquare(math.Pi, 100, 10, 2)
-	if got := integral(env, 2); math.Abs(got-math.Pi) > 1e-9 {
-		t.Fatalf("area %v", got)
-	}
-	// Plateau flat in the middle.
-	mid := len(env) / 2
-	if math.Abs(env[mid]-env[mid+2]) > 1e-12 {
-		t.Fatal("plateau not flat")
-	}
-	// Edges below the plateau.
-	if env[0] >= env[mid] {
-		t.Fatal("edge not below plateau")
-	}
+	return env
 }
 
 func TestGaussianPulseImplementsRX(t *testing.T) {
@@ -61,7 +32,7 @@ func TestGaussianPulseImplementsRX(t *testing.T) {
 	// drift-free qubit; the sampled Gaussian must reproduce that.
 	m := qoc.StandardModel(1, qoc.ModelOptions{Dt: 2})
 	theta := math.Pi
-	env := Gaussian(theta, 40, 2)
+	env := gaussianSquare(theta, 40, 20, 2)
 	amps := make([][]float64, len(env))
 	for k := range env {
 		amps[k] = []float64{env[k], 0}
@@ -77,7 +48,7 @@ func TestGaussianSquareCouplerPulseImplementsISwapFamily(t *testing.T) {
 	// Coupler drive (XX+YY)/2 with integral π/2 implements iSWAP† (the
 	// |01⟩/|10⟩ block picks up -i); integral -π/2 gives iSWAP.
 	m := qoc.StandardModel(2, qoc.ModelOptions{Dt: 2})
-	env := GaussianSquare(-math.Pi/2, 120, 16, 2)
+	env := gaussianSquare(-math.Pi/2, 120, 16, 2)
 	amps := make([][]float64, len(env))
 	for k := range env {
 		amps[k] = []float64{0, 0, 0, 0, env[k]} // the coupler is control 4
@@ -92,61 +63,4 @@ func TestGaussianSquareCouplerPulseImplementsISwapFamily(t *testing.T) {
 	if d := linalg.PhaseDistance(u, iswap); d > 1e-6 {
 		t.Fatalf("coupler pulse distance to iSWAP: %v", d)
 	}
-}
-
-func TestDRAGComponents(t *testing.T) {
-	beta := 0.5
-	samples := DRAG(math.Pi, 40, 2, beta)
-	// I component carries the area.
-	var iArea float64
-	for _, s := range samples {
-		iArea += s[0] * 2
-	}
-	if math.Abs(iArea-math.Pi) > 1e-9 {
-		t.Fatalf("DRAG I area %v", iArea)
-	}
-	// Q is the scaled derivative: antisymmetric about the center (the
-	// grid samples sit half a slot either side of it).
-	mid := len(samples) / 2
-	if math.Abs(samples[mid-1][1]+samples[mid][1]) > 1e-9 {
-		t.Fatalf("Q not antisymmetric at the center: %v vs %v",
-			samples[mid-1][1], samples[mid][1])
-	}
-	if samples[mid-5][1]*samples[mid+4][1] > 0 {
-		t.Fatal("Q signs equal on both sides of the peak")
-	}
-	// On a two-level model the DRAG quadrature slightly tilts the
-	// rotation axis (its purpose is 3-level leakage suppression); the
-	// pulse must still implement RX(π) to first order.
-	m := qoc.StandardModel(1, qoc.ModelOptions{Dt: 2})
-	u := m.Propagate(samples)
-	if f := qoc.Fidelity(u, gate.New(gate.X).Matrix()); f < 0.995 {
-		t.Fatalf("DRAG X-pulse fidelity %v", f)
-	}
-	// Without the quadrature the rotation is exact.
-	plain := DRAG(math.Pi, 40, 2, 0)
-	if f := qoc.Fidelity(m.Propagate(plain), gate.New(gate.X).Matrix()); f < 1-1e-9 {
-		t.Fatalf("β=0 DRAG should be exact: %v", f)
-	}
-}
-
-func TestEnvelopeEdgeCases(t *testing.T) {
-	if got := Gaussian(1, 0.5, 2); len(got) != 1 {
-		t.Fatalf("sub-slot duration: %d samples", len(got))
-	}
-	env := GaussianSquare(1, 20, 50, 2) // edge larger than duration/2
-	if got := integral(env, 2); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("clamped edges broke the area: %v", got)
-	}
-	if MaxAbsAmplitude(nil) != 0 {
-		t.Fatal("empty MaxAbsAmplitude")
-	}
-}
-
-func col(samples [][]float64, j int) []float64 {
-	out := make([]float64, len(samples))
-	for i := range samples {
-		out[i] = samples[i][j]
-	}
-	return out
 }

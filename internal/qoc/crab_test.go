@@ -133,20 +133,3 @@ func TestWarmStartEmptyFallsBack(t *testing.T) {
 		t.Fatalf("fallback warm start fidelity %v", res.Fidelity)
 	}
 }
-
-func TestSortBySize(t *testing.T) {
-	rng := newRand(9)
-	us := []*linalg.Matrix{
-		linalg.RandomUnitary(4, rng),
-		linalg.RandomUnitary(2, rng),
-		linalg.RandomUnitary(8, rng),
-		linalg.RandomUnitary(2, rng),
-	}
-	idx := SortBySize(us)
-	sizes := []int{us[idx[0]].Rows, us[idx[1]].Rows, us[idx[2]].Rows, us[idx[3]].Rows}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] < sizes[i-1] {
-			t.Fatalf("not sorted: %v", sizes)
-		}
-	}
-}

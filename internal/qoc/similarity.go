@@ -2,7 +2,6 @@ package qoc
 
 import (
 	"math"
-	"sort"
 
 	"epoc/internal/linalg"
 )
@@ -98,16 +97,4 @@ func Nearest(cands []*linalg.Matrix, target *linalg.Matrix, maxDist float64) (id
 		}
 	}
 	return idx, dist
-}
-
-// SortBySize groups unitaries by dimension (ascending), a cheap
-// preprocessing step before MST ordering so Similarity only compares
-// same-size matrices.
-func SortBySize(us []*linalg.Matrix) []int {
-	idx := make([]int, len(us))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return us[idx[a]].Rows < us[idx[b]].Rows })
-	return idx
 }

@@ -5,7 +5,6 @@ package report
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -81,21 +80,6 @@ func PercentChange(from, to float64) float64 {
 		return 0
 	}
 	return 100 * (from - to) / from
-}
-
-// GeoMean returns the geometric mean of positive values (0 if empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	p := 1.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		p *= x
-	}
-	return math.Pow(p, 1/float64(len(xs)))
 }
 
 // Mean returns the arithmetic mean (0 if empty).

@@ -43,18 +43,6 @@ func TestPercentChange(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("GeoMean = %v", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty GeoMean")
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("negative input should yield 0")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("Mean = %v", got)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"epoc/internal/circuit"
-	"epoc/internal/faultclock"
 	"epoc/internal/gate"
 	"epoc/internal/linalg"
 	"epoc/internal/optimize"
@@ -41,27 +40,6 @@ const threshold = 1e-7
 func SynthesizeOutcome(u *linalg.Matrix, opts Options) (*circuit.Circuit, bool, error) {
 	res := QSearch(u, opts)
 	return res.Circuit, res.Circuit != nil && res.Distance < threshold, res.Err
-}
-
-// SynthesizeBlock is SynthesizeOutcome with fallback substitution:
-// when the search misses the threshold and fallback is non-nil, the
-// fallback is returned instead — callers pass the block's original
-// gate realization, so synthesis is a best-effort improvement and
-// never a correctness risk. A budget exit therefore degrades to the
-// fallback; a cancellation discards the partial circuit and returns
-// only the context's error.
-func SynthesizeBlock(u *linalg.Matrix, fallback *circuit.Circuit, opts Options) (*circuit.Circuit, bool, error) {
-	circ, ok, err := SynthesizeOutcome(u, opts)
-	if err != nil && !faultclock.IsBudget(err) {
-		return nil, false, err
-	}
-	if !ok {
-		opts.Region.Recorder().Add("synth/fallbacks", 1)
-		if fallback != nil {
-			return fallback, false, err
-		}
-	}
-	return circ, ok, err
 }
 
 func zeroAngle(a float64) bool {

@@ -102,26 +102,29 @@ func TestQSearchSWAPDepth(t *testing.T) {
 }
 
 func TestSynthesizeBlockFallback(t *testing.T) {
-	// An impossible budget forces the fallback path.
+	// A search too small to reach the threshold completes (nil error)
+	// with ok = false and its best out-of-threshold circuit; the caller
+	// falls back to the block's gate realization.
 	rng := rand.New(rand.NewSource(17))
 	u := linalg.RandomUnitary(4, rng)
-	fb := circuit.New(2)
-	fb.Append(gate.NewUnitary(u), 0, 1)
-	c, ok, err := SynthesizeBlock(u, fb, Options{MaxCNOTs: 1, MaxNodes: 3, OptBudget: 5, Seed: 19})
+	c, ok, err := SynthesizeOutcome(u, Options{MaxCNOTs: 1, MaxNodes: 3, OptBudget: 5, Seed: 19})
 	if err != nil {
-		t.Fatalf("SynthesizeBlock error: %v", err)
+		t.Fatalf("SynthesizeOutcome error: %v", err)
 	}
-	if ok || c != fb {
-		t.Fatalf("fallback not used: ok=%v", ok)
+	if ok || c == nil {
+		t.Fatalf("want a best-effort circuit with ok = false: ok=%v circ==nil %v", ok, c == nil)
+	}
+	if d := linalg.PhaseDistance(u, c.Unitary()); d < threshold {
+		t.Fatalf("ok = false but the circuit is within threshold (distance %v)", d)
 	}
 }
 
 func TestSynthesizeBlock1Q(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	u := linalg.RandomUnitary(2, rng)
-	c, ok, err := SynthesizeBlock(u, nil, Options{})
+	c, ok, err := SynthesizeOutcome(u, Options{})
 	if err != nil {
-		t.Fatalf("SynthesizeBlock error: %v", err)
+		t.Fatalf("SynthesizeOutcome error: %v", err)
 	}
 	if !ok {
 		t.Fatal("1q block synthesis must succeed")
