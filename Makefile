@@ -72,7 +72,7 @@ bench-json:
 # engine epoc-stats uses: latency, fidelity and every count at zero
 # slack, compile time informational. Non-zero exit on any regression,
 # or on a baseline from another suite or config. The grape suite (qaoa
-# and qft, cold full-GRAPE mode, about 2 s) gates stage 5 the same way,
+# and qft, cold full-GRAPE mode, about 1 s) gates stage 5 the same way,
 # including the duration-search probe and GRAPE iteration counts.
 # Refresh the baselines with:
 #   go run ./cmd/epoc-bench -suite small -json bench/baseline

@@ -233,7 +233,8 @@ func TestExpIHermitianUnitary(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		n := 2 + rng.Intn(6)
 		h := RandomHermitian(n, rng)
-		u := ExpIHermitian(h, 0.37)
+		u := NewMatrix(n, n)
+		ExpIHermitianInto(nil, u, h, 0.37)
 		if !u.IsUnitary(1e-8) {
 			t.Fatalf("e^{isH} not unitary (n=%d)", n)
 		}

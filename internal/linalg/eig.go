@@ -20,8 +20,7 @@ func EigHermitian(a *Matrix) (vals []float64, vecs *Matrix) {
 
 // EigHermitianInto is EigHermitian writing into caller-owned vals
 // (length n) and vecs (n×n), with all temporaries drawn from ws (nil
-// allowed: falls back to allocation). This is the form the GRAPE
-// propagator loop calls once per changed time slot per iteration, so
+// allowed: falls back to allocation). ExpIHermitianInto builds on it;
 // with a warm workspace it allocates nothing.
 //
 //epoc:hot

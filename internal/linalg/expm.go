@@ -181,21 +181,13 @@ func addDiag(dst *Matrix, s float64) {
 	}
 }
 
-// ExpIHermitian returns e^{i·s·H} for Hermitian H via eigendecomposition.
-// This is the preferred exponential for Hamiltonian propagators (exactly
-// unitary up to eigensolver accuracy, and cheaper than Padé when the
-// same H is exponentiated at several scales).
-func ExpIHermitian(h *Matrix, s float64) *Matrix {
-	out := NewMatrix(h.Rows, h.Rows)
-	ExpIHermitianInto(nil, out, h, s)
-	return out
-}
-
-// ExpIHermitianInto is ExpIHermitian writing into a caller-owned dst
-// with eigendecomposition temporaries drawn from ws. It is the slice
-// propagator of the GRAPE hot loop: with a warm workspace one call
-// performs the Jacobi sweeps, the phase scaling and one fused a·b†
-// product with zero allocations.
+// ExpIHermitianInto writes e^{i·s·H} for Hermitian H into a
+// caller-owned dst via eigendecomposition, with every temporary drawn
+// from ws (nil allowed). The result is unitary to eigensolver accuracy,
+// which makes it the reference the Padé slice steps of GRAPE
+// (qoc's Model.stepInto, through ExpmInto) are tested against. With a
+// warm workspace one call performs the Jacobi sweeps, the phase scaling
+// and one fused a·b† product with zero allocations.
 //
 //epoc:hot
 func ExpIHermitianInto(ws *kernel.Workspace, dst, h *Matrix, s float64) {

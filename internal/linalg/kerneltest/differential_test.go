@@ -238,7 +238,8 @@ func TestMetamorphicExpIUnitary(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{2, 4, 8, 16} {
 		h := linalg.RandomHermitian(n, rng)
-		u := linalg.ExpIHermitian(h, 0.37)
+		u := linalg.NewMatrix(n, n)
+		linalg.ExpIHermitianInto(nil, u, h, 0.37)
 		// Norm preservation: U†·U = I for any Hermitian generator.
 		prod := linalg.NewMatrix(n, n)
 		linalg.AdjointMulInto(prod, u, u)
@@ -278,15 +279,17 @@ func TestMetamorphicExpmInverse(t *testing.T) {
 }
 
 // TestIntoAPIsMatchAllocatingAPIs pins the workspace-threaded entry
-// points to their allocating twins bit for bit: routing a hot loop
-// through a workspace must never change numerics.
+// points to their allocating twins (for ExpIHermitianInto, to its own
+// nil-workspace form) bit for bit: routing a hot loop through a
+// workspace must never change numerics.
 func TestIntoAPIsMatchAllocatingAPIs(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	ws := kernel.NewWorkspace()
 	for _, n := range []int{2, 4, 8, 9, 16} {
 		h := linalg.RandomHermitian(n, rng)
 
-		want := linalg.ExpIHermitian(h, -0.5)
+		want := linalg.NewMatrix(n, n)
+		linalg.ExpIHermitianInto(nil, want, h, -0.5)
 		got := linalg.NewMatrix(n, n)
 		linalg.ExpIHermitianInto(ws, got, h, -0.5)
 		for i := range want.Data {

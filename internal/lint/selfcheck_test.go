@@ -5,8 +5,37 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// repo is the real module, loaded once for every test that inspects
+// it: a load takes seconds, and analyzers only read a Module (the call
+// graph is built on first use and then reused), so sharing it changes
+// no check.
+var repo struct {
+	once    sync.Once
+	mod     *Module
+	modPath string
+	err     error
+}
+
+// loadRepo returns the shared load of the module this package lives
+// in, and its module path.
+func loadRepo(t *testing.T) (*Module, string) {
+	t.Helper()
+	repo.once.Do(func() {
+		var root string
+		root, repo.modPath, repo.err = FindModuleRoot(".")
+		if repo.err == nil {
+			repo.mod, repo.err = LoadModule(root, repo.modPath)
+		}
+	})
+	if repo.err != nil {
+		t.Fatalf("load module: %v", repo.err)
+	}
+	return repo.mod, repo.modPath
+}
 
 // TestRepoIsLintClean runs the full analyzer suite over the real
 // module and fails on any unsuppressed finding — the permanent guard
@@ -14,14 +43,7 @@ import (
 // global-rand draw, undeclared import edge, dropped error or copied
 // lock fails `go test ./...`, not just `make lint`.
 func TestRepoIsLintClean(t *testing.T) {
-	root, modPath, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModule(root, modPath)
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
+	mod, modPath := loadRepo(t)
 
 	findings := Run(mod, All())
 	for _, f := range unsuppressed(findings) {
@@ -75,16 +97,9 @@ func TestSuiteRoster(t *testing.T) {
 // allochot keeps watching them (acceptance criterion for the
 // hot-path allocation budget).
 func TestHotAnnotationsPresent(t *testing.T) {
-	root, modPath, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModule(root, modPath)
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
+	mod, modPath := loadRepo(t)
 	want := map[string][]string{
-		"internal/qoc":      {"grapeFrom", "traceProduct", "update", "slotHamiltonianInto"},
+		"internal/qoc":      {"grapeFrom", "traceProduct", "update", "stepInto", "slotHamiltonianInto"},
 		"internal/linalg":   {"Transpose", "Adjoint", "Kron", "EigHermitianInto", "ExpIHermitianInto", "ExpIFromEigInto"},
 		"internal/opt":      {"LBFGS"},
 		"internal/densesim": {"ApplyUnitary"},
@@ -139,14 +154,7 @@ var testSupportPackages = map[string]bool{
 // Methods are out of scope, because interface dispatch is not
 // resolved statically.
 func TestNoTestOnlyFuncs(t *testing.T) {
-	root, modPath, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModule(root, modPath)
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
+	mod, modPath := loadRepo(t)
 	if mod.Packages[modPath+"/perfbench"] == nil {
 		t.Fatalf("perfbench is not in the load; its calls into internal/ would go unseen")
 	}

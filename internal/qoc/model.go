@@ -13,6 +13,7 @@ import (
 
 	"epoc/internal/gate"
 	"epoc/internal/linalg"
+	"epoc/internal/linalg/kernel"
 )
 
 // Model describes the controllable Hamiltonian
@@ -102,28 +103,40 @@ func StandardModel(n int, opts ModelOptions) *Model {
 }
 
 // Propagate returns the unitary generated by the amplitude schedule
-// amps[slot][control] under the model.
+// amps[slot][control] under the model. Its slice steps come from
+// stepInto, the function the GRAPE propagator cache calls, so it
+// reproduces the optimizer's unitary bit for bit.
 func (m *Model) Propagate(amps [][]float64) *linalg.Matrix {
 	dim := m.Dim()
 	u := linalg.Identity(dim)
+	ham := linalg.NewMatrix(dim, dim)
+	step := linalg.NewMatrix(dim, dim)
 	for _, slot := range amps {
-		h := m.slotHamiltonian(slot)
-		step := linalg.ExpIHermitian(h, -m.Dt)
+		m.stepInto(nil, step, ham, slot)
 		u = step.Mul(u)
 	}
 	return u
 }
 
-func (m *Model) slotHamiltonian(u []float64) *linalg.Matrix {
-	h := linalg.NewMatrix(m.Dim(), m.Dim())
-	m.slotHamiltonianInto(h, u)
-	return h
+// stepInto writes the slice step e^{-i·H(u)·Dt} into dst. It assembles
+// H(u) into the scratch matrix ham, scales it in place to -i·Dt·H(u)
+// and exponentiates that with the scaling-and-squaring Padé
+// linalg.ExpmInto, drawing every temporary from ws. Each H is
+// exponentiated once at a small norm (‖Dt·H‖₁ < 1 on the default
+// device), where Padé takes its unscaled low-order branch: a few
+// unrolled products and one small LU solve, far cheaper than a Jacobi
+// eigendecomposition (DESIGN.md §14).
+//
+//epoc:hot
+func (m *Model) stepInto(ws *kernel.Workspace, dst, ham *linalg.Matrix, u []float64) {
+	m.slotHamiltonianInto(ham, u)
+	ham.ScaleInPlace(complex(0, -m.Dt))
+	linalg.ExpmInto(ws, dst, ham)
 }
 
 // slotHamiltonianInto assembles H(u) = Drift + Σ_j u_j·H_j into the
-// caller-owned dst via axpy, without the Clone+Scale temporaries of
-// slotHamiltonian — the form the GRAPE propagator cache calls once per
-// changed slice per iteration.
+// caller-owned dst via axpy, with no temporaries — the form every
+// slice step assembles its Hamiltonian with.
 //
 //epoc:hot
 func (m *Model) slotHamiltonianInto(dst *linalg.Matrix, u []float64) {

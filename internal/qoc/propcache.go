@@ -8,10 +8,10 @@ import (
 )
 
 // propCache holds the propagator state of one GRAPE run: the per-slice
-// step unitaries e^{-i·H_k·Dt}, the prefix products U_{k-1}···U_0 and
-// the suffix products U_{S-1}···U_k, all in matrices allocated once at
-// construction, plus the amplitude schedule each slice's step was last
-// computed from.
+// step unitaries e^{-i·H_k·Dt} (Model.stepInto), the prefix products
+// U_{k-1}···U_0 and the suffix products U_{S-1}···U_k, all in matrices
+// allocated once at construction, plus the amplitude schedule each
+// slice's step was last computed from.
 //
 // Reuse rule (DESIGN.md §14): a slice's step — and every prefix entry
 // at or after the first changed slice and every suffix entry at or
@@ -23,7 +23,7 @@ import (
 // ascent this pays whenever slices saturate at the hardware amplitude
 // bound or a warm-started schedule only locally differs; callers that
 // change one slice at a time (gradient probes, CRAB restarts) pay
-// O(slots) products instead of O(slots) eigendecompositions.
+// O(slots) products instead of O(slots) matrix exponentials.
 type propCache struct {
 	m     *Model
 	ws    *kernel.Workspace
@@ -33,7 +33,7 @@ type propCache struct {
 	prefix []*linalg.Matrix // prefix[k] = steps[k-1]···steps[0], prefix[0] = I
 	suffix []*linalg.Matrix // suffix[k] = steps[slots-1]···steps[k], suffix[slots] = I
 
-	ham  *linalg.Matrix // slot-Hamiltonian assembly scratch
+	ham  *linalg.Matrix // slice-step assembly scratch (-i·Dt·H)
 	prev [][]float64    // amplitudes each cached step was built from
 	seen []bool         // slice k has ever been computed
 
@@ -82,8 +82,7 @@ func (p *propCache) update(amps [][]float64) *linalg.Matrix {
 		if p.seen[k] && sameAmps(p.prev[k], amps[k]) {
 			continue
 		}
-		p.m.slotHamiltonianInto(p.ham, amps[k])
-		linalg.ExpIHermitianInto(p.ws, p.steps[k], p.ham, -p.m.Dt)
+		p.m.stepInto(p.ws, p.steps[k], p.ham, amps[k])
 		copy(p.prev[k], amps[k])
 		p.seen[k] = true
 		p.stepRecomputes++

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"epoc/internal/linalg"
 	"epoc/internal/linalg/kernel"
 )
 
@@ -18,23 +17,6 @@ func randSchedule(m *Model, slots int, seed int64) [][]float64 {
 		}
 	}
 	return amps
-}
-
-// naivePropagate reproduces the pre-cache GRAPE forward pass: fresh
-// Hamiltonians, fresh eigendecompositions, fresh products every call.
-// It is both the equivalence oracle for propCache and the baseline in
-// BenchmarkKernelGrapePropagatorNaive.
-func naivePropagate(m *Model, amps [][]float64) *linalg.Matrix {
-	slots := len(amps)
-	steps := make([]*linalg.Matrix, slots)
-	for k := 0; k < slots; k++ {
-		steps[k] = linalg.ExpIHermitian(m.slotHamiltonian(amps[k]), -m.Dt)
-	}
-	u := linalg.Identity(m.Dim())
-	for k := 0; k < slots; k++ {
-		u = steps[k].Mul(u)
-	}
-	return u
 }
 
 // TestPropCacheRecomputesOnlyChangedSlices is the counting harness of
@@ -78,7 +60,9 @@ func TestPropCacheRecomputesOnlyChangedSlices(t *testing.T) {
 
 // TestPropCacheMatchesNaivePropagation pins the reuse soundness rule:
 // after any mix of cold, partial, and no-op updates, the cached total
-// unitary is byte-identical to a from-scratch recompute.
+// unitary is byte-identical to a from-scratch Model.Propagate. It also
+// pins that the optimizer and Propagate share one slice propagator,
+// which is what lets Propagate serve as the pulse oracle.
 func TestPropCacheMatchesNaivePropagation(t *testing.T) {
 	m := StandardModel(2, ModelOptions{})
 	const slots = 5
@@ -93,10 +77,10 @@ func TestPropCacheMatchesNaivePropagation(t *testing.T) {
 			amps[k][round%len(amps[k])] += 1e-4 * float64(round+1)
 		}
 		got := pc.update(amps)
-		want := naivePropagate(m, amps)
+		want := m.Propagate(amps)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("round %d: cached U differs from naive at flat index %d: %v vs %v",
+				t.Fatalf("round %d: cached U differs from Propagate at flat index %d: %v vs %v",
 					round, i, got.Data[i], want.Data[i])
 			}
 		}
@@ -123,9 +107,9 @@ func TestPropCacheNaNNeverReused(t *testing.T) {
 // BenchmarkKernelGrapePropagator measures the cached forward pass under
 // the access pattern the Adam ascent produces near convergence: a
 // handful of slices change per iteration, the rest are saturated at the
-// amplitude bound. The Naive twin reproduces the pre-cache code path
-// (fresh eigendecompositions and products for every slice, every call);
-// the acceptance criterion is the cached loop at ≥2× the naive one.
+// amplitude bound. The Naive twin is the uncached path, Model.Propagate
+// (fresh slice steps and products for every slice, every call); the
+// acceptance criterion is the cached loop at ≥2× the naive one.
 func BenchmarkKernelGrapePropagator(b *testing.B) {
 	m := StandardModel(2, ModelOptions{})
 	const slots = 24
@@ -153,6 +137,6 @@ func BenchmarkKernelGrapePropagatorNaive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		amps[i%slots][0] += 1e-6
 		amps[(i+slots/2)%slots][1] -= 1e-6
-		naivePropagate(m, amps)
+		m.Propagate(amps)
 	}
 }
