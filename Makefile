@@ -127,4 +127,8 @@ smoke-serve:
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
-ci: build vet lint lint-fixtures race test-leak smoke-serve metrics-smoke
+# The gates of .github/workflows/ci.yml: build, vet, the lint suite
+# and its fixtures, the race and leak suites, the serve and telemetry
+# smoke tests, and the bench and store-warm baseline gates. Only the
+# bounded fuzz runs are left out; run them with make fuzz.
+ci: build vet lint lint-fixtures race test-leak smoke-serve metrics-smoke bench-gate store-warm-gate

@@ -62,6 +62,7 @@ func TestCancelAtEveryTripPoint(t *testing.T) {
 		opts Options
 	}{
 		{"stage-zx", faultclock.SiteStageZX, 1, Options{Strategy: EPOC}},
+		{"stage-route", faultclock.SiteStageRoute, 1, Options{Strategy: EPOC, Route: true}},
 		{"stage-partition", faultclock.SiteStagePartition, 1, Options{Strategy: EPOC}},
 		{"stage-synth", faultclock.SiteStageSynth, 1, Options{Strategy: EPOC}},
 		{"stage-regroup", faultclock.SiteStageRegroup, 1, Options{Strategy: EPOC}},
@@ -72,8 +73,23 @@ func TestCancelAtEveryTripPoint(t *testing.T) {
 		{"grape-iter", faultclock.SiteGRAPEIter, 3, Options{Strategy: EPOC}},
 		{"duration-probe", faultclock.SiteDurationProbe, 2, Options{Strategy: EPOC}},
 		{"duration-probe-parallel", faultclock.SiteDurationProbe, 2, Options{Strategy: EPOC, Workers: 4}},
-		{"crab-restart", faultclock.SiteCRABRestart, 1, Options{Strategy: EPOC, Algorithm: AlgCRAB}},
 		{"grape-iter-accqoc", faultclock.SiteGRAPEIter, 2, Options{Strategy: AccQOC}},
+	}
+	// Every trip point has a row here, except cache/wait, which only a
+	// concurrent synthesis-cache fill reaches (internal/synth's
+	// cache_ctx_test.go cancels there).
+	covered := map[faultclock.Site]bool{faultclock.SiteCacheWait: true}
+	for _, tc := range cases {
+		covered[tc.site] = true
+	}
+	for _, site := range faultclock.Sites() {
+		if !covered[site] {
+			t.Errorf("trip point %s has no cancellation row", site)
+		}
+		delete(covered, site)
+	}
+	for site := range covered {
+		t.Errorf("row site %s is not in faultclock.Sites()", site)
 	}
 	c, _ := benchcirc.Get("ghz")
 	dev := hardware.LinearChain(c.NumQubits)

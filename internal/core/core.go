@@ -80,7 +80,7 @@ type Budgets struct {
 	SynthTime  time.Duration // stage-3 (block synthesis) deadline
 	QOCTime    time.Duration // stage-5 (pulse optimization) deadline
 	SynthNodes int           // per-block QSearch node-expansion cap
-	QOCIters   int           // per-run GRAPE/CRAB iteration cap
+	QOCIters   int           // per-run GRAPE iteration cap
 }
 
 // Zero reports whether no budget is configured.
@@ -168,9 +168,6 @@ type Options struct {
 	// partitioning, decomposing ≥3-qubit gates and inserting SWAPs.
 	Route bool
 
-	// Algorithm selects the pulse optimizer (default GRAPE).
-	Algorithm QOCAlgorithm
-
 	// Obs, when non-nil, records per-stage timings, optimizer
 	// convergence metrics and library cache behaviour for this compile
 	// (see internal/obs). The recorder is goroutine-safe and may be
@@ -257,15 +254,6 @@ func (o *Options) stageGate(budget time.Duration) *faultclock.Gate {
 	}
 	return &faultclock.Gate{Ctx: o.ctx, Clock: o.Clock, Deadline: deadline, Inj: o.Inject}
 }
-
-// QOCAlgorithm selects the optimal-control algorithm.
-type QOCAlgorithm int
-
-// Supported pulse optimizers (paper §2.4 discusses both).
-const (
-	AlgGRAPE QOCAlgorithm = iota
-	AlgCRAB
-)
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -421,7 +409,7 @@ func Compile(c *circuit.Circuit, opts Options) (*Result, error) {
 
 // CompileContext is Compile under a context. Cancellation is observed
 // at stage boundaries and inside every expensive loop (QSearch node
-// expansions, GRAPE/CRAB iterations, duration-search probes, cache
+// expansions, GRAPE iterations, duration-search probes, cache
 // waits); a canceled compile returns the context's error promptly,
 // discards partial work, and leaks no goroutines. Budget expiry (see
 // Options.Budgets) instead degrades: the result is still returned,

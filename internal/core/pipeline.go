@@ -591,28 +591,16 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 	est, _ := estimatePulse(op, o)
 	start := int(math.Ceil(est / o.Device.Dt))
 	st.QOCRuns++
-	var run qoc.Runner
-	if o.Algorithm == AlgCRAB {
-		cfg := qoc.CRABConfig{
-			Target:      o.FidelityTarget,
-			Seed:        o.Seed,
-			Gate:        o.qocGate,
-			BudgetIters: o.Budgets.QOCIters,
-			Region:      tsp,
-		}
-		run = func(slots int) qoc.Result { return qoc.CRAB(model, u, slots, cfg) }
-	} else {
-		cfg := qoc.GRAPEConfig{
-			MaxIter:     o.GRAPEIters,
-			Target:      o.FidelityTarget,
-			Seed:        o.Seed,
-			Gate:        o.qocGate,
-			BudgetIters: o.Budgets.QOCIters,
-			Region:      tsp,
-		}
-		// A nil warm start is a cold GRAPE run.
-		run = func(slots int) qoc.Result { return qoc.WarmStartGRAPE(model, u, slots, warm, cfg) }
+	cfg := qoc.GRAPEConfig{
+		MaxIter:     o.GRAPEIters,
+		Target:      o.FidelityTarget,
+		Seed:        o.Seed,
+		Gate:        o.qocGate,
+		BudgetIters: o.Budgets.QOCIters,
+		Region:      tsp,
 	}
+	// A nil warm start is a cold GRAPE run.
+	run := func(slots int) qoc.Result { return qoc.WarmStartGRAPE(model, u, slots, warm, cfg) }
 	r := qoc.SearchDurationFrom(o.qocGate, 2, start, maxSlots, slotStep(k, o), o.FidelityTarget, qoc.Probes(tsp, run))
 	tsp.SetInt("slots", int64(r.Slots)).
 		SetInt("iterations", int64(r.Iterations)).

@@ -52,21 +52,3 @@ func TestRoutedCompileWideGate(t *testing.T) {
 		}
 	}
 }
-
-func TestCRABCompileBell(t *testing.T) {
-	// CRAB end to end on a tiny circuit; derivative-free so keep the
-	// search space minimal.
-	c := circuit.New(1)
-	c.Append(gate.New(gate.H), 0)
-	dev := hardware.LinearChain(1)
-	res, err := Compile(c, Options{Strategy: EPOC, Device: dev, Algorithm: AlgCRAB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fidelity < 0.99 {
-		t.Fatalf("CRAB compile fidelity %v", res.Fidelity)
-	}
-	if res.Stats.QOCRuns == 0 {
-		t.Fatal("CRAB ran no searches")
-	}
-}

@@ -12,7 +12,7 @@ import (
 // configuration: the codec version plus a sha256 over every knob that
 // shapes stored artifacts. Two Options with the same namespace produce
 // interchangeable pulses and syntheses; anything that would change
-// them — the QOC mode or algorithm, fidelity target, iteration count,
+// them — the QOC mode, fidelity target, iteration count,
 // seed, slot grid, synthesis tuning, or the device physics — lands in
 // a different namespace directory, which is the store's entire
 // invalidation mechanism (DESIGN.md §12).
@@ -48,13 +48,12 @@ func storeConfig(o *Options) map[string]string {
 	if o.Mode == QOCEstimate {
 		mode = "estimate"
 	}
-	alg := "grape"
-	if o.Algorithm == AlgCRAB {
-		alg = "crab"
-	}
+	// GRAPE is the only optimizer, but "algorithm" stays in the hash as
+	// a constant: dropping the key would move every existing namespace
+	// and strand the stores written under it (DESIGN.md §12).
 	return map[string]string{
 		"mode":               mode,
-		"algorithm":          alg,
+		"algorithm":          "grape",
 		"fidelity_target":    fmt.Sprintf("%g", o.FidelityTarget),
 		"grape_iters":        strconv.Itoa(o.GRAPEIters),
 		"slot_step_2q":       strconv.Itoa(o.SlotStep2Q),

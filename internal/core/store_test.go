@@ -354,3 +354,19 @@ func TestStoreNamespaceCoversDeviceKnobs(t *testing.T) {
 		t.Fatalf("namespace %q missing codec version", StoreNamespace(base))
 	}
 }
+
+// TestStoreNamespacePinned pins the namespace of the default
+// configuration across commits, not just within one build: a store
+// written by an earlier release must stay warm. Change these values
+// only together with a deliberate namespace break (DESIGN.md §12).
+func TestStoreNamespacePinned(t *testing.T) {
+	full := Options{Device: hardware.LinearChain(4)}
+	if got, want := StoreNamespace(full), "v1-5092a4d7e09185b3"; got != want {
+		t.Errorf("full-mode namespace = %s, want %s", got, want)
+	}
+	est := full
+	est.Mode = QOCEstimate
+	if got, want := StoreNamespace(est), "v1-cb313e6cf044f880"; got != want {
+		t.Errorf("estimate-mode namespace = %s, want %s", got, want)
+	}
+}

@@ -92,7 +92,6 @@ const (
 	SiteStageLower     Site = "stage/lower" // gate-based flow
 	SiteQSearchExpand  Site = "qsearch/expand"
 	SiteGRAPEIter      Site = "grape/iter"
-	SiteCRABRestart    Site = "crab/restart"
 	SiteDurationProbe  Site = "duration/probe"
 	SiteCacheWait      Site = "cache/wait"
 )
@@ -103,8 +102,7 @@ func Sites() []Site {
 	return []Site{
 		SiteStageZX, SiteStageRoute, SiteStagePartition, SiteStageSynth,
 		SiteStageRegroup, SiteStageQOC, SiteStageLower,
-		SiteQSearchExpand, SiteGRAPEIter, SiteCRABRestart,
-		SiteDurationProbe, SiteCacheWait,
+		SiteQSearchExpand, SiteGRAPEIter, SiteDurationProbe, SiteCacheWait,
 	}
 }
 

@@ -44,12 +44,10 @@ var floatcmpAllowed = map[string]bool{
 	// Zero-value config defaulting: 0 is the documented "unset"
 	// sentinel of these option structs, and only a literal zero value
 	// (never a computed float) reaches the comparison.
-	"(*epoc/internal/core.Options).withDefaults":     true,
-	"(*epoc/internal/opt.LBFGSConfig).defaults":      true,
-	"(*epoc/internal/opt.NelderMeadConfig).defaults": true,
-	"(*epoc/internal/qoc.CRABConfig).defaults":       true,
-	"(*epoc/internal/qoc.GRAPEConfig).defaults":      true,
-	"(*epoc/internal/qoc.ModelOptions).defaults":     true,
+	"(*epoc/internal/core.Options).withDefaults": true,
+	"(*epoc/internal/opt.LBFGSConfig).defaults":  true,
+	"(*epoc/internal/qoc.GRAPEConfig).defaults":  true,
+	"(*epoc/internal/qoc.ModelOptions).defaults": true,
 }
 
 func runFloatcmp(p *Pass) {

@@ -1,7 +1,6 @@
-// Package opt provides the numerical optimizers used by circuit
-// synthesis (VUG instantiation) and quantum optimal control: L-BFGS
-// with two-loop recursion and Nelder-Mead simplex search. (GRAPE
-// carries its own fused Adam ascent loop in internal/qoc.)
+// Package opt provides L-BFGS with two-loop recursion, the
+// quasi-Newton optimizer circuit synthesis uses for VUG instantiation.
+// (GRAPE carries its own fused Adam ascent loop in internal/qoc.)
 package opt
 
 import (
@@ -219,115 +218,6 @@ func LBFGS(f Objective, g Gradient, x0 []float64, cfg LBFGSConfig) Result {
 		fx = fNew
 	}
 	return Result{X: x, F: fx, Iterations: cfg.MaxIter, Converged: false}
-}
-
-// NelderMeadConfig controls the simplex search.
-type NelderMeadConfig struct {
-	MaxIter int     // iteration budget (default 2000)
-	Tol     float64 // stop when the simplex f-spread < Tol (default 1e-10)
-	Step    float64 // initial simplex edge (default 0.5)
-}
-
-func (c *NelderMeadConfig) defaults() {
-	if c.MaxIter == 0 {
-		c.MaxIter = 2000
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-10
-	}
-	if c.Step == 0 {
-		c.Step = 0.5
-	}
-}
-
-// NelderMead minimizes f with the derivative-free simplex algorithm.
-func NelderMead(f Objective, x0 []float64, cfg NelderMeadConfig) Result {
-	cfg.defaults()
-	n := len(x0)
-	// Build the initial simplex.
-	pts := make([][]float64, n+1)
-	fv := make([]float64, n+1)
-	for i := 0; i <= n; i++ {
-		p := make([]float64, n)
-		copy(p, x0)
-		if i > 0 {
-			p[i-1] += cfg.Step
-		}
-		pts[i] = p
-		fv[i] = f(p)
-	}
-	const (
-		alpha = 1.0 // reflection
-		gamma = 2.0 // expansion
-		rho   = 0.5 // contraction
-		sigma = 0.5 // shrink
-	)
-	order := func() {
-		// Insertion sort: simplexes are small.
-		for i := 1; i <= n; i++ {
-			for j := i; j > 0 && fv[j] < fv[j-1]; j-- {
-				fv[j], fv[j-1] = fv[j-1], fv[j]
-				pts[j], pts[j-1] = pts[j-1], pts[j]
-			}
-		}
-	}
-	centroid := make([]float64, n)
-	for iter := 1; iter <= cfg.MaxIter; iter++ {
-		order()
-		if fv[n]-fv[0] < cfg.Tol {
-			return Result{X: pts[0], F: fv[0], Iterations: iter, Converged: true}
-		}
-		// Centroid of all but the worst.
-		for j := range centroid {
-			centroid[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				centroid[j] += pts[i][j]
-			}
-		}
-		for j := range centroid {
-			centroid[j] /= float64(n)
-		}
-		worst := pts[n]
-		refl := make([]float64, n)
-		for j := 0; j < n; j++ {
-			refl[j] = centroid[j] + alpha*(centroid[j]-worst[j])
-		}
-		fr := f(refl)
-		switch {
-		case fr < fv[0]:
-			exp := make([]float64, n)
-			for j := 0; j < n; j++ {
-				exp[j] = centroid[j] + gamma*(refl[j]-centroid[j])
-			}
-			if fe := f(exp); fe < fr {
-				pts[n], fv[n] = exp, fe
-			} else {
-				pts[n], fv[n] = refl, fr
-			}
-		case fr < fv[n-1]:
-			pts[n], fv[n] = refl, fr
-		default:
-			contr := make([]float64, n)
-			for j := 0; j < n; j++ {
-				contr[j] = centroid[j] + rho*(worst[j]-centroid[j])
-			}
-			if fc := f(contr); fc < fv[n] {
-				pts[n], fv[n] = contr, fc
-			} else {
-				// Shrink toward the best point.
-				for i := 1; i <= n; i++ {
-					for j := 0; j < n; j++ {
-						pts[i][j] = pts[0][j] + sigma*(pts[i][j]-pts[0][j])
-					}
-					fv[i] = f(pts[i])
-				}
-			}
-		}
-	}
-	order()
-	return Result{X: pts[0], F: fv[0], Iterations: cfg.MaxIter, Converged: false}
 }
 
 func dot(a, b []float64) float64 {

@@ -100,28 +100,6 @@ func TestLBFGSEvaluatesStartOnce(t *testing.T) {
 	}
 }
 
-func TestNelderMeadSphere(t *testing.T) {
-	res := NelderMead(sphere, []float64{2, -3}, NelderMeadConfig{})
-	if res.F > 1e-8 {
-		t.Fatalf("NelderMead sphere: f=%v", res.F)
-	}
-}
-
-func TestNelderMeadRosenbrock2D(t *testing.T) {
-	res := NelderMead(rosenbrock, []float64{-1.2, 1}, NelderMeadConfig{MaxIter: 5000})
-	if res.F > 1e-6 {
-		t.Fatalf("NelderMead Rosenbrock: f=%v x=%v", res.F, res.X)
-	}
-}
-
-func TestNelderMeadNonSmooth(t *testing.T) {
-	f := func(x []float64) float64 { return math.Abs(x[0]-1) + math.Abs(x[1]+2) }
-	res := NelderMead(f, []float64{0, 0}, NelderMeadConfig{MaxIter: 5000, Tol: 1e-12})
-	if res.F > 1e-5 {
-		t.Fatalf("NelderMead |.|: f=%v x=%v", res.F, res.X)
-	}
-}
-
 func TestFiniteDiffGradientMatchesAnalytic(t *testing.T) {
 	g := centralDiff(sphere, 1e-6)
 	x := []float64{1.5, -0.5, 2}

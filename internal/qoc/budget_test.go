@@ -182,28 +182,3 @@ func TestSearchDurationUnbudgetedUnchanged(t *testing.T) {
 		t.Fatalf("found %d slots, want the smallest passing grid point 10", res.Slots)
 	}
 }
-
-// TestCRABBudgetIters: the cap marks a below-target result degraded
-// and keeps the best coefficients found.
-func TestCRABBudgetIters(t *testing.T) {
-	m := StandardModel(1, ModelOptions{})
-	res := CRAB(m, gate.New(gate.X).Matrix(), 16, CRABConfig{MaxIter: 3000, BudgetIters: 5, Restarts: 1})
-	if !faultclock.IsBudget(res.Err) {
-		t.Fatalf("Err = %v, want ErrBudget", res.Err)
-	}
-	if res.Amps == nil {
-		t.Fatal("budgeted CRAB returned no amplitudes")
-	}
-}
-
-// TestCRABCanceledBeforeFirstRestart: cancellation is observed at the
-// restart boundary and reported as the context error.
-func TestCRABCanceledBeforeFirstRestart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m := StandardModel(1, ModelOptions{})
-	res := CRAB(m, gate.New(gate.X).Matrix(), 16, CRABConfig{Gate: &faultclock.Gate{Ctx: ctx}})
-	if !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", res.Err)
-	}
-}

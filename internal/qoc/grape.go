@@ -13,10 +13,9 @@ import (
 
 // GRAPEConfig tunes the optimizer.
 type GRAPEConfig struct {
-	MaxIter   int     // iteration budget (default 300)
-	Target    float64 // stop once fidelity reaches this (default 0.999)
-	LearnRate float64 // Adam step size in amplitude units (default: MaxAmp/8)
-	Seed      int64   // initial-guess RNG seed (default 1)
+	MaxIter int     // iteration budget (default 300)
+	Target  float64 // stop once fidelity reaches this (default 0.999)
+	Seed    int64   // initial-guess RNG seed (default 1)
 
 	// Gate, when non-nil, is checked once per iteration
 	// (faultclock.SiteGRAPEIter): on cancellation the run stops and
@@ -97,6 +96,11 @@ func GRAPE(m *Model, target *linalg.Matrix, slots int, cfg GRAPEConfig) Result {
 	return grapeFrom(m, target, amps, cfg)
 }
 
+// adamStep is GRAPE's Adam step size as a fraction of each control's
+// amplitude bound: an iteration moves an amplitude by at most about
+// 0.02·MaxAmp.
+const adamStep = 0.02
+
 // grapeFrom runs the GRAPE ascent from an explicit initial amplitude
 // schedule (mutated in place as the working buffer). The ascent loop
 // is the pipeline's hottest path: all per-iteration memory comes from
@@ -116,11 +120,6 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 	slots := len(amps)
 	rec := cfg.Region.Recorder()
 
-	lr := cfg.LearnRate
-	//epoc:lint-ignore floatcmp zero-value sentinel: unset LearnRate defaults to 0.02
-	if lr == 0 {
-		lr = 0.02
-	}
 	mAdam := makeGrid(slots, nc)
 	vAdam := makeGrid(slots, nc)
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -192,7 +191,7 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 				vAdam[k][j] = beta2*vAdam[k][j] + (1-beta2)*grad*grad
 				mh := mAdam[k][j] / bc1
 				vh := vAdam[k][j] / bc2
-				amps[k][j] += lr * m.MaxAmp[j] * mh / (math.Sqrt(vh) + eps)
+				amps[k][j] += adamStep * m.MaxAmp[j] * mh / (math.Sqrt(vh) + eps)
 				// Project onto the hardware amplitude bound.
 				if amps[k][j] > m.MaxAmp[j] {
 					amps[k][j] = m.MaxAmp[j]
@@ -274,8 +273,9 @@ func copyAmps(dst, src [][]float64) {
 	}
 }
 
-// Runner produces an optimized pulse for a given slot count; used by
-// the duration search to abstract over GRAPE and CRAB.
+// Runner produces an optimized pulse for a given slot count. The
+// duration search calls it once per probe, so the search itself stays
+// independent of the optimizer and tests can substitute synthetic ones.
 type Runner func(slots int) Result
 
 // Probes wraps a Runner so every duration-search probe opens one

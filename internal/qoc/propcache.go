@@ -22,8 +22,8 @@ import (
 // uncached runs are byte-identical at any worker count. In the Adam
 // ascent this pays whenever slices saturate at the hardware amplitude
 // bound or a warm-started schedule only locally differs; callers that
-// change one slice at a time (gradient probes, CRAB restarts) pay
-// O(slots) products instead of O(slots) matrix exponentials.
+// change one slice at a time pay O(slots) products instead of O(slots)
+// matrix exponentials.
 type propCache struct {
 	m     *Model
 	ws    *kernel.Workspace

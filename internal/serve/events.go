@@ -10,7 +10,7 @@ import (
 )
 
 // eventLog is a job's progress stream: an append-only event list with
-// broadcast wakeups, fed by the job's obs recorder sink (GRAPE/CRAB
+// broadcast wakeups, fed by the job's obs recorder sink (GRAPE
 // convergence, duration-search probes) and the server's lifecycle
 // events (queued, compiling, done). Unlike the recorder's snapshot
 // buffer it is unbounded per job — jobs are bounded by RetainJobs and

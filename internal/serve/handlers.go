@@ -415,7 +415,7 @@ func (s *Server) prepareJob(r *http.Request, req *CompileRequest, id, traceID st
 		state:    statusQueued,
 		done:     make(chan struct{}),
 	}
-	// Stream every obs event (GRAPE/CRAB convergence, duration-search
+	// Stream every obs event (GRAPE convergence, duration-search
 	// probes) to the job's event log as it is recorded.
 	rec.SetSink(j.events.append)
 	return j, nil
