@@ -7,16 +7,16 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# go vet's copylocks pass is the guard against by-value lock copies.
 vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis (cmd/epoc-lint): the full
-# 12-analyzer suite — float equality, global rand, import DAG,
-# unchecked in-module errors, copied locks, discarded contexts,
-# unended spans, Prometheus metric naming, plus the dataflow
-# analyzers (map-order determinism, lock-guarded fields, goroutine
-# joins, hot-loop allocations). Exit codes: 0 clean, 1 findings,
-# 2 load error. See DESIGN.md §8 and §13.
+# 10-analyzer suite — float equality, global rand, import DAG,
+# unchecked in-module errors, discarded contexts, unended spans,
+# plus the dataflow analyzers (map-order determinism, lock-guarded
+# fields, goroutine joins, hot-loop allocations). Exit codes: 0 clean,
+# 1 findings, 2 load error. See DESIGN.md §8 and §13.
 lint:
 	$(GO) run ./cmd/epoc-lint ./...
 

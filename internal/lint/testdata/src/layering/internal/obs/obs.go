@@ -5,7 +5,3 @@ package obs
 import (
 	_ "epoc/internal/linalg" // want "layering: import of epoc/internal/linalg is not in the DAG"
 )
-
-// Recorder mirrors the real obs.Recorder so copylockplus fixtures can
-// reference a lock-free version; layering does not care about bodies.
-type Recorder struct{ n int }

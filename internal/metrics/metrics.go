@@ -5,8 +5,8 @@
 //
 // Naming scheme (DESIGN.md §15):
 //
-//   - every exported name is epoc_-prefixed snake_case (the metricname
-//     lint check enforces this);
+//   - every exported name is epoc_-prefixed snake_case (the strict
+//     parser, Parse, enforces this and the counter/gauge suffix rules);
 //   - obs counters become counter families ending _total, with a
 //     rename table for the names operators alert on
 //     (synthcache/hit → epoc_synthcache_hits_total) and a generic

@@ -102,6 +102,33 @@ func TestRenderGolden(t *testing.T) {
 	}
 }
 
+// TestRenamesStrictParse renders a counter for every promRenames key
+// and strict-parses the result, so a rename that breaks the naming
+// scheme fails here even when the golden snapshot does not carry it.
+func TestRenamesStrictParse(t *testing.T) {
+	snap := &obs.Snapshot{Counters: map[string]int64{}}
+	for obsName := range promRenames {
+		snap.Counters[obsName] = 1
+	}
+	var b strings.Builder
+	if err := Render(&b, snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := Parse(b.String())
+	if err != nil {
+		t.Fatalf("rename table renders an exposition the strict parser rejects: %v\n%s", err, b.String())
+	}
+	got := map[string]bool{}
+	for _, f := range fams {
+		got[f.Name] = true
+	}
+	for obsName, name := range promRenames {
+		if !got[name] {
+			t.Errorf("counter %s did not render as family %s", obsName, name)
+		}
+	}
+}
+
 func TestRenderDeterministic(t *testing.T) {
 	var a, b strings.Builder
 	if err := Render(&a, goldenSnapshot(), goldenGauges()); err != nil {
@@ -229,6 +256,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"bad name prefix":        "# HELP my_metric h\n# TYPE my_metric counter\nmy_metric 1\n",
 		"double underscore":      "# HELP epoc_a__b_total h\n# TYPE epoc_a__b_total counter\nepoc_a__b_total 1\n",
 		"counter without _total": "# HELP epoc_x h\n# TYPE epoc_x counter\nepoc_x 1\n",
+		"gauge with _total":      "# HELP epoc_g_total h\n# TYPE epoc_g_total gauge\nepoc_g_total 1\n",
 		"negative counter":       "# HELP epoc_x_total h\n# TYPE epoc_x_total counter\nepoc_x_total -1\n",
 		"duplicate series":       "# HELP epoc_x_total h\n# TYPE epoc_x_total counter\nepoc_x_total 1\nepoc_x_total 2\n",
 		"duplicate family": "# HELP epoc_x_total h\n# TYPE epoc_x_total counter\nepoc_x_total 1\n" +

@@ -274,6 +274,9 @@ func checkFamily(f Family) error {
 			return err
 		}
 	case "gauge":
+		if strings.HasSuffix(f.Name, "_total") {
+			return fmt.Errorf("gauge family must not end _total")
+		}
 		if err := checkDuplicateSeries(f.Samples); err != nil {
 			return err
 		}

@@ -93,7 +93,7 @@ func TestLBFGSEvaluatesStartOnce(t *testing.T) {
 		t.Fatalf("f evaluated %d times, want 1", len(calls))
 	}
 	for i, v := range calls[0] {
-		//epoc:lint-ignore floatcmp the call must see x0 itself, bit for bit
+		// Exact comparison on purpose: the call must see x0 itself, bit for bit.
 		if v != x0[i] {
 			t.Fatalf("f evaluated at %v, want x0 = %v", calls[0], x0)
 		}

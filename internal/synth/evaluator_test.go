@@ -100,7 +100,7 @@ func TestU3EntriesMatchGateMatrix(t *testing.T) {
 		got := u3Entries(th, ph, la)
 		want := gate.New(gate.U3, th, ph, la).Matrix().Data
 		for i := range got {
-			//epoc:lint-ignore floatcmp the evaluator's U3 must be the gate package's U3, bit for bit
+			// Exact comparison on purpose: the evaluator's U3 must be the gate package's U3, bit for bit.
 			if got[i] != want[i] {
 				t.Fatalf("U3(%v,%v,%v)[%d] = %v, gate.Matrix gives %v", th, ph, la, i, got[i], want[i])
 			}
@@ -128,14 +128,14 @@ func TestEvaluatorMatchesDenseReferenceBitwise(t *testing.T) {
 			gotG, wantG := make([]float64, np), make([]float64, np)
 			for _, x := range [][]float64{randomParams(rng, np), childSeed(rng, tmpl)} {
 				got, want := ev.objective(x), denseDistance(tmpl, target, x)
-				//epoc:lint-ignore floatcmp the contract is bitwise identity with the dense build
+				// Exact comparison on purpose: the contract is bitwise identity with the dense build.
 				if got != want {
 					t.Fatalf("n=%d %v: objective %v, dense %v", n, tmpl.placements, got, want)
 				}
 				ev.gradient(x, gotG)
 				denseGradient(tmpl, target)(x, wantG)
 				for i := range gotG {
-					//epoc:lint-ignore floatcmp the contract is bitwise identity with the dense central difference
+					// Exact comparison on purpose: the contract is bitwise identity with the dense central difference.
 					if gotG[i] != wantG[i] {
 						t.Fatalf("n=%d %v: grad[%d] %v, dense %v", n, tmpl.placements, i, gotG[i], wantG[i])
 					}
@@ -165,12 +165,12 @@ func TestInstantiateTrajectoryMatchesDenseReference(t *testing.T) {
 		got := opt.LBFGS(ev.objective, ev.gradient, x0, cfg)
 		want := opt.LBFGS(func(x []float64) float64 { return denseDistance(tmpl, target, x) },
 			denseGradient(tmpl, target), x0, cfg)
-		//epoc:lint-ignore floatcmp the trajectories must be bit-identical, not merely close
+		// Exact comparison on purpose: the trajectories must be bit-identical, not merely close.
 		if got.F != want.F || got.Iterations != want.Iterations {
 			t.Fatalf("trial %d: f=%v after %d iterations, dense f=%v after %d", trial, got.F, got.Iterations, want.F, want.Iterations)
 		}
 		for i := range got.X {
-			//epoc:lint-ignore floatcmp the trajectories must be bit-identical, not merely close
+			// Exact comparison on purpose: the trajectories must be bit-identical, not merely close.
 			if got.X[i] != want.X[i] {
 				t.Fatalf("trial %d: x[%d] = %v, dense %v", trial, i, got.X[i], want.X[i])
 			}
