@@ -232,24 +232,29 @@ func runHitRate() {
 	rec := newRecorder()
 	for _, phase := range []bool{false, true} {
 		lib := pulse.NewLibrary(phase)
+		var hits, lookups int
 		for _, name := range benchcirc.AllNames() {
 			c, err := benchcirc.Get(name)
 			if err != nil {
 				continue
 			}
 			dev := hardware.LinearChain(c.NumQubits)
-			if _, err := compile(c, core.Options{
+			res, err := compile(c, core.Options{
 				Strategy: core.EPOC, Device: dev, Mode: core.QOCEstimate, Library: lib, Obs: rec, Workers: workerCount,
-			}); err != nil {
+			})
+			if err != nil {
 				fmt.Printf("%s: %v\n", name, err)
+				continue
 			}
+			hits += res.Stats.LibraryHits
+			lookups += res.Stats.LibraryHits + res.Stats.LibraryMisses
 		}
 		label := "exact-match"
 		if phase {
 			label = "global-phase"
 		}
-		tb.AddRow(label, lib.Hits+lib.Misses, lib.Hits,
-			fmt.Sprintf("%.1f%%", 100*lib.HitRate()), lib.Len())
+		tb.AddRow(label, lookups, hits,
+			fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(lookups)), lib.Len())
 	}
 	fmt.Print(tb.String())
 	fmt.Println()
@@ -324,9 +329,10 @@ func runAblations(full bool) {
 		for _, phase := range []bool{false, true} {
 			lib := pulse.NewLibrary(phase)
 			first := phaseSpellingProgram(true)
-			if _, err := compile(first, core.Options{
+			res1, err := compile(first, core.Options{
 				Strategy: core.PAQOC, Device: hardware.LinearChain(first.NumQubits), Library: lib,
-			}); err != nil {
+			})
+			if err != nil {
 				fmt.Println("ablation error:", err)
 				continue
 			}
@@ -342,7 +348,7 @@ func runAblations(full bool) {
 			if phase {
 				name = "global-phase"
 			}
-			tb.AddRow(name, res.Stats.QOCRuns, lib.Hits, res.CompileTime.Round(time.Millisecond).String())
+			tb.AddRow(name, res.Stats.QOCRuns, res1.Stats.LibraryHits+res.Stats.LibraryHits, res.CompileTime.Round(time.Millisecond).String())
 		}
 		fmt.Print(tb.String())
 

@@ -136,10 +136,10 @@ func ExampleNewPulseLibrary() {
 	if _, err := epoc.Compile(c, opts); err != nil {
 		panic(err)
 	}
-	missesAfterFirst := lib.Misses
-	if _, err := epoc.Compile(c, opts); err != nil {
+	res, err := epoc.Compile(c, opts)
+	if err != nil {
 		panic(err)
 	}
-	fmt.Println("new misses on recompile:", lib.Misses-missesAfterFirst)
+	fmt.Println("new misses on recompile:", res.Stats.LibraryMisses)
 	// Output: new misses on recompile: 0
 }

@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -94,9 +93,9 @@ type Options struct {
 	Strategy Strategy
 	Device   *hardware.Device
 
-	// Partitioning (Algorithm 1) limits. Defaults depend on strategy.
+	// Partitioning (Algorithm 1) qubit limit (default 2). The gate
+	// limit follows the strategy (see partitionMaxGates).
 	PartitionMaxQubits int
-	PartitionMaxGates  int
 	// Regrouping limit for the full EPOC flow (default 2).
 	RegroupMaxQubits int
 
@@ -105,21 +104,16 @@ type Options struct {
 	UseZX *bool
 
 	// Pulse library reuse. Library may be shared across compilations;
-	// when nil a fresh one is created. MatchGlobalPhase defaults to
-	// true for EPOC flows and false for AccQOC/PAQOC (the paper's
+	// when nil a fresh one is created, matching up to global phase for
+	// the EPOC flows and exactly for AccQOC/PAQOC (the paper's
 	// distinction).
-	Library          *pulse.Library
-	MatchGlobalPhase *bool
+	Library *pulse.Library
 
-	// QOC tuning.
-	Mode           QOCMode
-	FidelityTarget float64 // default 0.999
-	GRAPEIters     int     // default 200
-	SlotStep2Q     int     // duration-search grid step for ≥2q blocks (default 8)
-	Seed           int64   // default 1
-
-	// Synthesis tuning (EPOC flows only).
-	Synth synth.Options
+	// QOC tuning. The fidelity target (0.999) and the duration-search
+	// grid are fixed: see fidelityTarget and slotStep.
+	Mode       QOCMode
+	GRAPEIters int   // default 200
+	Seed       int64 // default 1
 
 	// SynthCache reuses block synthesis results across blocks and, when
 	// shared, across compilations: it is keyed by the block unitary up
@@ -157,12 +151,6 @@ type Options struct {
 	// multi-core machines). Results are collected by block index, so
 	// the compiled output is identical for every worker count.
 	Workers int
-
-	// Decoherence enables T1/T2-aware fidelity: in addition to the ESP
-	// product, each qubit decays for the schedule's full latency
-	// (idle time included), so shorter schedules score higher. Off by
-	// default — the paper's Equation 3 is pure pulse ESP.
-	Decoherence bool
 
 	// Route maps the circuit onto the device coupler topology before
 	// partitioning, decomposing ≥3-qubit gates and inserting SWAPs.
@@ -270,18 +258,6 @@ func (o *Options) withDefaults() Options {
 	if out.PartitionMaxQubits == 0 {
 		out.PartitionMaxQubits = 2
 	}
-	if out.PartitionMaxGates == 0 {
-		switch out.Strategy {
-		case AccQOC:
-			// AccQOC slices the circuit into small uniform subcircuits.
-			out.PartitionMaxGates = 4
-		case PAQOC:
-			// PAQOC pulses mined gate patterns of a few gates each.
-			out.PartitionMaxGates = 6
-		default:
-			out.PartitionMaxGates = 16
-		}
-	}
 	if out.RegroupMaxQubits == 0 {
 		out.RegroupMaxQubits = 2
 	}
@@ -289,27 +265,14 @@ func (o *Options) withDefaults() Options {
 		zx := out.Strategy == EPOC || out.Strategy == EPOCNoGroup
 		out.UseZX = &zx
 	}
-	if out.MatchGlobalPhase == nil {
-		match := out.Strategy == EPOC || out.Strategy == EPOCNoGroup
-		out.MatchGlobalPhase = &match
-	}
 	if out.Library == nil {
-		out.Library = pulse.NewLibrary(*out.MatchGlobalPhase)
-	}
-	if out.FidelityTarget == 0 {
-		out.FidelityTarget = 0.999
+		out.Library = pulse.NewLibrary(out.Strategy == EPOC || out.Strategy == EPOCNoGroup)
 	}
 	if out.GRAPEIters == 0 {
 		out.GRAPEIters = 200
 	}
-	if out.SlotStep2Q == 0 {
-		out.SlotStep2Q = 8
-	}
 	if out.Seed == 0 {
 		out.Seed = 1
-	}
-	if out.Synth.BudgetNodes == 0 {
-		out.Synth.BudgetNodes = out.Budgets.SynthNodes
 	}
 	if out.SynthCache == nil {
 		out.SynthCache = synth.NewCache()
@@ -333,13 +296,46 @@ type Stats struct {
 	CNOTsAfter       int // CNOTs in the synthesized circuit
 	SynthCacheHits   int // eligible blocks served from the synthesis cache
 	SynthCacheMisses int // eligible blocks that ran a fresh synthesis
-	PulseCount       int
-	QOCRuns          int // GRAPE duration searches actually executed
-	WarmStarts       int // QOC runs seeded from a similar stored pulse
-	LibraryHits      int // pulse-library lookups this compile served
-	LibraryMisses    int // pulse-library lookups this compile missed
-	SynthDegraded    int // blocks whose synthesis stopped on a budget
-	QOCDegraded      int // pulses kept as best-so-far or estimated on a budget
+	// SynthCacheCoalesced counts the SynthCacheHits that waited on
+	// another compile's in-flight synthesis of the same unitary.
+	SynthCacheCoalesced int
+	PulseCount          int
+	QOCRuns             int // GRAPE duration searches actually executed
+	WarmStarts          int // QOC runs seeded from a similar stored pulse
+	LibraryHits         int // pulse-library lookups this compile served
+	LibraryMisses       int // pulse-library lookups this compile missed
+	SynthDegraded       int // blocks whose synthesis stopped on a budget
+	QOCDegraded         int // pulses kept as best-so-far or estimated on a budget
+}
+
+// recordStats emits the obs counters that mirror Stats, once per
+// completed compile, so each event is counted in Stats alone and a
+// shared recorder sums whole compiles. Counters the pipeline has no
+// event for stay absent rather than zero: synthcache/hit appears once
+// any block reached the synthesis cache, the rest once nonzero.
+func recordStats(rec *obs.Recorder, st *Stats) {
+	if rec == nil {
+		return
+	}
+	rec.Add("compiles", 1)
+	rec.Add("pulses", int64(st.PulseCount))
+	rec.Add("qoc/runs", int64(st.QOCRuns))
+	rec.Add("library/hits", int64(st.LibraryHits))
+	rec.Add("library/misses", int64(st.LibraryMisses))
+	if st.SynthCacheHits+st.SynthCacheMisses > 0 {
+		rec.Add("synthcache/hit", int64(st.SynthCacheHits-st.SynthCacheCoalesced))
+	}
+	addNonzero := func(name string, n int) {
+		if n > 0 {
+			rec.Add(name, int64(n))
+		}
+	}
+	addNonzero("synthcache/miss", st.SynthCacheMisses)
+	addNonzero("synthcache/coalesced", st.SynthCacheCoalesced)
+	addNonzero("synth/fallbacks", st.SynthFallback)
+	addNonzero("synth/degraded", st.SynthDegraded)
+	addNonzero("qoc/warmstart", st.WarmStarts)
+	addNonzero("qoc/degraded", st.QOCDegraded)
 }
 
 // Result is a compiled pulse program with its metrics.
@@ -425,7 +421,6 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 		o.totalDeadline = clock.Now().Add(o.Budgets.Total)
 	}
 	start := time.Now()
-	hits0, misses0 := o.Library.Counts()
 	res, ownedStore, err := compileRoot(c, &o, start)
 	if ownedStore != nil {
 		defer func() {
@@ -437,14 +432,7 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	hits1, misses1 := o.Library.Counts()
-	if o.Obs != nil {
-		o.Obs.Add("compiles", 1)
-		o.Obs.Add("library/hits", int64(hits1-hits0))
-		o.Obs.Add("library/misses", int64(misses1-misses0))
-		o.Obs.Add("qoc/runs", int64(res.Stats.QOCRuns))
-		o.Obs.Add("pulses", int64(res.Stats.PulseCount))
-	}
+	recordStats(o.Obs, &res.Stats)
 	// Persist what this compile learned. Degradation doesn't block the
 	// harvest: degraded pulses and budget-stopped syntheses were never
 	// stored in the in-memory caches, so everything exported is clean.
@@ -453,14 +441,6 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 	res.CompileTime = time.Since(start)
 	res.Latency = res.Schedule.Latency
 	res.Fidelity = res.Schedule.TotalFidelity()
-	if o.Decoherence && o.Device.T2 > 0 {
-		// Each qubit dephases over the schedule's full latency, idle
-		// periods included.
-		decay := math.Exp(-float64(c.NumQubits) * res.Latency / o.Device.T2)
-		res.Fidelity *= decay
-	}
-	res.Stats.LibraryHits = hits1 - hits0
-	res.Stats.LibraryMisses = misses1 - misses0
 	if o.Log.Enabled() {
 		o.Log.Info("compile done",
 			"strategy", string(o.Strategy),

@@ -12,6 +12,8 @@ import (
 	"epoc/internal/faultclock"
 	"epoc/internal/hardware"
 	"epoc/internal/linalg"
+	"epoc/internal/obs"
+	"epoc/internal/pulse"
 	"epoc/internal/qasm"
 )
 
@@ -216,4 +218,46 @@ func (p *preExpired) Now() time.Time {
 	t := p.fake.Now()
 	p.fake.Advance(2 * time.Hour)
 	return t
+}
+
+// TestBudgetedQOCObsMatchesStats: pulses that degrade in the prefill
+// are recomputed by the scheduling loop, and obs must still count each
+// degraded and each warm-started pulse once, as Stats does, at any
+// worker count.
+func TestBudgetedQOCObsMatchesStats(t *testing.T) {
+	c := benchcirc.RandomCircuit(3, 8, 1)
+	dev := hardware.LinearChain(c.NumQubits)
+	warm := true
+	for _, workers := range []int{1, 4} {
+		// Clean pulses of another circuit give the misses neighbours
+		// to warm-start from.
+		lib := pulse.NewLibrary(true)
+		if _, err := Compile(benchcirc.RandomCircuit(3, 8, 2), Options{Strategy: EPOC, Device: dev, Library: lib}); err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.New()
+		res, err := Compile(c, Options{
+			Strategy:  EPOC,
+			Device:    dev,
+			Workers:   workers,
+			Library:   lib,
+			WarmStart: &warm,
+			Obs:       rec,
+			Budgets:   Budgets{QOCIters: 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.QOCDegraded == 0 || st.WarmStarts == 0 {
+			t.Fatalf("workers %d: want degraded and warm-started pulses, got %+v", workers, st)
+		}
+		snap := rec.Snapshot()
+		if got := snap.Counters["qoc/degraded"]; got != int64(st.QOCDegraded) {
+			t.Errorf("workers %d: obs qoc/degraded %d, Stats.QOCDegraded %d", workers, got, st.QOCDegraded)
+		}
+		if got := snap.Counters["qoc/warmstart"]; got != int64(st.WarmStarts) {
+			t.Errorf("workers %d: obs qoc/warmstart %d, Stats.WarmStarts %d", workers, got, st.WarmStarts)
+		}
+	}
 }

@@ -123,44 +123,6 @@ func TestSharedSynthCacheAcrossCompiles(t *testing.T) {
 	}
 }
 
-func TestDecoherenceLowersFidelity(t *testing.T) {
-	c, _ := benchcirc.Get("qaoa")
-	dev := hardware.LinearChain(c.NumQubits)
-	plain, err := Compile(c, Options{Strategy: EPOC, Device: dev, Mode: QOCEstimate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Compile(c, Options{Strategy: EPOC, Device: dev, Mode: QOCEstimate, Decoherence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Fidelity >= plain.Fidelity {
-		t.Fatalf("decoherence did not lower fidelity: %v vs %v", dec.Fidelity, plain.Fidelity)
-	}
-	want := plain.Fidelity * math.Exp(-float64(c.NumQubits)*plain.Latency/dev.T2)
-	if math.Abs(dec.Fidelity-want) > 1e-9 {
-		t.Fatalf("decoherence factor wrong: %v vs %v", dec.Fidelity, want)
-	}
-}
-
-func TestDecoherenceRewardsShorterSchedules(t *testing.T) {
-	// Under decoherence, the latency gap between gate-based and EPOC
-	// must widen the fidelity gap too.
-	c, _ := benchcirc.Get("qaoa")
-	dev := hardware.LinearChain(c.NumQubits)
-	gb, err := Compile(c, Options{Strategy: GateBased, Device: dev, Decoherence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := Compile(c, Options{Strategy: EPOC, Device: dev, Mode: QOCEstimate, Decoherence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep.Fidelity <= gb.Fidelity {
-		t.Fatalf("EPOC (%v) should beat gate-based (%v) under decoherence", ep.Fidelity, gb.Fidelity)
-	}
-}
-
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	c, _ := benchcirc.Get("ghz")
 	dev := hardware.LinearChain(c.NumQubits)

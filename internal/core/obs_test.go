@@ -9,7 +9,6 @@ import (
 	"epoc/internal/hardware"
 	"epoc/internal/obs"
 	"epoc/internal/pulse"
-	"epoc/internal/synth"
 )
 
 // obsTestCircuit builds a small circuit with several distinct 2-qubit
@@ -33,13 +32,12 @@ func TestObsConcurrentPrefill(t *testing.T) {
 	c := obsTestCircuit()
 	r := obs.New()
 	res, err := Compile(c, Options{
-		Strategy:       EPOC,
-		Device:         hardware.LinearChain(c.NumQubits),
-		Workers:        4,
-		Obs:            r,
-		GRAPEIters:     60,
-		FidelityTarget: 0.99,
-		Library:        pulse.NewLibrary(true),
+		Strategy:   EPOC,
+		Device:     hardware.LinearChain(c.NumQubits),
+		Workers:    4,
+		Obs:        r,
+		GRAPEIters: 60,
+		Library:    pulse.NewLibrary(true),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +119,7 @@ func TestSynthFallbackCounted(t *testing.T) {
 		Device:   hardware.LinearChain(c.NumQubits),
 		Mode:     QOCEstimate,
 		Obs:      r2,
-		Synth:    synth.Options{MaxCNOTs: 1, MaxNodes: 2, OptBudget: 2},
+		Budgets:  Budgets{SynthNodes: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

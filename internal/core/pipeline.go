@@ -112,7 +112,7 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 	o.inStage("stage/partition", func() {
 		blocks = partition.Partition(work, partition.Options{
 			MaxQubits: o.PartitionMaxQubits,
-			MaxGates:  o.PartitionMaxGates,
+			MaxGates:  partitionMaxGates(o.Strategy),
 		})
 	})
 	res.Stats.Blocks = len(blocks)
@@ -128,7 +128,6 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 			return nil, err
 		}
 		o.synthGate = o.stageGate(o.Budgets.SynthTime)
-		o.Synth.Gate = o.synthGate
 		var err error
 		lowered, err = synthesizeBlocks(c.NumQubits, blocks, o, &res.Stats)
 		if err != nil {
@@ -217,7 +216,10 @@ func schedulePulses(n int, pulsed *circuit.Circuit, o Options, res *Result) erro
 	for _, op := range pulsed.Ops {
 		u := op.G.Matrix()
 		p, hit := o.Library.Lookup(u)
-		if !hit {
+		if hit {
+			res.Stats.LibraryHits++
+		} else {
+			res.Stats.LibraryMisses++
 			var err error
 			p, err = pulseFor(u, op, o, &res.Stats)
 			if err != nil && !faultclock.IsBudget(err) {
@@ -254,7 +256,7 @@ func schedulePulses(n int, pulsed *circuit.Circuit, o Options, res *Result) erro
 //   - Only representatives are dispatched; workers write results into
 //     a slice indexed by class, and the lowered circuit is assembled
 //     serially in block order afterwards.
-//   - QSearch itself is deterministic given (unitary, Options.Synth):
+//   - QSearch itself is deterministic given (unitary, synth.Options):
 //     its multistart RNG is seeded per call, and its phase-invariant
 //     cost makes phase-equivalent duplicates converge identically.
 //
@@ -315,8 +317,7 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 			SetInt("qubits", int64(log2(classes[ci].u.Rows))).
 			SetInt("dup", int64(classes[ci].dup))
 		defer bsp.End()
-		sopts := o.Synth
-		sopts.Region = bsp
+		sopts := synth.Options{Gate: o.synthGate, BudgetNodes: o.Budgets.SynthNodes, Region: bsp}
 		circ, ok, status, err := o.SynthCache.GetOrCompute(o.synthGate, classes[ci].u, func() (*circuit.Circuit, bool, error) {
 			return synth.SynthesizeOutcome(classes[ci].u, sopts)
 		})
@@ -336,20 +337,17 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 	// Cache accounting: in-compile duplicates are hits by construction;
 	// representatives report what the (possibly shared) cache saw.
 	// Coalesced lookups did not run a synthesis, so they count as hits
-	// in Stats while keeping their own obs counter.
+	// and are also counted on their own.
 	for ci := range classes {
 		st.SynthCacheHits += classes[ci].dup
-		o.Obs.Add("synthcache/hit", int64(classes[ci].dup))
 		switch results[ci].status {
 		case synth.CacheMiss:
 			st.SynthCacheMisses++
-			o.Obs.Add("synthcache/miss", 1)
 		case synth.CacheHit:
 			st.SynthCacheHits++
-			o.Obs.Add("synthcache/hit", 1)
 		case synth.CacheCoalesced:
 			st.SynthCacheHits++
-			o.Obs.Add("synthcache/coalesced", 1)
+			st.SynthCacheCoalesced++
 		}
 	}
 
@@ -365,10 +363,8 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 			} else {
 				local = decomposeFallback(b.Local)
 				st.SynthFallback++
-				o.Obs.Add("synth/fallbacks", 1)
 				if faultclock.IsBudget(out.err) {
 					st.SynthDegraded++
-					o.Obs.Add("synth/degraded", 1)
 				}
 			}
 		}
@@ -548,7 +544,6 @@ func pulseFor(u *linalg.Matrix, op circuit.Op, o Options, st *Stats) (*pulse.Pul
 		if idx, dist := qoc.Nearest(o.warmUs, u, warmStartMaxDist); idx >= 0 {
 			warm = o.warmCands[idx].P.Amps
 			st.WarmStarts++
-			o.Obs.Add("qoc/warmstart", 1)
 			o.Obs.Observe("qoc/warmstart/distance", dist)
 		}
 	}
@@ -593,7 +588,7 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 	st.QOCRuns++
 	cfg := qoc.GRAPEConfig{
 		MaxIter:     o.GRAPEIters,
-		Target:      o.FidelityTarget,
+		Target:      fidelityTarget,
 		Seed:        o.Seed,
 		Gate:        o.qocGate,
 		BudgetIters: o.Budgets.QOCIters,
@@ -601,7 +596,7 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 	}
 	// A nil warm start is a cold GRAPE run.
 	run := func(slots int) qoc.Result { return qoc.WarmStartGRAPE(model, u, slots, warm, cfg) }
-	r := qoc.SearchDurationFrom(o.qocGate, 2, start, maxSlots, slotStep(k, o), o.FidelityTarget, qoc.Probes(tsp, run))
+	r := qoc.SearchDurationFrom(o.qocGate, 2, start, maxSlots, slotStep(k), fidelityTarget, qoc.Probes(tsp, run))
 	tsp.SetInt("slots", int64(r.Slots)).
 		SetInt("iterations", int64(r.Iterations)).
 		SetFloat("duration_ns", r.Duration).
@@ -620,7 +615,6 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 			return nil, r.Err
 		}
 		st.QOCDegraded++
-		o.Obs.Add("qoc/degraded", 1)
 		tsp.SetStr("stop", "budget")
 		if r.Slots <= 0 || r.Amps == nil {
 			// The budget expired before any probe completed: fall back
@@ -639,15 +633,36 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 	}, r.Err
 }
 
+// fidelityTarget is the fidelity every block pulse is optimized to,
+// and the one the estimator assumes.
+const fidelityTarget = 0.999
+
+// slotStep2Q is the duration-search grid step for a 2-qubit block.
+const slotStep2Q = 8
+
 // slotStep is the duration-search grid step for a k-qubit block.
-func slotStep(k int, o Options) int {
+func slotStep(k int) int {
 	switch {
 	case k <= 1:
 		return 2
 	case k == 2:
-		return o.SlotStep2Q
+		return slotStep2Q
 	default:
-		return 2 * o.SlotStep2Q
+		return 2 * slotStep2Q
+	}
+}
+
+// partitionMaxGates is the strategy's partition gate limit.
+func partitionMaxGates(s Strategy) int {
+	switch s {
+	case AccQOC:
+		// AccQOC slices the circuit into small uniform subcircuits.
+		return 4
+	case PAQOC:
+		// PAQOC pulses mined gate patterns of a few gates each.
+		return 6
+	default:
+		return 16
 	}
 }
 
@@ -683,7 +698,7 @@ func estimatePulse(op circuit.Op, o Options) (dur, fid float64) {
 	}
 	// Quantize to the device slot grid.
 	dur = math.Ceil(dur/o.Device.Dt) * o.Device.Dt
-	return dur, o.FidelityTarget
+	return dur, fidelityTarget
 }
 
 // DepthOptimize exposes the graph-based depth-optimization stage on

@@ -37,13 +37,13 @@ func TestEstimatorStartMatchesFullRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := o.withDefaults()
-		cfg := qoc.GRAPEConfig{MaxIter: d.GRAPEIters, Target: d.FidelityTarget, Seed: d.Seed}
+		cfg := qoc.GRAPEConfig{MaxIter: d.GRAPEIters, Target: fidelityTarget, Seed: d.Seed}
 		entries := d.Library.Export()
 		fullProbes := 0
 		for i, e := range entries {
 			k := log2(e.U.Rows)
 			model := d.Device.BlockModel(k)
-			full := qoc.SearchDuration(nil, 2, d.Device.MaxSlots(k), slotStep(k, d), d.FidelityTarget, func(slots int) qoc.Result {
+			full := qoc.SearchDuration(nil, 2, d.Device.MaxSlots(k), slotStep(k), fidelityTarget, func(slots int) qoc.Result {
 				fullProbes++
 				return qoc.GRAPE(model, e.U, slots, cfg)
 			})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"epoc/internal/benchcirc"
+	"epoc/internal/gate"
 	"epoc/internal/hardware"
 	"epoc/internal/obs"
 	"epoc/internal/pulse"
@@ -65,18 +66,64 @@ func TestConcurrentCompilesSharedRecorderAndCache(t *testing.T) {
 	for _, res := range results {
 		totalMisses += int64(res.Stats.SynthCacheMisses)
 	}
-	if got := cache.Misses(); got != totalMisses {
-		t.Fatalf("cache misses %d, sum of per-compile misses %d", got, totalMisses)
-	}
-	if cache.Misses() != int64(cache.Len()) {
-		t.Fatalf("cache synthesized %d times for %d classes", cache.Misses(), cache.Len())
+	if totalMisses != int64(cache.Len()) {
+		t.Fatalf("compiles synthesized %d times for %d cached classes", totalMisses, cache.Len())
 	}
 	snap := rec.Snapshot()
-	if snap.Counters["synthcache/miss"] != cache.Misses() {
-		t.Fatalf("recorder counted %d misses, cache %d",
-			snap.Counters["synthcache/miss"], cache.Misses())
+	if snap.Counters["synthcache/miss"] != totalMisses {
+		t.Fatalf("recorder counted %d misses, compiles %d",
+			snap.Counters["synthcache/miss"], totalMisses)
 	}
 	if snap.Counters["synthcache/hit"]+snap.Counters["synthcache/coalesced"] == 0 {
 		t.Fatal("no cache reuse across concurrent compiles of the same circuit")
+	}
+}
+
+// TestLibraryStatsIgnoreConcurrentLookups: a compile's library hits
+// and misses are its own lookups, one per placed pulse, however busy
+// other goroutines keep the shared library.
+func TestLibraryStatsIgnoreConcurrentLookups(t *testing.T) {
+	c, _ := benchcirc.Get("qaoa")
+	lib := pulse.NewLibrary(true)
+	u := gate.New(gate.CX).Matrix()
+	running, stop := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		lib.Lookup(u)
+		close(running)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				lib.Lookup(u)
+			}
+		}
+	}()
+	<-running
+	rec := obs.New()
+	res, err := Compile(c, Options{
+		Strategy: EPOC,
+		Device:   hardware.LinearChain(c.NumQubits),
+		Mode:     QOCEstimate,
+		Library:  lib,
+		Obs:      rec,
+	})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.LibraryHits+st.LibraryMisses != st.PulseCount {
+		t.Fatalf("library hits %d + misses %d, want one lookup per pulse (%d)",
+			st.LibraryHits, st.LibraryMisses, st.PulseCount)
+	}
+	snap := rec.Snapshot()
+	if snap.Counters["library/hits"] != int64(st.LibraryHits) || snap.Counters["library/misses"] != int64(st.LibraryMisses) {
+		t.Fatalf("obs library/hits %d, misses %d; Stats %d, %d",
+			snap.Counters["library/hits"], snap.Counters["library/misses"], st.LibraryHits, st.LibraryMisses)
 	}
 }

@@ -12,13 +12,13 @@ import (
 // configuration: the codec version plus a sha256 over every knob that
 // shapes stored artifacts. Two Options with the same namespace produce
 // interchangeable pulses and syntheses; anything that would change
-// them — the QOC mode, fidelity target, iteration count,
-// seed, slot grid, synthesis tuning, or the device physics — lands in
-// a different namespace directory, which is the store's entire
-// invalidation mechanism (DESIGN.md §12).
+// them — the QOC mode, iteration count, seed, or the device physics —
+// lands in a different namespace directory, which is the store's
+// entire invalidation mechanism (DESIGN.md §12).
 //
-// Deliberately excluded: strategy and MatchGlobalPhase (records are
-// re-keyed on import, so flows share warm entries), worker count (the
+// Deliberately excluded: strategy and the library's global-phase
+// matching (records are re-keyed on import, so flows share warm
+// entries), worker count (the
 // pipeline is worker-count invariant), partition/regroup limits (the
 // store is keyed by unitary — which unitaries appear doesn't change
 // what a record means), budgets (degraded results are never stored),
@@ -48,20 +48,22 @@ func storeConfig(o *Options) map[string]string {
 	if o.Mode == QOCEstimate {
 		mode = "estimate"
 	}
-	// GRAPE is the only optimizer, but "algorithm" stays in the hash as
-	// a constant: dropping the key would move every existing namespace
-	// and strand the stores written under it (DESIGN.md §12).
+	// GRAPE is the only optimizer, and the fidelity target, slot grid
+	// and synthesis tuning are fixed, but their keys stay in the hash
+	// as constants: dropping one would move every existing namespace
+	// and strand the stores written under it (DESIGN.md §12). The
+	// synth_* zeros select synth.Options' defaults.
 	return map[string]string{
 		"mode":               mode,
 		"algorithm":          "grape",
-		"fidelity_target":    fmt.Sprintf("%g", o.FidelityTarget),
+		"fidelity_target":    fmt.Sprintf("%g", fidelityTarget),
 		"grape_iters":        strconv.Itoa(o.GRAPEIters),
-		"slot_step_2q":       strconv.Itoa(o.SlotStep2Q),
+		"slot_step_2q":       strconv.Itoa(slotStep2Q),
 		"seed":               strconv.FormatInt(o.Seed, 10),
-		"synth_max_cnots":    strconv.Itoa(o.Synth.MaxCNOTs),
-		"synth_max_nodes":    strconv.Itoa(o.Synth.MaxNodes),
-		"synth_opt_budget":   strconv.Itoa(o.Synth.OptBudget),
-		"synth_seed":         strconv.FormatInt(o.Synth.Seed, 10),
+		"synth_max_cnots":    "0",
+		"synth_max_nodes":    "0",
+		"synth_opt_budget":   "0",
+		"synth_seed":         "0",
 		"device_dt":          fmt.Sprintf("%g", o.Device.Dt),
 		"device_drive_max":   fmt.Sprintf("%g", o.Device.DriveMax),
 		"device_coupler_max": fmt.Sprintf("%g", o.Device.CouplerMax),

@@ -19,13 +19,12 @@ func traceCompile(t *testing.T, workers int) []byte {
 	c := obsTestCircuit()
 	tr := trace.New(faultclock.NewFake())
 	_, err := Compile(c, Options{
-		Strategy:       EPOC,
-		Device:         hardware.LinearChain(c.NumQubits),
-		Workers:        workers,
-		Trace:          tr,
-		GRAPEIters:     40,
-		FidelityTarget: 0.99,
-		Library:        pulse.NewLibrary(true),
+		Strategy:   EPOC,
+		Device:     hardware.LinearChain(c.NumQubits),
+		Workers:    workers,
+		Trace:      tr,
+		GRAPEIters: 40,
+		Library:    pulse.NewLibrary(true),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,13 +124,12 @@ func TestTraceBlockSpansMatchObsTimer(t *testing.T) {
 		tr := trace.New(nil)
 		rec := obs.New()
 		_, err := Compile(c, Options{
-			Strategy:       EPOC,
-			Device:         hardware.LinearChain(c.NumQubits),
-			Mode:           tc.mode,
-			GRAPEIters:     40,
-			FidelityTarget: 0.99,
-			Trace:          tr,
-			Obs:            rec,
+			Strategy:   EPOC,
+			Device:     hardware.LinearChain(c.NumQubits),
+			Mode:       tc.mode,
+			GRAPEIters: 40,
+			Trace:      tr,
+			Obs:        rec,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -29,11 +29,6 @@ type Device struct {
 	Dt         float64 // time-slot width, ns
 	DriveMax   float64 // rad/ns
 	CouplerMax float64 // rad/ns
-
-	// Coherence times for the optional decoherence-aware fidelity
-	// model (ns).
-	T1 float64
-	T2 float64
 }
 
 // LinearChain returns an IBM-flavoured n-qubit device with a linear
@@ -62,8 +57,6 @@ func LinearChain(n int) *Device {
 		Dt:         2,
 		DriveMax:   0.188,
 		CouplerMax: 0.0314,
-		T1:         120e3, // 120 µs
-		T2:         100e3, // 100 µs
 	}
 	for q := 0; q < n-1; q++ {
 		d.Edges = append(d.Edges, [2]int{q, q + 1})

@@ -128,14 +128,14 @@ func (s *Schedule) String() string {
 // process-wide). Unlike synth.Cache it does not coalesce in-flight
 // work: two concurrent compiles that miss on the same unitary both
 // run QOC and both store — duplicate effort, never a wrong pulse.
-// The exported Hits/Misses fields are kept for single-goroutine
-// callers (CLIs, examples); concurrent readers must use Counts.
+// The library keeps no hit/miss tally: a shared library's totals mix
+// every compile's lookups, so each compile counts its own in
+// core.Stats.
 type Library struct {
 	MatchGlobalPhase bool
 
-	mu           sync.Mutex
-	entries      map[string][]libEntry
-	Hits, Misses int
+	mu      sync.Mutex
+	entries map[string][]libEntry
 }
 
 type libEntry struct {
@@ -188,21 +188,14 @@ func (l *Library) find(u *linalg.Matrix) (*Pulse, bool) {
 	return nil, false
 }
 
-// Lookup returns the cached pulse for a unitary, counting hit/miss.
+// Lookup returns the cached pulse for a unitary and whether it hit.
 func (l *Library) Lookup(u *linalg.Matrix) (*Pulse, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	p, ok := l.find(u)
-	if ok {
-		l.Hits++
-	} else {
-		l.Misses++
-	}
-	return p, ok
+	return l.find(u)
 }
 
-// Peek reports whether a pulse is cached without touching the hit/miss
-// counters (used by prefill passes).
+// Peek reports whether a pulse is cached (used by prefill passes).
 func (l *Library) Peek(u *linalg.Matrix) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -252,7 +245,7 @@ func (l *Library) Export() []Entry {
 // reporting whether it was added. Unlike Store it re-keys the unitary
 // under this library's own keying scheme, so records persisted by a
 // MatchGlobalPhase library import correctly into a non-matching one
-// and vice versa. It never touches the hit/miss counters.
+// and vice versa.
 func (l *Library) Import(u *linalg.Matrix, p *Pulse) bool {
 	if u == nil || p == nil {
 		return false
@@ -276,24 +269,4 @@ func (l *Library) Len() int {
 		n += len(es)
 	}
 	return n
-}
-
-// Counts returns the hit/miss totals under the library's lock — the
-// accessor concurrent compilations must use instead of reading the
-// Hits/Misses fields directly.
-func (l *Library) Counts() (hits, misses int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.Hits, l.Misses
-}
-
-// HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
-func (l *Library) HitRate() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	total := l.Hits + l.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(l.Hits) / float64(total)
 }

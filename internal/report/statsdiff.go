@@ -90,7 +90,7 @@ func fromManifest(label string, m *Manifest) *RunStats {
 	// stats snapshot on the shared hit-rate keys.
 	if m.Obs != nil {
 		c := m.Obs.Counters
-		addRate(rs.Run, "synth_hit_rate", float64(c["synthcache/hit"]), float64(c["synthcache/miss"]))
+		addRate(rs.Run, "synth_hit_rate", float64(c["synthcache/hit"]+c["synthcache/coalesced"]), float64(c["synthcache/miss"]))
 		addRate(rs.Run, "library_hit_rate", float64(c["library/hits"]), float64(c["library/misses"]))
 	}
 	return rs

@@ -137,15 +137,19 @@ type StatsResponse struct {
 	Circuits []string         `json:"circuits"`
 }
 
-// CacheTotals is the process-wide cache accounting in /v1/stats.
+// CacheTotals is the process-wide cache accounting in /v1/stats: the
+// entry counts of the shared caches, and hit/miss counts summed over
+// completed requests, so each equals the sum of the per-request
+// CacheStats field of the same name. SynthHits includes
+// SynthCoalesced, as the per-request count does.
 type CacheTotals struct {
 	SynthEntries   int   `json:"synth_entries"`
 	SynthHits      int64 `json:"synth_hits"`
 	SynthMisses    int64 `json:"synth_misses"`
 	SynthCoalesced int64 `json:"synth_coalesced"`
 	LibraryEntries int   `json:"library_entries"`
-	LibraryHits    int   `json:"library_hits"`
-	LibraryMisses  int   `json:"library_misses"`
+	LibraryHits    int64 `json:"library_hits"`
+	LibraryMisses  int64 `json:"library_misses"`
 }
 
 // StoreTotals is the persistent store's accounting in /v1/stats: what
@@ -298,7 +302,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	libHits, libMisses := s.lib.Counts()
 	s.mu.Lock()
 	avg := s.avgMS
 	draining := s.draining
@@ -326,12 +329,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Store:    st,
 		Cache: CacheTotals{
 			SynthEntries:   s.cache.Len(),
-			SynthHits:      s.cache.Hits(),
-			SynthMisses:    s.cache.Misses(),
-			SynthCoalesced: s.cache.Coalesced(),
+			SynthHits:      snap.Counters["synthcache/hit"] + snap.Counters["synthcache/coalesced"],
+			SynthMisses:    snap.Counters["synthcache/miss"],
+			SynthCoalesced: snap.Counters["synthcache/coalesced"],
 			LibraryEntries: s.lib.Len(),
-			LibraryHits:    libHits,
-			LibraryMisses:  libMisses,
+			LibraryHits:    snap.Counters["library/hits"],
+			LibraryMisses:  snap.Counters["library/misses"],
 		},
 		Queue: QueueStats{
 			Workers:  s.cfg.Workers,
@@ -525,12 +528,11 @@ func (s *Server) writeJobResponse(w http.ResponseWriter, r *http.Request, j *job
 		if res != nil {
 			resp.Degraded = res.Degraded
 			resp.DegradeReasons = res.DegradeReasons
-			libHits, libMisses := perRequestLibraryCounts(j.rec)
 			resp.Cache = &CacheStats{
 				SynthHits:      res.Stats.SynthCacheHits,
 				SynthMisses:    res.Stats.SynthCacheMisses,
-				LibraryHits:    libHits,
-				LibraryMisses:  libMisses,
+				LibraryHits:    res.Stats.LibraryHits,
+				LibraryMisses:  res.Stats.LibraryMisses,
 				SynthEntries:   s.cache.Len(),
 				LibraryEntries: s.lib.Len(),
 			}
@@ -543,14 +545,6 @@ func (s *Server) writeJobResponse(w http.ResponseWriter, r *http.Request, j *job
 		}
 	}
 	writeJSON(w, code, resp)
-}
-
-// perRequestLibraryCounts reads the per-compile pulse-library deltas
-// the pipeline records on the job's own recorder — the process-wide
-// Library totals would conflate concurrent requests.
-func perRequestLibraryCounts(rec *obs.Recorder) (hits, misses int) {
-	snap := rec.Snapshot()
-	return int(snap.Counters["library/hits"]), int(snap.Counters["library/misses"])
 }
 
 // requestTraceID returns the sanitized inbound trace ID, or "" when

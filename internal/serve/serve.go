@@ -373,10 +373,6 @@ func (s *Server) runJob(j *job) {
 	defer s.finish(j)
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	// Fold the per-job recorder — which owns the stage timers and cache
-	// counters — into the server-wide recorder on every exit path, so
-	// /metrics aggregates all requests.
-	defer func() { s.rec.Merge(j.rec.Snapshot()) }()
 	start := s.now()
 	j.setQueueMS(start)
 	queueMS := float64(start.Sub(j.admitted).Nanoseconds()) / 1e6
@@ -385,14 +381,14 @@ func (s *Server) runJob(j *job) {
 	if j.aborted() {
 		s.rec.Add("serve/canceled", 1)
 		j.log.Warn("job canceled", "reason", "client_gone_queued", "queue_ms", queueMS)
-		j.complete(statusCanceled, nil, nil, errClientGone)
+		s.complete(j, statusCanceled, nil, nil, errClientGone)
 		return
 	}
 	remaining := j.deadline.Sub(start)
 	if remaining <= 0 {
 		s.rec.Add("serve/deadline_expired_queued", 1)
 		j.log.Warn("job failed", "reason", "deadline_expired_queued", "queue_ms", queueMS)
-		j.complete(statusFailed, nil, nil, &apiError{
+		s.complete(j, statusFailed, nil, nil, &apiError{
 			Status: http.StatusGatewayTimeout, Code: "deadline_exceeded",
 			Message: "deadline expired while the request was queued",
 		})
@@ -444,7 +440,7 @@ func (s *Server) runJob(j *job) {
 		if j.aborted() || ctx.Err() != nil {
 			s.rec.Add("serve/canceled", 1)
 			j.log.Warn("job canceled", "queue_ms", queueMS, "compile_ms", ms, "err", err.Error())
-			j.complete(statusCanceled, nil, nil, &apiError{
+			s.complete(j, statusCanceled, nil, nil, &apiError{
 				Status: http.StatusGatewayTimeout, Code: "canceled",
 				Message: fmt.Sprintf("compile canceled: %v", err),
 			})
@@ -452,7 +448,7 @@ func (s *Server) runJob(j *job) {
 		}
 		s.rec.Add("serve/failed", 1)
 		j.log.Error("job failed", "queue_ms", queueMS, "compile_ms", ms, "err", err.Error())
-		j.complete(statusFailed, nil, nil, &apiError{
+		s.complete(j, statusFailed, nil, nil, &apiError{
 			Status: http.StatusInternalServerError, Code: "compile_failed",
 			Message: err.Error(),
 		})
@@ -472,7 +468,16 @@ func (s *Server) runJob(j *job) {
 			"degrade_reasons", strings.Join(res.DegradeReasons, ","))
 	}
 	m := s.buildManifest(j, res)
-	j.complete(statusDone, res, m, nil)
+	s.complete(j, statusDone, res, m, nil)
+}
+
+// complete folds the job's recorder — which owns the stage timers and
+// cache counters — into the server-wide recorder, then settles the
+// job, so /metrics and /v1/stats include a request by the time its
+// client sees the response.
+func (s *Server) complete(j *job, state string, res *core.Result, m *report.Manifest, apiErr *apiError) {
+	s.rec.Merge(j.rec.Snapshot())
+	j.complete(state, res, m, apiErr)
 }
 
 // tracedCompile wraps the pipeline call in the request's root span,

@@ -278,6 +278,34 @@ func TestClientDisconnectCancelsCompile(t *testing.T) {
 	}
 }
 
+// TestStatsCacheTotalsSumRequests: the /v1/stats cache hit and miss
+// totals are the sums of the per-request cache numbers, including the
+// duplicate blocks a request serves from its own synthesis.
+func TestStatsCacheTotalsSumRequests(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1}, nil) // real compile
+	var sum CacheTotals
+	for _, circ := range []string{"qaoa", "ghz", "qaoa"} {
+		w := post(s, fmt.Sprintf(`{"circuit":%q,"options":{"mode":"estimate"}}`, circ), nil)
+		env := decodeEnvelope(t, w)
+		if env.Status != statusDone || env.Cache == nil {
+			t.Fatalf("%s: status %q, cache %+v", circ, env.Status, env.Cache)
+		}
+		sum.SynthHits += int64(env.Cache.SynthHits)
+		sum.SynthMisses += int64(env.Cache.SynthMisses)
+		sum.LibraryHits += int64(env.Cache.LibraryHits)
+		sum.LibraryMisses += int64(env.Cache.LibraryMisses)
+	}
+	var stats StatsResponse
+	if err := json.Unmarshal(get(s, "/v1/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	got := stats.Cache
+	if got.SynthHits != sum.SynthHits || got.SynthMisses != sum.SynthMisses ||
+		got.LibraryHits != sum.LibraryHits || got.LibraryMisses != sum.LibraryMisses {
+		t.Fatalf("/v1/stats cache %+v, per-request sums %+v", got, sum)
+	}
+}
+
 // TestSharedCacheWarmSecondRequest drives the real pipeline twice with
 // the same circuit through one server: the second request must be
 // served from the process-wide synthesis cache. This is the service's

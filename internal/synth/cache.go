@@ -62,8 +62,6 @@ const CacheTol = 1e-6
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string][]*cacheEntry
-
-	hits, misses, coalesced int64
 }
 
 // cacheEntry is one synthesized unitary class. done is closed once
@@ -115,8 +113,6 @@ func (c *Cache) GetOrCompute(g *faultclock.Gate, u *linalg.Matrix, compute func(
 				status := CacheHit
 				if waited {
 					status = CacheCoalesced
-				} else {
-					c.hits++
 				}
 				c.mu.Unlock()
 				return e.circ, e.ok, status, nil
@@ -128,7 +124,6 @@ func (c *Cache) GetOrCompute(g *faultclock.Gate, u *linalg.Matrix, compute func(
 		if inflight == nil {
 			e := &cacheEntry{u: u.Clone(), done: make(chan struct{})}
 			c.entries[key] = append(c.entries[key], e)
-			c.misses++
 			c.mu.Unlock()
 			circ, ok, err := compute()
 			if err != nil {
@@ -140,10 +135,7 @@ func (c *Cache) GetOrCompute(g *faultclock.Gate, u *linalg.Matrix, compute func(
 			close(e.done)
 			return circ, ok, CacheMiss, nil
 		}
-		if !waited {
-			c.coalesced++
-			waited = true
-		}
+		waited = true
 		c.mu.Unlock()
 		if err := g.Check(faultclock.SiteCacheWait); err != nil {
 			return nil, false, CacheCoalesced, err
@@ -211,8 +203,6 @@ func (c *Cache) Export() []Entry {
 
 // Import seeds the cache with a completed synthesis result unless a
 // verified-equal entry already exists, reporting whether it was added.
-// It never touches the hit/miss counters: warming a cache from disk is
-// not a lookup.
 func (c *Cache) Import(u *linalg.Matrix, circ *circuit.Circuit, ok bool) bool {
 	if c == nil || u == nil {
 		return false
@@ -243,35 +233,4 @@ func (c *Cache) Len() int {
 		n += len(es)
 	}
 	return n
-}
-
-// Hits returns the number of completed-entry lookups served.
-func (c *Cache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-// Misses returns the number of lookups that ran a synthesis.
-func (c *Cache) Misses() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.misses
-}
-
-// Coalesced returns the number of lookups that waited on an in-flight
-// synthesis of the same unitary.
-func (c *Cache) Coalesced() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coalesced
 }

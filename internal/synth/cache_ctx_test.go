@@ -3,7 +3,6 @@ package synth
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -110,29 +109,23 @@ func TestCacheWaiterRetriesAfterFailedFill(t *testing.T) {
 	}
 	waiterDone := make(chan res, 1)
 	waiterCalls := 0
+	g, _, parked := waitSignal()
 	go func() {
-		_, ok, st, err := c.GetOrCompute(nil, u, func() (*circuit.Circuit, bool, error) {
+		_, ok, st, err := c.GetOrCompute(g, u, func() (*circuit.Circuit, bool, error) {
 			waiterCalls++
 			return cxCircuit(), true, nil
 		})
 		waiterDone <- res{ok: ok, st: st, err: err}
 	}()
-	// Park the waiter on the in-flight entry (spin, never sleep).
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Coalesced() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never coalesced")
-		}
-		runtime.Gosched()
-	}
+	<-parked       // the waiter holds the in-flight entry
 	close(release) // the fill now fails and is removed
 
 	got := <-waiterDone
 	if got.err != nil {
 		t.Fatalf("waiter inherited the failed fill: %v", got.err)
 	}
-	if !got.ok || waiterCalls != 1 {
-		t.Fatalf("waiter should have computed its own result: ok=%v calls=%d", got.ok, waiterCalls)
+	if !got.ok || got.st != CacheMiss || waiterCalls != 1 {
+		t.Fatalf("waiter should have computed its own result: ok=%v status=%v calls=%d", got.ok, got.st, waiterCalls)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want the waiter's clean fill", c.Len())

@@ -3,12 +3,11 @@ package synth
 import (
 	"math/cmplx"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"epoc/internal/circuit"
+	"epoc/internal/faultclock"
 	"epoc/internal/gate"
 	"epoc/internal/linalg"
 )
@@ -38,9 +37,8 @@ func TestCacheHitMissCounting(t *testing.T) {
 	if circ1 != circ2 {
 		t.Fatal("hit returned a different circuit instance")
 	}
-	if c.Hits() != 1 || c.Misses() != 1 || c.Coalesced() != 0 || c.Len() != 1 {
-		t.Fatalf("counters: hits=%d misses=%d coalesced=%d len=%d",
-			c.Hits(), c.Misses(), c.Coalesced(), c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("len=%d, want 1", c.Len())
 	}
 }
 
@@ -105,24 +103,18 @@ func TestCacheCoalescesInFlight(t *testing.T) {
 		}
 	}()
 	<-started // the first computation is now in flight
+	g, inj, parked := waitSignal()
 	done := make(chan CacheStatus, 1)
 	go func() {
-		_, _, st, _ := c.GetOrCompute(nil, u, func() (*circuit.Circuit, bool, error) {
+		_, _, st, _ := c.GetOrCompute(g, u, func() (*circuit.Circuit, bool, error) {
 			t.Error("coalesced requester ran its own compute")
 			return nil, false, nil
 		})
 		done <- st
 	}()
-	// Wait until the second requester is parked on the in-flight entry
-	// (the coalesced counter increments before it blocks), then check
-	// it has not finished.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Coalesced() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second requester never coalesced")
-		}
-		runtime.Gosched()
-	}
+	// Wait until the second requester is parked on the in-flight entry,
+	// then check it has not finished.
+	<-parked
 	select {
 	case st := <-done:
 		t.Fatalf("second requester finished before the first (status %v)", st)
@@ -133,9 +125,19 @@ func TestCacheCoalescesInFlight(t *testing.T) {
 		t.Fatalf("second requester status %v, want CacheCoalesced", st)
 	}
 	calls.Wait()
-	if c.Coalesced() != 1 || c.Misses() != 1 {
-		t.Fatalf("coalesced=%d misses=%d", c.Coalesced(), c.Misses())
+	if n := inj.Hits(faultclock.SiteCacheWait); n != 1 || c.Len() != 1 {
+		t.Fatalf("waits=%d len=%d, want one wait on one entry", n, c.Len())
 	}
+}
+
+// waitSignal returns a gate for a requester expected to coalesce, its
+// injector, and a channel closed at the requester's first cache wait:
+// by then it holds the in-flight entry it will wait on.
+func waitSignal() (*faultclock.Gate, *faultclock.Injector, <-chan struct{}) {
+	inj := faultclock.NewInjector()
+	parked := make(chan struct{})
+	inj.TripAfter(faultclock.SiteCacheWait, 1, func() { close(parked) })
+	return &faultclock.Gate{Inj: inj}, inj, parked
 }
 
 func TestCacheNilSafe(t *testing.T) {
@@ -154,8 +156,8 @@ func TestCacheNilSafe(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("nil cache must always compute; calls=%d", calls)
 	}
-	if c.Len() != 0 || c.Hits() != 0 || c.Misses() != 0 || c.Coalesced() != 0 {
-		t.Fatal("nil cache counters must be zero")
+	if c.Len() != 0 {
+		t.Fatal("nil cache must hold no entries")
 	}
 }
 
