@@ -4,9 +4,11 @@
 //
 // Two programs that differ only in gate spelling — s vs rz(π/2), which
 // are the same operation up to a global phase e^{iπ/4} — produce block
-// unitaries that differ by that phase. A phase-naive library (AccQOC/
-// PAQOC behaviour) re-runs GRAPE for the second program; EPOC's
-// phase-aware keys reuse every pulse.
+// unitaries that differ by that phase. Both libraries start empty, so
+// the first program misses on every block. A phase-naive library
+// (AccQOC/PAQOC behaviour) then re-runs GRAPE for every second-program
+// block whose spelling changed its unitary; EPOC's phase-aware keys
+// reuse every pulse.
 //
 // Run with: go run ./examples/pulse_library
 package main
@@ -68,8 +70,10 @@ func main() {
 			fmt.Printf("program with %-9s latency %7.1f ns, GRAPE runs %2d, hits so far %2d\n",
 				spelling, res.Latency, res.Stats.QOCRuns, hits)
 		}
-		fmt.Printf("library: %d entries, hit rate %.0f%%\n\n", lib.Len(), 100*float64(hits)/float64(lookups))
+		fmt.Printf("library: %d entries, hit rate %d/%d (%.0f%%)\n\n", lib.Len(), hits, lookups, 100*float64(hits)/float64(lookups))
 	}
+	fmt.Println("The first program fills an empty library, so all its lookups miss.")
 	fmt.Println("With phase-aware keys the second program re-uses every pulse;")
-	fmt.Println("without them each phase spelling pays for its own GRAPE runs.")
+	fmt.Println("without them it hits only where both spellings give the same")
+	fmt.Println("unitary, and pays GRAPE runs for the rest.")
 }

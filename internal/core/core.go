@@ -302,10 +302,14 @@ type Stats struct {
 	PulseCount          int
 	QOCRuns             int // GRAPE duration searches actually executed
 	WarmStarts          int // QOC runs seeded from a similar stored pulse
-	LibraryHits         int // pulse-library lookups this compile served
-	LibraryMisses       int // pulse-library lookups this compile missed
-	SynthDegraded       int // blocks whose synthesis stopped on a budget
-	QOCDegraded         int // pulses kept as best-so-far or estimated on a budget
+	// LibraryHits and LibraryMisses split stage 5's ops, the same in
+	// both modes: an op whose unitary neither the library nor an earlier
+	// op of this compile holds is a miss, and its pulse is computed
+	// once (one QOC run in full mode); every other op is a hit.
+	LibraryHits   int
+	LibraryMisses int
+	SynthDegraded int // blocks whose synthesis stopped on a budget
+	QOCDegraded   int // distinct pulses kept as best-so-far or estimated on a budget
 }
 
 // recordStats emits the obs counters that mirror Stats, once per

@@ -220,44 +220,52 @@ func (p *preExpired) Now() time.Time {
 	return t
 }
 
-// TestBudgetedQOCObsMatchesStats: pulses that degrade in the prefill
-// are recomputed by the scheduling loop, and obs must still count each
+// TestBudgetedQOCObsMatchesStats: under a QOC budget each distinct
+// missing unitary runs one duration search, so the qoc/pulse timer,
+// Stats.QOCRuns and Stats.LibraryMisses agree, and obs counts each
 // degraded and each warm-started pulse once, as Stats does, at any
-// worker count.
+// worker count and for both the pool and the AccQOC MST runner.
 func TestBudgetedQOCObsMatchesStats(t *testing.T) {
 	c := benchcirc.RandomCircuit(3, 8, 1)
 	dev := hardware.LinearChain(c.NumQubits)
 	warm := true
-	for _, workers := range []int{1, 4} {
-		// Clean pulses of another circuit give the misses neighbours
-		// to warm-start from.
-		lib := pulse.NewLibrary(true)
-		if _, err := Compile(benchcirc.RandomCircuit(3, 8, 2), Options{Strategy: EPOC, Device: dev, Library: lib}); err != nil {
-			t.Fatal(err)
-		}
-		rec := obs.New()
-		res, err := Compile(c, Options{
-			Strategy:  EPOC,
-			Device:    dev,
-			Workers:   workers,
-			Library:   lib,
-			WarmStart: &warm,
-			Obs:       rec,
-			Budgets:   Budgets{QOCIters: 3},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := res.Stats
-		if st.QOCDegraded == 0 || st.WarmStarts == 0 {
-			t.Fatalf("workers %d: want degraded and warm-started pulses, got %+v", workers, st)
-		}
-		snap := rec.Snapshot()
-		if got := snap.Counters["qoc/degraded"]; got != int64(st.QOCDegraded) {
-			t.Errorf("workers %d: obs qoc/degraded %d, Stats.QOCDegraded %d", workers, got, st.QOCDegraded)
-		}
-		if got := snap.Counters["qoc/warmstart"]; got != int64(st.WarmStarts) {
-			t.Errorf("workers %d: obs qoc/warmstart %d, Stats.WarmStarts %d", workers, got, st.WarmStarts)
+	for _, strat := range []Strategy{EPOC, AccQOC} {
+		for _, workers := range []int{1, 4} {
+			// Clean pulses of another circuit give the EPOC misses
+			// neighbours to warm-start from; AccQOC warm-starts along
+			// its MST instead.
+			lib := pulse.NewLibrary(strat == EPOC)
+			if _, err := Compile(benchcirc.RandomCircuit(3, 8, 2), Options{Strategy: strat, Device: dev, Library: lib}); err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.New()
+			res, err := Compile(c, Options{
+				Strategy:  strat,
+				Device:    dev,
+				Workers:   workers,
+				Library:   lib,
+				WarmStart: &warm,
+				Obs:       rec,
+				Budgets:   Budgets{QOCIters: 3},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if st.QOCDegraded == 0 || (strat == EPOC && st.WarmStarts == 0) {
+				t.Fatalf("%s workers %d: want degraded and warm-started pulses, got %+v", strat, workers, st)
+			}
+			snap := rec.Snapshot()
+			if got := snap.Timers["qoc/pulse"].Count; got != int64(st.QOCRuns) || st.QOCRuns != st.LibraryMisses {
+				t.Errorf("%s workers %d: qoc/pulse spans %d, Stats.QOCRuns %d, Stats.LibraryMisses %d; want all equal",
+					strat, workers, got, st.QOCRuns, st.LibraryMisses)
+			}
+			if got := snap.Counters["qoc/degraded"]; got != int64(st.QOCDegraded) {
+				t.Errorf("%s workers %d: obs qoc/degraded %d, Stats.QOCDegraded %d", strat, workers, got, st.QOCDegraded)
+			}
+			if got := snap.Counters["qoc/warmstart"]; got != int64(st.WarmStarts) {
+				t.Errorf("%s workers %d: obs qoc/warmstart %d, Stats.WarmStarts %d", strat, workers, got, st.WarmStarts)
+			}
 		}
 	}
 }

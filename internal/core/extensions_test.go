@@ -169,11 +169,30 @@ func TestAccQOCMSTPrefill(t *testing.T) {
 	if res.Fidelity < 0.9 {
 		t.Fatalf("AccQOC MST flow fidelity %v", res.Fidelity)
 	}
-	if res.Stats.QOCRuns == 0 {
-		t.Fatal("MST prefill ran no QOC")
+	// On a fresh library every miss is one MST job and one QOC run.
+	if st := res.Stats; st.QOCRuns == 0 || st.LibraryMisses != st.QOCRuns {
+		t.Fatalf("MST flow: %d library misses, %d QOC runs; want equal and nonzero", st.LibraryMisses, st.QOCRuns)
 	}
-	// Every schedule pulse must have come from the library (prefill).
-	if res.Stats.LibraryMisses != 0 {
-		t.Fatalf("main loop missed the prefilled library %d times", res.Stats.LibraryMisses)
+}
+
+// TestLibraryCountsModeInvariant: on a fresh library a compile counts
+// the same pulse-library hits and misses in estimate and full mode —
+// the first op of each distinct unitary misses, every other op hits —
+// whether its misses run on the worker pool or along AccQOC's MST.
+func TestLibraryCountsModeInvariant(t *testing.T) {
+	c, _ := benchcirc.Get("ghz")
+	dev := hardware.LinearChain(c.NumQubits)
+	for _, strat := range []Strategy{EPOC, AccQOC} {
+		var counts [2][2]int
+		for i, mode := range []QOCMode{QOCEstimate, QOCFull} {
+			res, err := Compile(c, Options{Strategy: strat, Device: dev, Mode: mode, GRAPEIters: 40})
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[i] = [2]int{res.Stats.LibraryHits, res.Stats.LibraryMisses}
+		}
+		if counts[0] != counts[1] || counts[0][0] == 0 || counts[0][1] == 0 {
+			t.Errorf("%s: hits/misses estimate %v, full %v; want equal, both nonzero", strat, counts[0], counts[1])
+		}
 	}
 }

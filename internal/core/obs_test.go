@@ -12,7 +12,7 @@ import (
 )
 
 // obsTestCircuit builds a small circuit with several distinct 2-qubit
-// block unitaries, so the concurrent prefill pass has real work.
+// block unitaries, so stage 5's concurrent job pool has real work.
 func obsTestCircuit() *circuit.Circuit {
 	c := circuit.New(4)
 	for q := 0; q < 4; q++ {
@@ -25,7 +25,7 @@ func obsTestCircuit() *circuit.Circuit {
 	return c
 }
 
-// TestObsConcurrentPrefill exercises prefillLibrary's worker pool with
+// TestObsConcurrentPrefill exercises stage 5's job pool with
 // a shared Recorder; under `go test -race` it proves the obs layer is
 // safe against concurrent QOC workers (ISSUE 1 satellite).
 func TestObsConcurrentPrefill(t *testing.T) {
@@ -46,8 +46,8 @@ func TestObsConcurrentPrefill(t *testing.T) {
 	if snap.Counters["compiles"] != 1 {
 		t.Fatalf("compiles counter: %d", snap.Counters["compiles"])
 	}
-	if snap.Counters["library/prefill/distinct"] == 0 {
-		t.Fatal("prefill recorded no distinct unitaries; the worker pool did not run")
+	if snap.Counters["library/misses"] == 0 {
+		t.Fatal("stage 5 recorded no library misses; the worker pool did not run")
 	}
 	if snap.Counters["qoc/grape/runs"] == 0 {
 		t.Fatal("no GRAPE runs recorded")

@@ -162,20 +162,14 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		pulsed = lowered
 	}
 
-	// Stage 5: QOC per distinct unitary, with library reuse. The
-	// distinct misses are optimized first — concurrently when
-	// Workers > 1 — so the scheduling loop below only hits the library
-	// and Stats.Library{Hits,Misses} are identical for every worker
-	// count. The AccQOC baseline instead builds its library along a
-	// minimum spanning tree of the unitary similarity graph with
-	// warm-started GRAPE, as the original AccQOC paper does.
-	//
-	// QOC is mandatory (the schedule needs a pulse per op) and degrades
-	// internally: budget-stopped optimizer runs keep their best-so-far
-	// pulse, and a budget that expires before any probe completes falls
-	// back to the calibrated estimator. Degraded pulses are never
-	// stored in the library, so a shared library is not poisoned for
-	// later compiles that run with a fresh budget.
+	// Stage 5: QOC per distinct unitary, with library reuse (see
+	// schedulePulses). QOC is mandatory (the schedule needs a pulse per
+	// op) and degrades internally: budget-stopped optimizer runs keep
+	// their best-so-far pulse, and a budget that expires before any
+	// probe completes falls back to the calibrated estimator. Degraded
+	// pulses serve only this compile and are never stored in the
+	// library, so a shared library is not poisoned for later compiles
+	// that run with a fresh budget.
 	if err := g.Check(faultclock.SiteStageQOC); err != nil && !faultclock.IsBudget(err) {
 		return nil, err
 	}
@@ -187,8 +181,19 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 	return res, nil
 }
 
-// schedulePulses runs stage 5 inside its stage region: library prefill
-// in full mode, then one placed pulse per op of the regrouped circuit.
+// schedulePulses runs stage 5 inside its stage region, in three steps
+// that are the same in both modes and for every strategy:
+//
+//  1. Plan: one serial pass in op order resolves each op's unitary,
+//     first against this compile's misses, then against o.Library.
+//     The first op of a unitary found in neither counts a miss and
+//     becomes a job; every other op counts a hit.
+//  2. Run: runJobs computes each job's pulse exactly once and stores
+//     the clean ones in o.Library.
+//  3. Assemble: one placed pulse per op, read from the plan.
+//
+// The plan is serial and the jobs' results are consumed in job order,
+// so Stats, schedules and traces are identical at any worker count.
 func schedulePulses(n int, pulsed *circuit.Circuit, o Options, res *Result) error {
 	o.qocGate = o.stageGate(o.Budgets.QOCTime)
 	sp := o.region.Stage("stage/qoc")
@@ -202,43 +207,45 @@ func schedulePulses(n int, pulsed *circuit.Circuit, o Options, res *Result) erro
 	if o.Mode == QOCFull && *o.WarmStart && o.Strategy != AccQOC {
 		snapshotWarmCands(&o)
 	}
-	if o.Mode == QOCFull {
-		if o.Strategy == AccQOC {
-			if err := mstPrefill(pulsed, o, &res.Stats); err != nil {
-				return err
-			}
-		} else if err := prefillLibrary(pulsed, o, &res.Stats); err != nil {
-			return err
+	st := &res.Stats
+	// misses holds this compile's jobs under the library's own
+	// equivalence; each maps to a placeholder that runJobs fills.
+	misses := pulse.NewLibrary(o.Library.MatchGlobalPhase)
+	planned := make([]*pulse.Pulse, pulsed.Len())
+	var jobs []pulseJob
+	for i, op := range pulsed.Ops {
+		u := op.G.Matrix()
+		k := o.Library.Key(u)
+		p, hit := misses.Get(k)
+		if !hit {
+			p, hit = o.Library.Get(k)
 		}
+		if hit {
+			st.LibraryHits++
+		} else {
+			st.LibraryMisses++
+			p = &pulse.Pulse{}
+			misses.Put(k, p)
+			jobs = append(jobs, pulseJob{u: u, key: k, op: op, p: p})
+		}
+		planned[i] = p
+	}
+	if err := runJobs(jobs, o, st); err != nil {
+		return err
 	}
 	sched := pulse.NewSchedule(n)
 	res.Schedule = sched
-	for _, op := range pulsed.Ops {
-		u := op.G.Matrix()
-		p, hit := o.Library.Lookup(u)
-		if hit {
-			res.Stats.LibraryHits++
-		} else {
-			res.Stats.LibraryMisses++
-			var err error
-			p, err = pulseFor(u, op, o, &res.Stats)
-			if err != nil && !faultclock.IsBudget(err) {
-				return err
-			}
-			if err == nil {
-				o.Library.Store(u, p)
-			}
-		}
-		placed := &pulse.Pulse{
+	for i, op := range pulsed.Ops {
+		p := planned[i]
+		sched.Add(&pulse.Pulse{
 			Label:    p.Label,
 			Qubits:   append([]int(nil), op.Qubits...),
 			Duration: p.Duration,
 			Fidelity: p.Fidelity,
 			Slots:    p.Slots,
 			Amps:     p.Amps,
-		}
-		sched.Add(placed)
-		res.Stats.PulseCount++
+		})
+		st.PulseCount++
 	}
 	return nil
 }
@@ -285,8 +292,9 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 			continue
 		}
 		u := b.Unitary()
+		fp := linalg.Fingerprint(u)
 		ci := -1
-		for _, cand := range byKey[linalg.Fingerprint(u)] {
+		for _, cand := range byKey[fp] {
 			if classes[cand].u.Rows == u.Rows && linalg.PhaseDistance(classes[cand].u, u) < synth.CacheTol {
 				ci = cand
 				break
@@ -295,7 +303,7 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 		if ci < 0 {
 			ci = len(classes)
 			classes = append(classes, class{u: u})
-			byKey[linalg.Fingerprint(u)] = append(byKey[linalg.Fingerprint(u)], ci)
+			byKey[fp] = append(byKey[fp], ci)
 		} else {
 			classes[ci].dup++
 		}
@@ -379,33 +387,93 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 	return lowered, nil
 }
 
-// pulseJob is one distinct uncached block unitary awaiting QOC, with
-// the first op that carries it.
+// pulseJob is one distinct unitary of stage 5 that the library did
+// not hold: the first op that carries it, its library key, and the
+// plan's placeholder pulse, which runJobs fills.
 type pulseJob struct {
-	u  *linalg.Matrix
-	op circuit.Op
+	u   *linalg.Matrix
+	key pulse.Key
+	op  circuit.Op
+	p   *pulse.Pulse
 }
 
-// distinctMisses lists the distinct (by fingerprint) unitaries of
-// pulsed that the library does not hold yet, in first-occurrence
-// order, and counts the prefill's dedup in obs.
-func distinctMisses(pulsed *circuit.Circuit, o Options) []pulseJob {
-	var jobs []pulseJob
-	seen := map[string]bool{}
-	for _, op := range pulsed.Ops {
-		u := op.G.Matrix()
-		fp := linalg.Fingerprint(u)
-		if seen[fp] || o.Library.Peek(u) {
+// jobResult is one job's pulse, the Stats it counted and its error
+// (see pulseForWarm).
+type jobResult struct {
+	p   *pulse.Pulse
+	st  Stats
+	err error
+}
+
+// runJobs computes every job's pulse exactly once. The strategy picks
+// only the job order and the warm-start source: AccQOC in full mode
+// runs along its similarity MST, warm-starting from parent pulses
+// (runMST); every other flow runs on the o.Workers pool, warm-starting
+// from the snapshot's nearest neighbour (pulseFor). Then, in job
+// order, it fills the plan's placeholders, adds each job's Stats and
+// stores the clean pulses in o.Library; budget-degraded pulses serve
+// only this compile. A cancellation is returned once every job has
+// been collected, so no worker outlives the call.
+func runJobs(jobs []pulseJob, o Options, st *Stats) error {
+	var results []jobResult
+	if o.Strategy == AccQOC && o.Mode == QOCFull {
+		results = runMST(jobs, o)
+	} else {
+		results = runOrdered(o.Workers, len(jobs), func(i int) (r jobResult) {
+			r.p, r.err = pulseFor(jobs[i], i, o, &r.st)
+			return r
+		})
+	}
+	var canceled error
+	for i, r := range results {
+		if r.err != nil && !faultclock.IsBudget(r.err) {
+			canceled = r.err
 			continue
 		}
-		seen[fp] = true
-		jobs = append(jobs, pulseJob{u: u, op: op})
+		*jobs[i].p = *r.p
+		st.QOCRuns += r.st.QOCRuns
+		st.WarmStarts += r.st.WarmStarts
+		st.QOCDegraded += r.st.QOCDegraded
+		if r.err == nil {
+			o.Library.Put(jobs[i].key, jobs[i].p)
+		}
 	}
-	if o.Obs != nil {
-		o.Obs.Add("library/prefill/distinct", int64(len(jobs)))
-		o.Obs.Add("library/prefill/deduped", int64(pulsed.Len()-len(jobs)))
+	return canceled
+}
+
+// runMST runs the jobs in AccQOC's library-construction order: group
+// them by size, span each group's similarity graph with an MST, and
+// optimize along the tree, warm-starting each vertex from its parent's
+// clean pulse. It runs serially, groups in first-occurrence order.
+func runMST(jobs []pulseJob, o Options) []jobResult {
+	results := make([]jobResult, len(jobs))
+	var dims []int
+	byDim := map[int][]int{} // dimension -> job indices
+	for i, j := range jobs {
+		d := j.u.Rows
+		if byDim[d] == nil {
+			dims = append(dims, d)
+		}
+		byDim[d] = append(byDim[d], i)
 	}
-	return jobs
+	for _, d := range dims {
+		group := byDim[d]
+		us := make([]*linalg.Matrix, len(group))
+		for k, i := range group {
+			us[k] = jobs[i].u
+		}
+		order, parent := qoc.MSTOrder(us)
+		for _, k := range order {
+			var warm [][]float64
+			if pk := parent[k]; pk >= 0 && results[group[pk]].err == nil {
+				warm = results[group[pk]].p.Amps
+			}
+			i := group[k]
+			r := &results[i]
+			r.p, r.err = pulseForWarm(jobs[i], i, o, &r.st, warm)
+		}
+	}
+	return results
 }
 
 // runOrdered runs fn(i) for every i < n on min(workers, n) goroutines
@@ -442,84 +510,6 @@ func runOrdered[T any](workers, n int, fn func(i int) T) []T {
 	return out
 }
 
-// prefillLibrary optimizes every distinct uncached block unitary on
-// the o.Workers pool, then stores the results in job order, so the
-// main scheduling loop only hits the library. Stats.QOCRuns is
-// accumulated afterwards to stay race-free.
-//
-// Only clean results are stored: budget-degraded pulses are left for
-// the sequential scheduling loop, which recomputes them (cheaply —
-// the expired budget trips the optimizer immediately), counts the
-// degradation once, and keeps them out of the shared library. A
-// cancellation is returned after the pool drains; scheduling never
-// starts.
-func prefillLibrary(pulsed *circuit.Circuit, o Options, st *Stats) error {
-	jobs := distinctMisses(pulsed, o)
-	type done struct {
-		p   *pulse.Pulse
-		st  Stats
-		err error
-	}
-	results := runOrdered(o.Workers, len(jobs), func(i int) done {
-		var local Stats
-		p, err := pulseFor(jobs[i].u, jobs[i].op, o, &local)
-		return done{p: p, st: local, err: err}
-	})
-	var canceled error
-	for i, d := range results {
-		if d.err != nil {
-			// Budget-degraded pulses stay out of the library (the
-			// scheduling loop recomputes and accounts them); a
-			// cancellation is returned once every job has been
-			// collected.
-			if !faultclock.IsBudget(d.err) {
-				canceled = d.err
-			}
-			continue
-		}
-		o.Library.Store(jobs[i].u, d.p)
-		st.QOCRuns += d.st.QOCRuns
-		st.WarmStarts += d.st.WarmStarts
-	}
-	return canceled
-}
-
-// mstPrefill builds the pulse library in AccQOC's order: group the
-// distinct uncached unitaries by size, span each group's similarity
-// graph with an MST, and optimize along the tree with GRAPE warm
-// starts from each vertex's parent pulse. Like prefillLibrary it
-// stores only clean results and returns cancellation.
-func mstPrefill(pulsed *circuit.Circuit, o Options, st *Stats) error {
-	byDim := map[int][]pulseJob{}
-	for _, j := range distinctMisses(pulsed, o) {
-		byDim[j.u.Rows] = append(byDim[j.u.Rows], j)
-	}
-	for _, jobs := range byDim {
-		us := make([]*linalg.Matrix, len(jobs))
-		for i, j := range jobs {
-			us[i] = j.u
-		}
-		order, parent := qoc.MSTOrder(us)
-		pulses := make([]*pulse.Pulse, len(jobs))
-		for _, idx := range order {
-			var warm [][]float64
-			if parent[idx] >= 0 && pulses[parent[idx]] != nil {
-				warm = pulses[parent[idx]].Amps
-			}
-			p, err := pulseForWarm(jobs[idx].u, jobs[idx].op, o, st, warm)
-			if err != nil {
-				if !faultclock.IsBudget(err) {
-					return err
-				}
-				continue // degraded: the scheduling loop recomputes it
-			}
-			pulses[idx] = p
-			o.Library.Store(jobs[idx].u, p)
-		}
-	}
-	return nil
-}
-
 // log2 returns the base-2 logarithm of a power-of-two dimension.
 func log2(dim int) int {
 	n := 0
@@ -529,25 +519,25 @@ func log2(dim int) int {
 	return n
 }
 
-// pulseFor produces a pulse for one block unitary, via GRAPE or the
-// calibrated estimator. With a warm-candidate snapshot in place (see
+// pulseFor produces job i's pulse, via GRAPE or the calibrated
+// estimator. With a warm-candidate snapshot in place (see
 // snapshotWarmCands) it seeds the optimizer from the nearest stored
 // neighbour's amplitudes — the AccQOC similarity-reuse idea, driven by
 // the persistent store instead of an MST over the current batch. The
 // snapshot was taken before any of this compile's pulses ran, so the
 // selection is a pure function of (snapshot, u) and worker-count
-// invariant. Exact matches never reach here: they were served by the
-// library lookup or skipped by the prefill's Peek.
-func pulseFor(u *linalg.Matrix, op circuit.Op, o Options, st *Stats) (*pulse.Pulse, error) {
+// invariant. Exact matches never reach here: the plan served them
+// from the library.
+func pulseFor(j pulseJob, i int, o Options, st *Stats) (*pulse.Pulse, error) {
 	var warm [][]float64
 	if len(o.warmUs) > 0 && o.Mode == QOCFull {
-		if idx, dist := qoc.Nearest(o.warmUs, u, warmStartMaxDist); idx >= 0 {
+		if idx, dist := qoc.Nearest(o.warmUs, j.u, warmStartMaxDist); idx >= 0 {
 			warm = o.warmCands[idx].P.Amps
 			st.WarmStarts++
 			o.Obs.Observe("qoc/warmstart/distance", dist)
 		}
 	}
-	return pulseForWarm(u, op, o, st, warm)
+	return pulseForWarm(j, i, o, st, warm)
 }
 
 // pulseForWarm is pulseFor with an optional GRAPE warm start.
@@ -557,23 +547,20 @@ func pulseFor(u *linalg.Matrix, op circuit.Op, o Options, st *Stats) (*pulse.Pul
 // or the calibrated estimate when the budget expired before any probe
 // completed) and increments Stats.QOCDegraded; any other error is a
 // cancellation and the pulse is nil.
-func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm [][]float64) (*pulse.Pulse, error) {
+func pulseForWarm(j pulseJob, i int, o Options, st *Stats, warm [][]float64) (*pulse.Pulse, error) {
+	if err := o.qocGate.Err(); err != nil {
+		return nil, err
+	}
+	u, op := j.u, j.op
 	k := len(op.Qubits)
 	label := fmt.Sprintf("%s[%dq]", op.G.Kind, k)
-	// One region per pulse that reaches the optimizer or the estimator
-	// (the pulse library absorbs the rest); the unitary fingerprint
-	// prefix distinguishes sibling spans deterministically — the
-	// prefill pools dedupe by fingerprint, so no two concurrent pulse
-	// spans share one.
+	// One region per job; the job index distinguishes sibling spans
+	// deterministically, since the plan numbers jobs in op order.
 	tsp := o.region.Child("qoc/pulse").
 		SetStr("label", label).
-		SetStr("u", fingerprintPrefix(u))
+		SetInt("job", int64(i))
 	defer tsp.End()
 	if o.Mode == QOCEstimate {
-		if err := o.qocGate.Err(); err != nil {
-			tsp.SetStr("stop", "canceled")
-			return nil, err
-		}
 		dur, fid := estimatePulse(op, o)
 		tsp.SetBool("estimated", true).SetFloat("duration_ns", dur)
 		return &pulse.Pulse{Label: label, Duration: dur, Fidelity: fid}, nil
@@ -664,16 +651,6 @@ func partitionMaxGates(s Strategy) int {
 	default:
 		return 16
 	}
-}
-
-// fingerprintPrefix shortens a unitary fingerprint to a readable trace
-// attribute.
-func fingerprintPrefix(u *linalg.Matrix) string {
-	fp := linalg.Fingerprint(u)
-	if len(fp) > 12 {
-		fp = fp[:12]
-	}
-	return fp
 }
 
 // estimatePulse predicts a pulse's duration and fidelity from gate

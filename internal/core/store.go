@@ -134,9 +134,9 @@ const warmStartMaxDist = 0.75
 // snapshotWarmCands freezes the warm-start candidate set at stage-5
 // entry: the library's exported entries that carry raw amplitudes.
 // The snapshot — not the live library — is what every pulse consults,
-// so concurrent prefill workers storing new pulses cannot change a
-// later pulse's warm choice and the output stays byte-identical at any
-// worker count.
+// so pulses that concurrent compiles store into a shared library cannot
+// change a later pulse's warm choice, and the output stays
+// byte-identical at any worker count.
 func snapshotWarmCands(o *Options) {
 	entries := o.Library.Export()
 	if len(entries) == 0 {

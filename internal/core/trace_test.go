@@ -35,7 +35,7 @@ func traceCompile(t *testing.T, workers int) []byte {
 // TestTraceGoldenWorkerInvariant is the golden determinism test: under
 // the fake clock a full-QOC EPOC compile exports byte-identical Chrome
 // traces at Workers:1 and Workers:8. Goroutine interleaving in the
-// stage-3 synthesis pool and the stage-5 prefill pool must not leak
+// stage-3 synthesis pool and the stage-5 job pool must not leak
 // into the artifact — spans are ordered by their deterministic
 // attributes, and zero-width spans all collapse onto one track.
 func TestTraceGoldenWorkerInvariant(t *testing.T) {

@@ -149,18 +149,28 @@ func NewLibrary(matchGlobalPhase bool) *Library {
 	return &Library{MatchGlobalPhase: matchGlobalPhase, entries: map[string][]libEntry{}}
 }
 
-// key fingerprints a unitary. Without global-phase matching the raw
+// Key is a unitary's lookup key: its fingerprint under a library's
+// keying, with the unitary itself for hit verification. A key made by
+// one library is valid in every library with the same
+// MatchGlobalPhase, so a caller that consults several libraries
+// fingerprints each unitary once.
+type Key struct {
+	s string
+	u *linalg.Matrix
+}
+
+// Key fingerprints a unitary. Without global-phase matching the raw
 // rounded entries are used, so e^{iφ}·U and U key differently.
-func (l *Library) key(u *linalg.Matrix) string {
+func (l *Library) Key(u *linalg.Matrix) Key {
 	if l.MatchGlobalPhase {
-		return linalg.Fingerprint(u)
+		return Key{s: linalg.Fingerprint(u), u: u}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%dx%d:", u.Rows, u.Cols)
 	for _, v := range u.Data {
 		fmt.Fprintf(&b, "%.5f,%.5f;", real(v), imag(v))
 	}
-	return b.String()
+	return Key{s: b.String(), u: u}
 }
 
 // matchTol bounds the verified distance between a looked-up unitary
@@ -168,18 +178,18 @@ func (l *Library) key(u *linalg.Matrix) string {
 // collisions and are skipped.
 const matchTol = 1e-4
 
-// find returns the verified entry for u, if any. The caller must hold
+// find returns the verified entry for k, if any. The caller must hold
 // l.mu.
-func (l *Library) find(u *linalg.Matrix) (*Pulse, bool) {
-	for _, e := range l.entries[l.key(u)] {
-		if e.u.Rows != u.Rows {
+func (l *Library) find(k Key) (*Pulse, bool) {
+	for _, e := range l.entries[k.s] {
+		if e.u.Rows != k.u.Rows {
 			continue
 		}
 		var d float64
 		if l.MatchGlobalPhase {
-			d = linalg.PhaseDistance(e.u, u)
+			d = linalg.PhaseDistance(e.u, k.u)
 		} else {
-			d = linalg.FrobeniusDistance(e.u, u) / float64(u.Rows)
+			d = linalg.FrobeniusDistance(e.u, k.u) / float64(k.u.Rows)
 		}
 		if d < matchTol {
 			return e.p, true
@@ -188,29 +198,32 @@ func (l *Library) find(u *linalg.Matrix) (*Pulse, bool) {
 	return nil, false
 }
 
-// Lookup returns the cached pulse for a unitary and whether it hit.
-func (l *Library) Lookup(u *linalg.Matrix) (*Pulse, bool) {
+// Get returns the pulse cached under k and whether it hit.
+func (l *Library) Get(k Key) (*Pulse, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.find(u)
+	return l.find(k)
 }
 
-// Peek reports whether a pulse is cached (used by prefill passes).
-func (l *Library) Peek(u *linalg.Matrix) bool {
+// Put caches a pulse under k, keeping a copy of the unitary for hit
+// verification.
+func (l *Library) Put(k Key, p *Pulse) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, ok := l.find(u)
+	l.entries[k.s] = append(l.entries[k.s], libEntry{u: k.u.Clone(), p: p})
+}
+
+// Lookup returns the cached pulse for a unitary and whether it hit.
+func (l *Library) Lookup(u *linalg.Matrix) (*Pulse, bool) { return l.Get(l.Key(u)) }
+
+// Peek reports whether a pulse is cached for a unitary.
+func (l *Library) Peek(u *linalg.Matrix) bool {
+	_, ok := l.Lookup(u)
 	return ok
 }
 
-// Store caches a pulse under the unitary's key, keeping a copy of the
-// unitary for hit verification.
-func (l *Library) Store(u *linalg.Matrix, p *Pulse) {
-	k := l.key(u)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries[k] = append(l.entries[k], libEntry{u: u.Clone(), p: p})
-}
+// Store caches a pulse under the unitary's key.
+func (l *Library) Store(u *linalg.Matrix, p *Pulse) { l.Put(l.Key(u), p) }
 
 // Entry is one exported library entry: the unitary and its pulse, as
 // handed to the persistent store (internal/store) and the warm-start
@@ -250,13 +263,13 @@ func (l *Library) Import(u *linalg.Matrix, p *Pulse) bool {
 	if u == nil || p == nil {
 		return false
 	}
+	k := l.Key(u)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.find(u); ok {
+	if _, ok := l.find(k); ok {
 		return false
 	}
-	k := l.key(u)
-	l.entries[k] = append(l.entries[k], libEntry{u: u.Clone(), p: p})
+	l.entries[k.s] = append(l.entries[k.s], libEntry{u: u.Clone(), p: p})
 	return true
 }
 

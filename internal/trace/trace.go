@@ -17,7 +17,7 @@
 //     unconditionally.
 //   - Goroutine safety across pools. Spans are started from worker
 //     goroutines against a shared parent (stage 3's synthesis pool,
-//     stage 5's QOC prefill pool); the tracer serializes span
+//     stage 5's QOC job pool); the tracer serializes span
 //     registration, and each span's fields are owned by the goroutine
 //     that started it until End.
 //   - Determinism under an injected clock. Time is read through the

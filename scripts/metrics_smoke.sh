@@ -13,8 +13,11 @@
 #      (epoc_stage_seconds_bucket{stage=...,le=...});
 #   3. every access-log line is JSON and carries the trace_id the
 #      response header carried;
-#   4. epoc-stats diffs two /v1/stats snapshots and gates on them
-#      (-fail-on synth_hit_rate=0 must pass: the rate only rises).
+#   4. the cold response's cache block counts pulse-library misses and
+#      the warm one counts none (full mode counts both, like estimate);
+#   5. epoc-stats diffs two /v1/stats snapshots and gates on them
+#      (-fail-on synth_hit_rate=0,library_hit_rate=0 must pass: both
+#      rates only rise).
 #
 # Requires: go, curl, python3.
 set -eu
@@ -78,6 +81,16 @@ curl -sf -o "$workdir/warm.json" \
     -H 'Content-Type: application/json' -d "$req" "$base/v1/compile"
 curl -sf -o "$workdir/stats_warm.json" "$base/v1/stats"
 
+say "per-request pulse-library counts"
+python3 - "$workdir/cold.json" "$workdir/warm.json" <<'EOF'
+import json, sys
+cold, warm = (json.load(open(p))["cache"] for p in sys.argv[1:3])
+assert cold["library_misses"] > 0, "cold full-mode compile counted no library misses: %r" % cold
+assert warm["library_misses"] == 0, "warm compile missed the pulse library: %r" % warm
+print("metrics-smoke:   library misses cold %d, warm %d"
+      % (cold["library_misses"], warm["library_misses"]))
+EOF
+
 say "scraping /metrics"
 curl -sf -o "$workdir/scrape.prom" "$base/metrics"
 
@@ -117,7 +130,7 @@ print("metrics-smoke:   %d access records, %d stage records, trace ids correlate
 EOF
 
 say "run-diff gate over the two stats snapshots"
-"$workdir/epoc-stats" -fail-on synth_hit_rate=0 \
+"$workdir/epoc-stats" -fail-on synth_hit_rate=0,library_hit_rate=0 \
     "$workdir/stats_cold.json" "$workdir/stats_warm.json"
 
 say "graceful shutdown"
