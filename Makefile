@@ -55,7 +55,7 @@ bench:
 # state-vector stride kernels against the bit-spreading reference.
 # -benchmem makes the zero-allocation claim visible in the output.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkApplyMatrix' \
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix' \
 		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim
 
 # Machine-readable benchmark artifact: the small suite (Table 1

@@ -719,12 +719,17 @@ func zxSelect(c *circuit.Circuit, score func(*circuit.Circuit) float64, rec *obs
 // Peephole(c) and its merged single-qubit runs, then for each of the
 // two ZX simplifications the extracted circuit, its Peephole and that
 // Peephole's merged runs. An extraction that fails yields nothing.
+//
+// Both simplifications share one diagram: FullSimplify begins with
+// Simplify, which leaves a simplified diagram unchanged, and ToCircuit
+// extracts from a clone, so the Simplify result is extracted and then
+// carried on to FullSimplify.
 func zxCandidates(c *circuit.Circuit, yield func(*circuit.Circuit)) {
 	peep := optimize.Peephole(c)
 	yield(peep)
 	yield(optimize.MergeSingleQubitRuns(peep))
+	g := zx.FromCircuit(c)
 	for _, simplify := range []func(*zx.Graph){(*zx.Graph).Simplify, (*zx.Graph).FullSimplify} {
-		g := zx.FromCircuit(c)
 		simplify(g)
 		out, err := g.ToCircuit()
 		if err != nil {

@@ -345,19 +345,6 @@ func (s *Server) lookup(id string) *job {
 	return s.jobs[id]
 }
 
-// finish records a job's completion for eviction accounting and
-// releases its inflight slot.
-func (s *Server) finish(j *job) {
-	s.mu.Lock()
-	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.cfg.RetainJobs {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
-	}
-	s.mu.Unlock()
-	s.inflightWG.Done()
-}
-
 // worker drains the admission queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
@@ -370,7 +357,7 @@ func (s *Server) worker() {
 // vanished while queued, fail if its deadline already passed, else
 // compile under the derived context and record the outcome.
 func (s *Server) runJob(j *job) {
-	defer s.finish(j)
+	defer s.inflightWG.Done()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	start := s.now()
@@ -472,11 +459,19 @@ func (s *Server) runJob(j *job) {
 }
 
 // complete folds the job's recorder — which owns the stage timers and
-// cache counters — into the server-wide recorder, then settles the
-// job, so /metrics and /v1/stats include a request by the time its
-// client sees the response.
+// cache counters — into the server-wide recorder and puts the job in
+// the eviction ring, then settles the job, so /metrics, /v1/stats and
+// eviction all include a request by the time its client sees the
+// response.
 func (s *Server) complete(j *job, state string, res *core.Result, m *report.Manifest, apiErr *apiError) {
 	s.rec.Merge(j.rec.Snapshot())
+	s.mu.Lock()
+	s.finished = append(s.finished, j.id)
+	for len(s.finished) > s.cfg.RetainJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
 	j.complete(state, res, m, apiErr)
 }
 

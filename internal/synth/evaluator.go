@@ -38,6 +38,7 @@ type evaluator struct {
 	prefix []complex128
 	work   []complex128    // running product of one sweep
 	gates  [][4]complex128 // U3 entries per op at the gradient point
+	trig   []u3Trig        // the factors each op's gates entry is built from
 }
 
 // newEvaluator returns an evaluator for target on n qubits with buffers
@@ -54,6 +55,7 @@ func (e *evaluator) grow(nops int) {
 	if cap(e.ops) < nops {
 		e.ops = make([]sweepOp, 0, nops)
 		e.gates = make([][4]complex128, nops)
+		e.trig = make([]u3Trig, nops)
 		e.prefix = make([]complex128, (nops+1)*e.dim*e.dim)
 	}
 }
@@ -98,7 +100,8 @@ func (e *evaluator) objective(x []float64) float64 {
 // gradient fills grad with the central difference of the objective at
 // x: for every parameter, (f(x+h·eᵢ) - f(x-h·eᵢ)) / (2h). Each
 // perturbed sweep starts from the product of the gates before the
-// perturbed one, computed once per call in a forward sweep.
+// perturbed one, computed once per call in a forward sweep, and
+// recomputes only the trig factors the perturbed parameter enters.
 //
 //epoc:hot
 func (e *evaluator) gradient(x, grad []float64) {
@@ -111,21 +114,18 @@ func (e *evaluator) gradient(x, grad []float64) {
 			applyCX(next, e.dim, op.a, op.b)
 			continue
 		}
-		e.gates[k] = u3Entries(x[op.p], x[op.p+1], x[op.p+2])
+		e.trig[k] = newU3Trig(x[op.p], x[op.p+1], x[op.p+2])
+		e.gates[k] = e.trig[k].entries()
 		applyU3(next, e.dim, op.a, &e.gates[k])
 	}
-	var v [3]float64
 	for k, op := range e.ops {
 		if op.p < 0 {
 			continue
 		}
-		copy(v[:], x[op.p:op.p+3])
-		for j, orig := range v {
-			v[j] = orig + fdStep
-			fp := e.sweepFrom(k, u3Entries(v[0], v[1], v[2]))
-			v[j] = orig - fdStep
-			fm := e.sweepFrom(k, u3Entries(v[0], v[1], v[2]))
-			v[j] = orig
+		v := x[op.p : op.p+3]
+		for j := range v {
+			fp := e.sweepFrom(k, e.trig[k].step(v, j, fdStep))
+			fm := e.sweepFrom(k, e.trig[k].step(v, j, -fdStep))
 			grad[op.p+j] = (fp - fm) / (2 * fdStep)
 		}
 	}
@@ -168,12 +168,53 @@ func (e *evaluator) distance(u []complex128) float64 {
 // u3Entries returns U3(θ,φ,λ) row-major, computed exactly as
 // gate.New(gate.U3, θ, φ, λ).Matrix() computes it.
 func u3Entries(theta, phi, lam float64) [4]complex128 {
-	c := complex(math.Cos(theta/2), 0)
-	s := complex(math.Sin(theta/2), 0)
-	return [4]complex128{
-		c, -s * cmplx.Exp(complex(0, lam)),
-		s * cmplx.Exp(complex(0, phi)), c * cmplx.Exp(complex(0, phi+lam)),
+	return newU3Trig(theta, phi, lam).entries()
+}
+
+// u3Trig holds the factors U3(θ,φ,λ) is built from: cos and sin of θ/2,
+// and e^{iφ}, e^{iλ} and e^{i(φ+λ)}.
+type u3Trig struct {
+	c, s             complex128
+	ePhi, eLam, eSum complex128
+}
+
+func newU3Trig(theta, phi, lam float64) u3Trig {
+	return u3Trig{
+		c:    complex(math.Cos(theta/2), 0),
+		s:    complex(math.Sin(theta/2), 0),
+		ePhi: expi(phi), eLam: expi(lam), eSum: expi(phi + lam),
 	}
+}
+
+// expi is cmplx.Exp(complex(0, x)) bit for bit: that computes
+// complex(r·cos x, r·sin x) with r = math.Exp(0), which is exactly 1.
+func expi(x float64) complex128 {
+	s, c := math.Sincos(x)
+	return complex(c, s)
+}
+
+// entries multiplies the factors out exactly as gate.u3Matrix does.
+func (t u3Trig) entries() [4]complex128 {
+	return [4]complex128{t.c, -t.s * t.eLam, t.s * t.ePhi, t.c * t.eSum}
+}
+
+// step returns the entries at x = (θ,φ,λ) with x[j] moved by h, where
+// t holds the factors at x: a θ step keeps the three exponentials, a φ
+// or λ step keeps cos, sin and the other parameter's exponential.
+func (t u3Trig) step(x []float64, j int, h float64) [4]complex128 {
+	theta, phi, lam := x[0], x[1], x[2]
+	switch j {
+	case 0:
+		theta += h
+		t.c, t.s = complex(math.Cos(theta/2), 0), complex(math.Sin(theta/2), 0)
+	case 1:
+		phi += h
+		t.ePhi, t.eSum = expi(phi), expi(phi+lam)
+	default:
+		lam += h
+		t.eLam, t.eSum = expi(lam), expi(phi+lam)
+	}
+	return t.entries()
 }
 
 func setIdentity(u []complex128, dim int) {

@@ -3,6 +3,8 @@ package zx
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"epoc/internal/circuit"
 	"epoc/internal/gate"
@@ -23,7 +25,6 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 	work := g.clone()
 	work.normalizeBoundaries()
 
-	out := circuit.New(n)
 	var rev []circuit.Op // collected back-to-front
 	emit := func(gt gate.Gate, qs ...int) {
 		rev = append(rev, circuit.NewOp(gt, qs...))
@@ -31,29 +32,30 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 
 	// Initialize the frontier: after normalizeBoundaries each output has
 	// a unique spider neighbor via a simple edge.
-	frontier := make([]int, n)   // qubit -> vertex
-	qubitOf := make(map[int]int) // vertex -> qubit
+	frontier := make([]int, n) // qubit -> vertex
+	var qubitOf idTable        // vertex -> qubit
 	for q, o := range work.Outputs {
-		nb := work.Neighbors(o)
-		if len(nb) != 1 {
-			return nil, fmt.Errorf("zx: output %d has degree %d after normalization", q, len(nb))
+		if d := work.Degree(o); d != 1 {
+			return nil, fmt.Errorf("zx: output %d has degree %d after normalization", q, d)
 		}
-		v := nb[0]
+		v := work.nbrs[o][0].to
 		if work.kind[v] == Boundary {
 			return nil, fmt.Errorf("zx: output %d connects directly to a boundary after normalization", q)
 		}
 		frontier[q] = v
-		qubitOf[v] = q
+		qubitOf.set(v, q)
 	}
 
-	inputQubit := make(map[int]int)
+	var inputQubit idTable
 	for q, in := range work.Inputs {
-		inputQubit[in] = q
+		inputQubit.set(in, q)
 	}
+	var colIndex idTable // vertex -> biadjacency column, reset each round
+	var cols []int
 
 	// Snapshot the budgets: stall recovery adds vertices, so a live
 	// bound would never trip.
-	maxIter := 10*work.next + 100
+	maxIter := 10*len(work.kind) + 100
 	recoveries := work.NumSpiders() + 8
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
@@ -83,14 +85,13 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 		// boundaries. Inputs must be columns too: a row operation XORs a
 		// frontier vertex's entire back-neighborhood, including its
 		// Hadamard wires into the inputs.
-		colIndex := map[int]int{}
-		var cols []int
+		cols = cols[:0]
 		spiderCols := 0
 		for pass := 0; pass < 2; pass++ {
 			for _, v := range frontier {
-				for _, w := range work.Neighbors(v) {
-					k := work.adj[v][w]
-					if _, isFrontier := qubitOf[w]; isFrontier {
+				for _, e := range work.nbrs[v] {
+					w := e.to
+					if qubitOf.get(w) >= 0 {
 						continue
 					}
 					isSpider := work.kind[w] == ZSpider
@@ -101,15 +102,15 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 						if isSpider {
 							continue
 						}
-						if _, isInput := inputQubit[w]; !isInput {
+						if inputQubit.get(w) < 0 {
 							continue // the vertex's own output boundary
 						}
 					}
-					if k != Hadamard {
+					if e.kind != Hadamard {
 						return nil, fmt.Errorf("zx: non-Hadamard edge behind the frontier")
 					}
-					if _, seen := colIndex[w]; !seen {
-						colIndex[w] = len(cols)
+					if colIndex.get(w) < 0 {
+						colIndex.set(w, len(cols))
 						cols = append(cols, w)
 						if isSpider {
 							spiderCols++
@@ -120,21 +121,25 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 		}
 		m := newBitMatrix(n, len(cols))
 		for q, v := range frontier {
-			for w := range work.adj[v] {
-				if ci, ok := colIndex[w]; ok {
-					m.set(q, ci, true)
+			for _, e := range work.nbrs[v] {
+				if ci := colIndex.get(e.to); ci >= 0 {
+					m.set(q, ci)
 				}
 			}
+		}
+		for _, w := range cols {
+			colIndex.set(w, -1)
 		}
 		// 4. Gauss-Jordan over GF(2); every row operation row[i] ^= row[j]
 		// updates the diagram's frontier adjacency and emits a CNOT with
 		// control i, target j (validated by round-trip tests).
+		// Row q of m is frontier[q]'s adjacency to cols, so row j gives
+		// the back-neighbours of frontier[j] to toggle.
 		rowOp := func(i, j int) {
 			m.xorRow(i, j)
-			vi, vj := frontier[i], frontier[j]
-			for _, w := range cols {
-				if _, hasJ := work.Edge(vj, w); hasJ {
-					work.toggleHEdge(vi, w)
+			for ci, w := range cols {
+				if m.get(j, ci) {
+					work.toggleHEdge(frontier[i], w)
 				}
 			}
 			emit(gate.New(gate.CX), i, j)
@@ -154,7 +159,7 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 				continue
 			}
 			w := cols[ci]
-			if _, taken := qubitOf[w]; taken {
+			if qubitOf.get(w) >= 0 {
 				continue // already promoted this round by another row
 			}
 			v := frontier[q]
@@ -163,16 +168,16 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 			emit(gate.New(gate.H), q)
 			o := work.Outputs[q]
 			work.RemoveVertex(v)
-			delete(qubitOf, v)
+			qubitOf.set(v, -1)
 			work.SetEdge(w, o, Simple)
 			frontier[q] = w
-			qubitOf[w] = q
+			qubitOf.set(w, q)
 			advanced = true
 		}
 		if !advanced {
 			// Phase gadgets block frontier advancement; pivot one away.
 			recoveries--
-			if recoveries < 0 || !work.recoverStall(frontier, qubitOf, inputQubit) {
+			if recoveries < 0 || !work.recoverStall(frontier, &qubitOf, inputQubit) {
 				return nil, ErrNoExtraction
 			}
 		}
@@ -185,16 +190,16 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 	perm := make([]int, n) // output qubit -> input qubit
 	for q, v := range frontier {
 		inQ := -1
-		for w, k := range work.adj[v] {
-			if work.kind[w] != Boundary {
+		for _, e := range work.nbrs[v] {
+			if work.kind[e.to] != Boundary {
 				return nil, fmt.Errorf("zx: leftover spider neighbor in final stage")
 			}
-			if iq, isInput := inputQubit[w]; isInput {
+			if iq := inputQubit.get(e.to); iq >= 0 {
 				if inQ != -1 {
 					return nil, fmt.Errorf("zx: frontier vertex adjacent to two inputs")
 				}
 				inQ = iq
-				if k != Hadamard {
+				if e.kind != Hadamard {
 					return nil, fmt.Errorf("zx: input edge not Hadamard after normalization")
 				}
 				emit(gate.New(gate.H), q)
@@ -217,11 +222,8 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 		}
 	}
 
-	// Reverse into circuit order.
-	for i := len(rev) - 1; i >= 0; i-- {
-		out.AppendOp(rev[i])
-	}
-	return out, nil
+	slices.Reverse(rev)
+	return &circuit.Circuit{NumQubits: n, Ops: rev}, nil
 }
 
 // recoverStall unblocks a stalled extraction (typically caused by
@@ -229,13 +231,13 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 // interior Pauli neighbor, after detaching the frontier vertex from
 // its boundaries with identity-preserving dummy chains so the standard
 // interior pivot applies. Returns false when no such pivot exists.
-func (g *Graph) recoverStall(frontier []int, qubitOf map[int]int, inputQubit map[int]int) bool {
+func (g *Graph) recoverStall(frontier []int, qubitOf *idTable, inputQubit idTable) bool {
 	for q, v := range frontier {
 		if !phaseIsZero(g.phase[v]) {
 			continue // phases are peeled at the top of the loop; skip
 		}
 		for _, w := range g.Neighbors(v) {
-			if _, isFrontier := qubitOf[w]; isFrontier {
+			if qubitOf.get(w) >= 0 {
 				continue
 			}
 			// Unlike the simplifier's pivotCandidate, gadget axes ARE
@@ -245,17 +247,7 @@ func (g *Graph) recoverStall(frontier []int, qubitOf map[int]int, inputQubit map
 				continue
 			}
 			// Detach v from its output: v -S- out ⇒ v -H- d1 -H- d2 -S- out.
-			var out = -1
-			for _, nb := range g.Neighbors(v) {
-				if g.kind[nb] == Boundary {
-					if _, isIn := inputQubit[nb]; !isIn {
-						out = nb
-					}
-				}
-			}
-			if out == -1 {
-				continue
-			}
+			out := g.Outputs[q]
 			g.RemoveEdge(v, out)
 			d1 := g.AddVertex(ZSpider, 0)
 			d2 := g.AddVertex(ZSpider, 0)
@@ -264,7 +256,7 @@ func (g *Graph) recoverStall(frontier []int, qubitOf map[int]int, inputQubit map
 			g.SetEdge(d2, out, Simple)
 			// Detach v from inputs: i -H- v ⇒ i -H- e1 -H- e2 -H- v.
 			for _, nb := range g.Neighbors(v) {
-				if _, isIn := inputQubit[nb]; !isIn {
+				if inputQubit.get(nb) < 0 {
 					continue
 				}
 				g.RemoveEdge(v, nb)
@@ -275,31 +267,51 @@ func (g *Graph) recoverStall(frontier []int, qubitOf map[int]int, inputQubit map
 				g.SetEdge(e2, v, Hadamard)
 			}
 			g.pivot(v, w)
-			delete(qubitOf, v)
+			qubitOf.set(v, -1)
 			frontier[q] = d2
-			qubitOf[d2] = q
+			qubitOf.set(d2, q)
 			return true
 		}
 	}
 	return false
 }
 
-// clone deep-copies the graph.
+// idTable maps vertex ids to non-negative values, such as a vertex's
+// qubit. Ids never set, including ones added after the table, read -1.
+type idTable []int
+
+func (t idTable) get(v int) int {
+	if v < len(t) {
+		return t[v]
+	}
+	return -1
+}
+
+func (t *idTable) set(v, x int) {
+	for len(*t) <= v {
+		*t = append(*t, -1)
+	}
+	(*t)[v] = x
+}
+
+// clone deep-copies the graph. All neighbour lists share one backing
+// array, each capped at its own length so that growing one list
+// reallocates it instead of overwriting the next.
 func (g *Graph) clone() *Graph {
-	out := NewGraph()
-	out.next = g.next
-	for v, k := range g.kind {
-		out.kind[v] = k
-		out.phase[v] = g.phase[v]
-		out.adj[v] = map[int]EKind{}
+	out := &Graph{
+		kind:    append([]VKind(nil), g.kind...),
+		phase:   append([]float64(nil), g.phase...),
+		alive:   append([]bool(nil), g.alive...),
+		nbrs:    make([][]edge, len(g.nbrs)),
+		live:    g.live,
+		Inputs:  append([]int(nil), g.Inputs...),
+		Outputs: append([]int(nil), g.Outputs...),
 	}
-	for v, nb := range g.adj {
-		for w, k := range nb {
-			out.adj[v][w] = k
-		}
+	buf := make([]edge, 2*g.NumEdges())
+	for v, l := range g.nbrs {
+		n := copy(buf, l)
+		out.nbrs[v], buf = buf[:n:n], buf[n:]
 	}
-	out.Inputs = append([]int(nil), g.Inputs...)
-	out.Outputs = append([]int(nil), g.Outputs...)
 	return out
 }
 
@@ -309,12 +321,10 @@ func (g *Graph) clone() *Graph {
 // phase-0 Z-spiders, so the diagram's linear map is unchanged.
 func (g *Graph) normalizeBoundaries() {
 	for _, in := range g.Inputs {
-		nb := g.Neighbors(in)
-		if len(nb) != 1 {
-			panic(fmt.Sprintf("zx: input %d has degree %d", in, len(nb)))
+		if d := g.Degree(in); d != 1 {
+			panic(fmt.Sprintf("zx: input %d has degree %d", in, d))
 		}
-		v := nb[0]
-		k := g.adj[in][v]
+		v, k := g.nbrs[in][0].to, g.nbrs[in][0].kind
 		if k == Simple {
 			// in -S- v  ⇒  in -H- d -H- v (H·H = wire).
 			d := g.AddVertex(ZSpider, 0)
@@ -324,12 +334,10 @@ func (g *Graph) normalizeBoundaries() {
 		}
 	}
 	for _, o := range g.Outputs {
-		nb := g.Neighbors(o)
-		if len(nb) != 1 {
-			panic(fmt.Sprintf("zx: output %d has degree %d", o, len(nb)))
+		if d := g.Degree(o); d != 1 {
+			panic(fmt.Sprintf("zx: output %d has degree %d", o, d))
 		}
-		v := nb[0]
-		k := g.adj[o][v]
+		v, k := g.nbrs[o][0].to, g.nbrs[o][0].kind
 		g.RemoveEdge(o, v)
 		if k == Hadamard {
 			// v -H- d -S- out.
@@ -361,24 +369,27 @@ func (g *Graph) combineOrSet(a, b int, k EKind) {
 
 // --- GF(2) bit matrix ---
 
+// bitMatrix is a GF(2) matrix with each row packed into 64-bit words.
 type bitMatrix struct {
-	rows, cols int
-	bits       [][]bool
+	rows, cols, words int
+	bits              []uint64 // row i is bits[i*words : (i+1)*words]
 }
 
 func newBitMatrix(rows, cols int) *bitMatrix {
-	m := &bitMatrix{rows: rows, cols: cols, bits: make([][]bool, rows)}
-	for i := range m.bits {
-		m.bits[i] = make([]bool, cols)
-	}
-	return m
+	words := (cols + 63) / 64
+	return &bitMatrix{rows: rows, cols: cols, words: words, bits: make([]uint64, rows*words)}
 }
 
-func (m *bitMatrix) set(i, j int, v bool) { m.bits[i][j] = v }
+func (m *bitMatrix) row(i int) []uint64 { return m.bits[i*m.words : (i+1)*m.words] }
+
+func (m *bitMatrix) get(i, j int) bool { return m.bits[i*m.words+j/64]>>(j%64)&1 != 0 }
+
+func (m *bitMatrix) set(i, j int) { m.bits[i*m.words+j/64] |= 1 << (j % 64) }
 
 func (m *bitMatrix) xorRow(i, j int) {
-	for c := 0; c < m.cols; c++ {
-		m.bits[i][c] = m.bits[i][c] != m.bits[j][c]
+	ri, rj := m.row(i), m.row(j)
+	for k := range ri {
+		ri[k] ^= rj[k]
 	}
 }
 
@@ -396,7 +407,7 @@ func (m *bitMatrix) gaussJordan(rowOp func(i, j int)) {
 		pivot := -1
 		best := m.cols + 1
 		for i := 0; i < m.rows; i++ {
-			if used[i] || !m.bits[i][c] {
+			if used[i] || !m.get(i, c) {
 				continue
 			}
 			if w := m.rowWeight(i); w < best {
@@ -409,7 +420,7 @@ func (m *bitMatrix) gaussJordan(rowOp func(i, j int)) {
 		}
 		used[pivot] = true
 		for i := 0; i < m.rows; i++ {
-			if i != pivot && m.bits[i][c] {
+			if i != pivot && m.get(i, c) {
 				rowOp(i, pivot)
 			}
 		}
@@ -418,10 +429,8 @@ func (m *bitMatrix) gaussJordan(rowOp func(i, j int)) {
 
 func (m *bitMatrix) rowWeight(i int) int {
 	w := 0
-	for c := 0; c < m.cols; c++ {
-		if m.bits[i][c] {
-			w++
-		}
+	for _, x := range m.row(i) {
+		w += bits.OnesCount64(x)
 	}
 	return w
 }
@@ -429,13 +438,14 @@ func (m *bitMatrix) rowWeight(i int) int {
 // singleOne returns (col, true) if row i has exactly one set bit.
 func (m *bitMatrix) singleOne(i int) (int, bool) {
 	col := -1
-	for c := 0; c < m.cols; c++ {
-		if m.bits[i][c] {
-			if col != -1 {
-				return -1, false
-			}
-			col = c
+	for k, x := range m.row(i) {
+		if x == 0 {
+			continue
 		}
+		if col != -1 || x&(x-1) != 0 {
+			return -1, false
+		}
+		col = 64*k + bits.TrailingZeros64(x)
 	}
 	return col, col != -1
 }

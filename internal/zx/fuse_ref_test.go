@@ -31,7 +31,7 @@ func (g *Graph) referenceFindFusable() (int, int, bool) {
 			continue
 		}
 		for _, w := range g.Neighbors(v) {
-			if g.adj[v][w] == Simple && g.kind[w] == ZSpider {
+			if k, _ := g.Edge(v, w); k == Simple && g.kind[w] == ZSpider {
 				return v, w, true
 			}
 		}
@@ -124,11 +124,12 @@ func sameGraph(a, b *Graph) error {
 			return fmt.Errorf("vertex %d: kind %d phase %v, reference kind %d phase %v",
 				v, a.kind[v], a.phase[v], b.kind[v], b.phase[v])
 		}
-		if len(a.adj[v]) != len(b.adj[v]) {
-			return fmt.Errorf("vertex %d: degree %d, reference %d", v, len(a.adj[v]), len(b.adj[v]))
+		if a.Degree(v) != b.Degree(v) {
+			return fmt.Errorf("vertex %d: degree %d, reference %d", v, a.Degree(v), b.Degree(v))
 		}
-		for w, k := range a.adj[v] {
-			if rk, ok := b.adj[v][w]; !ok || rk != k {
+		for _, w := range a.Neighbors(v) {
+			k, _ := a.Edge(v, w)
+			if rk, ok := b.Edge(v, w); !ok || rk != k {
 				return fmt.Errorf("edge %d-%d differs from the reference", v, w)
 			}
 		}
@@ -211,5 +212,18 @@ func BenchmarkSimplify(b *testing.B) {
 				v.run(g)
 			}
 		})
+	}
+}
+
+// BenchmarkExtract times ToCircuit on the simplified 48-qubit, 8-layer
+// brickwork circuit of BenchmarkSimplify.
+func BenchmarkExtract(b *testing.B) {
+	g := FromCircuit(benchcirc.RandomLayered(48, 8, 101000))
+	g.Simplify()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := g.ToCircuit(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 package zx
 
-import "sort"
+import "fmt"
 
 // Phase-gadget machinery: the extra rewrites that lift Simplify
 // (clifford_simp) to the strength of PyZX's full_reduce. A phase
@@ -22,7 +22,7 @@ func (g *Graph) pivotGadgetAll() bool {
 	// Each gadgetizing pivot consumes one non-axis interior Pauli
 	// spider, so the initial vertex count bounds the loop; the snapshot
 	// also guards against any residual growth pathology.
-	limit := 10*len(g.kind) + 10
+	limit := 10*g.NumVertices() + 10
 	for iter := 0; iter < limit; iter++ {
 		u, v, found := g.findPivotGadget()
 		if !found {
@@ -38,12 +38,13 @@ func (g *Graph) pivotGadgetAll() bool {
 // (interior non-Pauli, all-H). v must not itself be a gadget axis or
 // leaf (gadgetizing those would loop forever).
 func (g *Graph) findPivotGadget() (int, int, bool) {
-	for _, u := range g.Vertices() {
+	for u := range g.kind {
 		if !g.pivotCandidate(u) {
 			continue
 		}
-		for _, v := range g.Neighbors(u) {
-			if g.adj[u][v] != Hadamard {
+		for _, e := range g.nbrs[u] {
+			v := e.to
+			if e.kind != Hadamard {
 				continue
 			}
 			if g.kind[v] != ZSpider || phaseIsPauli(g.phase[v]) || !g.isInterior(v) {
@@ -52,14 +53,7 @@ func (g *Graph) findPivotGadget() (int, int, bool) {
 			if g.Degree(v) == 1 || g.isGadgetAxis(v) {
 				continue
 			}
-			allH := true
-			for _, k := range g.adj[v] {
-				if k != Hadamard {
-					allH = false
-					break
-				}
-			}
-			if allH {
+			if g.allHadamard(v) {
 				return u, v, true
 			}
 		}
@@ -80,60 +74,57 @@ func (g *Graph) pivotGadget(u, v int) {
 
 // isGadgetAxis reports whether v is a phase-0 spider with exactly one
 // degree-1 neighbor (its phase leaf).
-func (g *Graph) isGadgetAxis(v int) bool {
-	if g.kind[v] != ZSpider || !phaseIsZero(g.phase[v]) {
-		return false
-	}
-	leaves := 0
-	for w := range g.adj[v] {
-		if g.Degree(w) == 1 && g.kind[w] == ZSpider {
-			leaves++
-		}
-	}
-	return leaves == 1
-}
+func (g *Graph) isGadgetAxis(v int) bool { return g.gadgetLeaf(v) >= 0 }
 
-// gadgetLeaf returns the degree-1 phase leaf of a gadget axis.
-func (g *Graph) gadgetLeaf(axis int) int {
-	for w := range g.adj[axis] {
-		if g.Degree(w) == 1 && g.kind[w] == ZSpider {
-			return w
+// gadgetLeaf returns the degree-1 phase leaf of v if v is a gadget
+// axis, and -1 otherwise.
+func (g *Graph) gadgetLeaf(v int) int {
+	if g.kind[v] != ZSpider || !phaseIsZero(g.phase[v]) {
+		return -1
+	}
+	leaf := -1
+	for _, e := range g.nbrs[v] {
+		if g.Degree(e.to) == 1 && g.kind[e.to] == ZSpider {
+			if leaf >= 0 {
+				return -1
+			}
+			leaf = e.to
 		}
 	}
-	return -1
+	return leaf
 }
 
 // fuseGadgets merges phase gadgets whose leg sets are identical,
 // adding their leaf phases. Returns whether anything changed.
 func (g *Graph) fuseGadgets() bool {
-	// Collect gadgets: axis -> sorted leg list.
+	// Collect gadgets: axis -> sorted leg list (neighbour lists are
+	// sorted, so the legs come out in order).
 	type gadget struct {
 		axis, leaf int
 		legs       string
 	}
 	var gadgets []gadget
-	for _, v := range g.Vertices() {
-		if !g.isGadgetAxis(v) {
+	for v := range g.kind {
+		leaf := g.gadgetLeaf(v)
+		if leaf < 0 {
 			continue
 		}
-		leaf := g.gadgetLeaf(v)
 		legs := make([]int, 0, g.Degree(v)-1)
 		allH := true
-		for w, k := range g.adj[v] {
-			if w == leaf {
+		for _, e := range g.nbrs[v] {
+			if e.to == leaf {
 				continue
 			}
-			if k != Hadamard || g.kind[w] == Boundary {
+			if e.kind != Hadamard || g.kind[e.to] == Boundary {
 				allH = false
 				break
 			}
-			legs = append(legs, w)
+			legs = append(legs, e.to)
 		}
 		if !allH || len(legs) == 0 {
 			continue
 		}
-		sort.Ints(legs)
-		gadgets = append(gadgets, gadget{axis: v, leaf: leaf, legs: intsKey(legs)})
+		gadgets = append(gadgets, gadget{axis: v, leaf: leaf, legs: fmt.Sprint(legs)})
 	}
 	byLegs := map[string]gadget{}
 	changed := false
@@ -150,18 +141,6 @@ func (g *Graph) fuseGadgets() bool {
 		changed = true
 	}
 	return changed
-}
-
-func intsKey(xs []int) string {
-	buf := make([]byte, 0, len(xs)*4)
-	for _, x := range xs {
-		for x > 0 {
-			buf = append(buf, byte('0'+x%10))
-			x /= 10
-		}
-		buf = append(buf, ',')
-	}
-	return string(buf)
 }
 
 // FullSimplify runs Simplify plus the phase-gadget rewrites to a fixed

@@ -121,7 +121,7 @@ func TestGadgetFusionDirect(t *testing.T) {
 		t.Fatalf("expected 4 vertices after fusion, got %d", g.NumVertices())
 	}
 	survivor := l1
-	if _, ok := g.kind[l1]; !ok {
+	if !g.alive[l1] {
 		survivor = l2
 	}
 	if math.Abs(g.Phase(survivor)-0.7) > 1e-9 {

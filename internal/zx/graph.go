@@ -10,7 +10,6 @@ package zx
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // VKind classifies a vertex.
@@ -33,54 +32,54 @@ const (
 	Hadamard
 )
 
-type edgeKey struct{ a, b int }
-
-func key(a, b int) edgeKey {
-	if a > b {
-		a, b = b, a
-	}
-	return edgeKey{a, b}
+// edge is one entry of a vertex's neighbour list: the neighbour's id
+// and the kind of the edge to it.
+type edge struct {
+	to   int
+	kind EKind
 }
 
 // Graph is an undirected ZX-diagram (open graph with ordered boundary
 // lists). Parallel edges are resolved eagerly by rewrite rules, so the
 // representation stores at most one edge per vertex pair.
+//
+// Vertex state lives in slices indexed by id, and each vertex keeps its
+// neighbours sorted by id, so every walk comes out in id order without
+// a sort. A removed vertex is tombstoned: its id is never reused, it
+// reads as a phase-0 Boundary with no neighbours, and walks skip it.
 type Graph struct {
-	kind    map[int]VKind
-	phase   map[int]float64
-	adj     map[int]map[int]EKind
+	kind    []VKind
+	phase   []float64
+	alive   []bool
+	nbrs    [][]edge
+	live    int
 	Inputs  []int
 	Outputs []int
-	next    int
 }
 
 // NewGraph returns an empty diagram.
-func NewGraph() *Graph {
-	return &Graph{
-		kind:  map[int]VKind{},
-		phase: map[int]float64{},
-		adj:   map[int]map[int]EKind{},
-	}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // AddVertex inserts a vertex and returns its id.
 func (g *Graph) AddVertex(k VKind, phase float64) int {
-	id := g.next
-	g.next++
-	g.kind[id] = k
-	g.phase[id] = normPhase(phase)
-	g.adj[id] = map[int]EKind{}
-	return id
+	g.kind = append(g.kind, k)
+	g.phase = append(g.phase, normPhase(phase))
+	g.alive = append(g.alive, true)
+	g.nbrs = append(g.nbrs, nil)
+	g.live++
+	return len(g.kind) - 1
 }
 
 // RemoveVertex deletes a vertex and all incident edges.
 func (g *Graph) RemoveVertex(v int) {
-	for w := range g.adj[v] {
-		delete(g.adj[w], v)
+	if !g.alive[v] {
+		return
 	}
-	delete(g.adj, v)
-	delete(g.kind, v)
-	delete(g.phase, v)
+	for _, e := range g.nbrs[v] {
+		g.removeHalf(e.to, v)
+	}
+	g.kind[v], g.phase[v], g.alive[v], g.nbrs[v] = Boundary, 0, false, nil
+	g.live--
 }
 
 // Kind returns the vertex kind.
@@ -95,58 +94,94 @@ func (g *Graph) SetPhase(v int, p float64) { g.phase[v] = normPhase(p) }
 // AddToPhase adds p to the vertex phase.
 func (g *Graph) AddToPhase(v int, p float64) { g.phase[v] = normPhase(g.phase[v] + p) }
 
+// find returns w's position in the sorted list l, or the position it
+// would be inserted at, and whether it is there. Lists are short, and
+// at 48 qubits a linear scan measured faster than a binary search.
+func find(l []edge, w int) (int, bool) {
+	i := 0
+	for i < len(l) && l[i].to < w {
+		i++
+	}
+	return i, i < len(l) && l[i].to == w
+}
+
+// setHalf records the edge a→b of kind k in a's list.
+func (g *Graph) setHalf(a, b int, k EKind) {
+	l := g.nbrs[a]
+	i, ok := find(l, b)
+	if ok {
+		l[i].kind = k
+		return
+	}
+	l = append(l, edge{})
+	copy(l[i+1:], l[i:])
+	l[i] = edge{b, k}
+	g.nbrs[a] = l
+}
+
+// removeHalf drops b from a's list if present.
+func (g *Graph) removeHalf(a, b int) {
+	if i, ok := find(g.nbrs[a], b); ok {
+		g.nbrs[a] = append(g.nbrs[a][:i], g.nbrs[a][i+1:]...)
+	}
+}
+
 // SetEdge inserts or overwrites the edge between a and b.
 func (g *Graph) SetEdge(a, b int, k EKind) {
 	if a == b {
 		panic("zx: self-loop edges must be resolved by the caller")
 	}
-	g.adj[a][b] = k
-	g.adj[b][a] = k
+	g.setHalf(a, b, k)
+	g.setHalf(b, a, k)
 }
 
 // RemoveEdge deletes the edge between a and b if present.
 func (g *Graph) RemoveEdge(a, b int) {
-	delete(g.adj[a], b)
-	delete(g.adj[b], a)
+	g.removeHalf(a, b)
+	g.removeHalf(b, a)
 }
 
 // Edge returns the edge kind and whether the edge exists.
 func (g *Graph) Edge(a, b int) (EKind, bool) {
-	k, ok := g.adj[a][b]
-	return k, ok
+	l := g.nbrs[a]
+	if i, ok := find(l, b); ok {
+		return l[i].kind, true
+	}
+	return 0, false
 }
 
 // Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return len(g.nbrs[v]) }
 
-// Neighbors returns the sorted neighbor ids of v.
+// Neighbors returns a fresh slice of v's neighbor ids in sorted order;
+// callers may change the graph while they walk it.
 func (g *Graph) Neighbors(v int) []int {
-	out := make([]int, 0, len(g.adj[v]))
-	for w := range g.adj[v] {
-		out = append(out, w)
+	out := make([]int, len(g.nbrs[v]))
+	for i, e := range g.nbrs[v] {
+		out[i] = e.to
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Vertices returns all vertex ids in sorted order.
 func (g *Graph) Vertices() []int {
-	out := make([]int, 0, len(g.kind))
-	for v := range g.kind {
-		out = append(out, v)
+	out := make([]int, 0, g.live)
+	for v, ok := range g.alive {
+		if ok {
+			out = append(out, v)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.kind) }
+func (g *Graph) NumVertices() int { return g.live }
 
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int {
 	n := 0
-	for _, nb := range g.adj {
-		n += len(nb)
+	for _, l := range g.nbrs {
+		n += len(l)
 	}
 	return n / 2
 }
@@ -181,8 +216,8 @@ func (g *Graph) TCount() int {
 
 // isInterior reports whether no neighbor of v is a boundary.
 func (g *Graph) isInterior(v int) bool {
-	for w := range g.adj[v] {
-		if g.kind[w] == Boundary {
+	for _, e := range g.nbrs[v] {
+		if g.kind[e.to] == Boundary {
 			return false
 		}
 	}
@@ -196,12 +231,12 @@ func (g *Graph) String() string {
 	for _, v := range g.Vertices() {
 		kindName := map[VKind]string{Boundary: "B", ZSpider: "Z", XSpider: "X"}[g.kind[v]]
 		s += fmt.Sprintf("  %d %s(%.3f):", v, kindName, g.phase[v])
-		for _, w := range g.Neighbors(v) {
-			e := "-"
-			if g.adj[v][w] == Hadamard {
-				e = "~"
+		for _, e := range g.nbrs[v] {
+			mark := "-"
+			if e.kind == Hadamard {
+				mark = "~"
 			}
-			s += fmt.Sprintf(" %s%d", e, w)
+			s += fmt.Sprintf(" %s%d", mark, e.to)
 		}
 		s += "\n"
 	}

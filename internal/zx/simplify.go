@@ -1,9 +1,6 @@
 package zx
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // ToGraphLike rewrites the diagram so that every spider is a Z-spider
 // and every spider-spider edge is a Hadamard edge: X-spiders are
@@ -25,18 +22,18 @@ func (g *Graph) ToGraphLike() {
 // colorChange converts every X-spider to a Z-spider by toggling the
 // kind of each incident edge.
 func (g *Graph) colorChange() {
-	for _, v := range g.Vertices() {
-		if g.kind[v] != XSpider {
+	for v, k := range g.kind {
+		if k != XSpider {
 			continue
 		}
 		g.kind[v] = ZSpider
-		for w, k := range g.adj[v] {
+		for i, e := range g.nbrs[v] {
 			nk := Hadamard
-			if k == Hadamard {
+			if e.kind == Hadamard {
 				nk = Simple
 			}
-			g.adj[v][w] = nk
-			g.adj[w][v] = nk
+			g.nbrs[v][i].kind = nk
+			g.setHalf(e.to, v, nk)
 		}
 	}
 }
@@ -46,12 +43,12 @@ func (g *Graph) colorChange() {
 //
 // Fusions happen in a fixed order: always the smallest vertex that has
 // a simple-edge Z neighbour, fused with its smallest such neighbour.
-// Fusion only removes vertices, so one sorted snapshot serves the whole
-// loop, and a single pass over it finds them all: fuse(u, v) can give
-// u new partners, but never a vertex below u (DESIGN.md §14).
+// Fusion only removes vertices, so a single walk over the ids finds
+// them all: fuse(u, v) can give u new partners, but never a vertex
+// below u (DESIGN.md §14).
 func (g *Graph) fuseAll() bool {
 	changed := false
-	for _, u := range g.Vertices() {
+	for u := range g.kind {
 		for {
 			v, ok := g.fusePartner(u)
 			if !ok {
@@ -67,16 +64,15 @@ func (g *Graph) fuseAll() bool {
 // fusePartner returns u's smallest simple-edge Z-spider neighbour, if
 // u is a live Z-spider and has one.
 func (g *Graph) fusePartner(u int) (int, bool) {
-	if k, ok := g.kind[u]; !ok || k != ZSpider {
+	if g.kind[u] != ZSpider {
 		return 0, false
 	}
-	best, found := 0, false
-	for w, k := range g.adj[u] {
-		if k == Simple && g.kind[w] == ZSpider && (!found || w < best) {
-			best, found = w, true
+	for _, e := range g.nbrs[u] {
+		if e.kind == Simple && g.kind[e.to] == ZSpider {
+			return e.to, true
 		}
 	}
-	return best, found
+	return 0, false
 }
 
 // fuse merges v into u (both Z-spiders joined by a simple edge),
@@ -85,17 +81,8 @@ func (g *Graph) fusePartner(u int) (int, bool) {
 func (g *Graph) fuse(u, v int) {
 	g.AddToPhase(u, g.phase[v])
 	g.RemoveEdge(u, v)
-	for w, k := range g.adj[v] {
-		if w == u {
-			// A second u-v edge beyond the fusing one: it becomes a
-			// self-loop. A simple self-loop is dropped; a Hadamard
-			// self-loop contributes a π phase.
-			if k == Hadamard {
-				g.AddToPhase(u, math.Pi)
-			}
-			continue
-		}
-		g.combineEdge(u, w, k)
+	for _, e := range g.nbrs[v] {
+		g.combineEdge(u, e.to, e.kind)
 	}
 	g.RemoveVertex(v)
 }
@@ -129,31 +116,24 @@ func (g *Graph) combineEdge(u, w int, k EKind) {
 // two edges together. Returns whether anything changed.
 func (g *Graph) removeIdentities() bool {
 	changed := false
-	for _, v := range g.Vertices() {
-		if g.kind[v] != ZSpider || !phaseIsZero(g.phase[v]) || g.Degree(v) != 2 {
+	for v, k := range g.kind {
+		if k != ZSpider || !phaseIsZero(g.phase[v]) || g.Degree(v) != 2 {
 			continue
 		}
-		nb := g.Neighbors(v)
-		a, b := nb[0], nb[1]
-		ka := g.adj[v][a]
-		kb := g.adj[v][b]
+		ea, eb := g.nbrs[v][0], g.nbrs[v][1]
+		a, b := ea.to, eb.to
 		combined := Simple
-		if (ka == Hadamard) != (kb == Hadamard) {
+		if (ea.kind == Hadamard) != (eb.kind == Hadamard) {
 			combined = Hadamard
 		}
-		// Splicing may create a parallel edge; resolve it when both ends
-		// are spiders, otherwise skip this identity (rare, boundary case).
-		if _, exists := g.Edge(a, b); exists {
-			if g.kind[a] == Boundary || g.kind[b] == Boundary {
-				continue
-			}
-			g.RemoveVertex(v)
-			g.combineEdge(a, b, combined)
-			changed = true
+		// Splicing may create a parallel edge; combineEdge resolves it
+		// when both ends are spiders, otherwise skip this identity (rare,
+		// boundary case).
+		if _, exists := g.Edge(a, b); exists && (g.kind[a] == Boundary || g.kind[b] == Boundary) {
 			continue
 		}
 		g.RemoveVertex(v)
-		g.SetEdge(a, b, combined)
+		g.combineEdge(a, b, combined)
 		changed = true
 	}
 	return changed
@@ -175,13 +155,13 @@ func (g *Graph) lcompAll() bool {
 }
 
 func (g *Graph) findLcomp() (int, bool) {
-	for _, v := range g.Vertices() {
-		if g.kind[v] != ZSpider || !phaseIsProperClifford(g.phase[v]) || !g.isInterior(v) {
+	for v, k := range g.kind {
+		if k != ZSpider || !phaseIsProperClifford(g.phase[v]) || !g.isInterior(v) {
 			continue
 		}
 		ok := true
-		for w, k := range g.adj[v] {
-			if k != Hadamard || g.Degree(w) == 1 {
+		for _, e := range g.nbrs[v] {
+			if e.kind != Hadamard || g.Degree(e.to) == 1 {
 				// Keep phase-gadget structure intact: complementing the
 				// neighborhood of a vertex with a degree-1 leaf would
 				// tear the gadget apart.
@@ -228,13 +208,13 @@ func (g *Graph) pivotAll() bool {
 }
 
 func (g *Graph) findPivot() (int, int, bool) {
-	for _, u := range g.Vertices() {
+	for u := range g.kind {
 		if !g.pivotCandidate(u) {
 			continue
 		}
-		for _, w := range g.Neighbors(u) {
-			if g.adj[u][w] == Hadamard && w > u && g.pivotCandidate(w) {
-				return u, w, true
+		for _, e := range g.nbrs[u] {
+			if e.kind == Hadamard && e.to > u && g.pivotCandidate(e.to) {
+				return u, e.to, true
 			}
 		}
 	}
@@ -244,11 +224,13 @@ func (g *Graph) findPivot() (int, int, bool) {
 // interiorPauliAllH reports whether v is an interior Pauli Z-spider
 // with only Hadamard edges (gadget axes included).
 func (g *Graph) interiorPauliAllH(v int) bool {
-	if g.kind[v] != ZSpider || !phaseIsPauli(g.phase[v]) || !g.isInterior(v) {
-		return false
-	}
-	for _, k := range g.adj[v] {
-		if k != Hadamard {
+	return g.kind[v] == ZSpider && phaseIsPauli(g.phase[v]) && g.isInterior(v) && g.allHadamard(v)
+}
+
+// allHadamard reports whether every edge at v is a Hadamard edge.
+func (g *Graph) allHadamard(v int) bool {
+	for _, e := range g.nbrs[v] {
+		if e.kind != Hadamard {
 			return false
 		}
 	}
@@ -256,17 +238,14 @@ func (g *Graph) interiorPauliAllH(v int) bool {
 }
 
 func (g *Graph) pivotCandidate(v int) bool {
-	if g.kind[v] != ZSpider || !phaseIsPauli(g.phase[v]) || !g.isInterior(v) {
+	if !g.interiorPauliAllH(v) {
 		return false
 	}
-	for w, k := range g.adj[v] {
-		if k != Hadamard {
-			return false
-		}
+	for _, e := range g.nbrs[v] {
 		// Vertices carrying a phase-gadget leaf (degree-1 neighbor) are
 		// axes; pivoting them would tear the gadget apart and lets the
 		// gadgetizing loop run forever.
-		if g.Degree(w) == 1 {
+		if g.Degree(e.to) == 1 {
 			return false
 		}
 	}
@@ -279,33 +258,27 @@ func (g *Graph) pivotCandidate(v int) bool {
 // B += φ(u), C += φ(u)+φ(v)+π.
 func (g *Graph) pivot(u, v int) {
 	pu, pv := g.phase[u], g.phase[v]
-	inU := g.adj[u]
-	inV := g.adj[v]
+	// Merge the two sorted neighbour lists into sorted A, B and C.
+	nu, nv := g.nbrs[u], g.nbrs[v]
 	var a, b, c []int
-	for w := range inU {
-		if w == v {
-			continue
-		}
-		if _, shared := inV[w]; shared {
-			c = append(c, w)
-		} else {
-			a = append(a, w)
+	for i, j := 0, 0; i < len(nu) || j < len(nv); {
+		switch {
+		case j == len(nv) || i < len(nu) && nu[i].to < nv[j].to:
+			if nu[i].to != v {
+				a = append(a, nu[i].to)
+			}
+			i++
+		case i == len(nu) || nv[j].to < nu[i].to:
+			if nv[j].to != u {
+				b = append(b, nv[j].to)
+			}
+			j++
+		default:
+			c = append(c, nu[i].to)
+			i++
+			j++
 		}
 	}
-	for w := range inV {
-		if w == u {
-			continue
-		}
-		if _, shared := inU[w]; !shared {
-			b = append(b, w)
-		}
-	}
-	// The toggles and phase shifts below are commutative, but sorted
-	// sets keep the rewrite trace (and any future order-sensitive use)
-	// independent of map iteration order.
-	sort.Ints(a)
-	sort.Ints(b)
-	sort.Ints(c)
 	for _, x := range a {
 		for _, y := range b {
 			g.toggleHEdge(x, y)
