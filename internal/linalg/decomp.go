@@ -82,6 +82,120 @@ func luSolvePermuted(lu *Matrix, x []complex128) {
 	}
 }
 
+// smithDiv holds the divisor-only half of Go's complex division by m
+// (runtime complex128div, Smith's algorithm), so that dividing many
+// numerators by one m computes the ratio and denominator once.
+type smithDiv struct {
+	m            complex128
+	ratio, denom float64
+	realMajor    bool // |real(m)| ≥ |imag(m)|
+}
+
+func newSmithDiv(m complex128) smithDiv {
+	if math.Abs(real(m)) >= math.Abs(imag(m)) {
+		ratio := imag(m) / real(m)
+		return smithDiv{m: m, ratio: ratio, denom: real(m) + ratio*imag(m), realMajor: true}
+	}
+	ratio := real(m) / imag(m)
+	return smithDiv{m: m, ratio: ratio, denom: imag(m) + ratio*real(m)}
+}
+
+// div returns n/m bit for bit as Go's n/m: the runtime's Smith
+// quotient, and on the NaN/NaN outcome, where the runtime applies its
+// C99 infinity and zero corrections, the runtime's own division.
+func (d *smithDiv) div(n complex128) complex128 {
+	var e, f float64
+	if d.realMajor {
+		e = (real(n) + imag(n)*d.ratio) / d.denom
+		f = (imag(n) - real(n)*d.ratio) / d.denom
+	} else {
+		e = (real(n)*d.ratio + imag(n)) / d.denom
+		f = (imag(n)*d.ratio - real(n)) / d.denom
+	}
+	if math.IsNaN(e) && math.IsNaN(f) {
+		return n / d.m
+	}
+	return complex(e, f)
+}
+
+// luSolveSmall solves den·X = num into dst for n ≤ 8: luFactor on den
+// in place, then luSolvePermuted on every column of num, with the same
+// operations in the same order. The pivots and their Smith divisors
+// live on the stack; each pivot's divisor serves both its column of
+// multipliers and its row of the back substitution. The columns are
+// solved together, row by row, which reorders no column's own sums.
+//
+//epoc:hot
+func luSolveSmall(dst, den, num []complex128, n int) {
+	var piv [8]int
+	var divs [8]smithDiv
+	for i := 0; i < n; i++ {
+		piv[i] = i
+	}
+	for k := 0; k < n; k++ {
+		p := k
+		best := cmplx.Abs(den[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if a := cmplx.Abs(den[i*n+k]); a > best {
+				best = a
+				p = i
+			}
+		}
+		//epoc:lint-ignore floatcmp pivot magnitude exactly 0 means structurally singular
+		if best == 0 {
+			panic("linalg: Expm Padé denominator singular")
+		}
+		rowK := den[k*n : k*n+n]
+		if p != k {
+			rowP := den[p*n : p*n+n]
+			for j := range rowK {
+				rowK[j], rowP[j] = rowP[j], rowK[j]
+			}
+			piv[p], piv[k] = piv[k], piv[p]
+		}
+		divs[k] = newSmithDiv(rowK[k])
+		for i := k + 1; i < n; i++ {
+			rowI := den[i*n : i*n+n]
+			f := divs[k].div(rowI[k])
+			rowI[k] = f
+			//epoc:lint-ignore floatcmp exact-zero sparsity fast path; elimination of a zero entry is a no-op
+			if f == 0 {
+				continue
+			}
+			for j := k + 1; j < n; j++ {
+				rowI[j] -= f * rowK[j]
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		copy(dst[i*n:i*n+n], num[piv[i]*n:piv[i]*n+n])
+	}
+	// Forward substitution (L is unit lower), all columns at once.
+	for i := 1; i < n; i++ {
+		l := den[i*n : i*n+i]
+		xi := dst[i*n : i*n+n]
+		for col := range xi {
+			var s complex128
+			for j, lv := range l {
+				s += lv * dst[j*n+col]
+			}
+			xi[col] -= s
+		}
+	}
+	// Back substitution.
+	for i := n - 1; i >= 0; i-- {
+		ur := den[i*n+i+1 : i*n+n]
+		xi := dst[i*n : i*n+n]
+		for col := range xi {
+			var s complex128
+			for j, uv := range ur {
+				s += uv * dst[(i+1+j)*n+col]
+			}
+			xi[col] = divs[i].div(xi[col] - s)
+		}
+	}
+}
+
 // QRDecompose computes a Householder QR factorization A = Q·R with Q
 // unitary and R upper triangular. A must have Rows >= Cols.
 func QRDecompose(a *Matrix) (q, r *Matrix) {

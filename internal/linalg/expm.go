@@ -27,8 +27,6 @@ func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != a.Cols {
 		panic("linalg: ExpmInto shape mismatch")
 	}
-	mark := ws.Mark()
-	defer ws.Rewind(mark)
 	n := a.Rows
 	norm := a.OneNorm()
 
@@ -41,13 +39,29 @@ func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 
 	for _, p := range table[:4] {
 		if norm <= p.theta {
-			padeInto(ws, dst, a, p.m)
+			// The unscaled low orders: GRAPE's slice steps, on the
+			// stack at the qubit dimensions 2, 4 and 8.
+			switch n {
+			case 2:
+				var s [padeTemps * 4]complex128
+				padeSmall(dst.Data, a.Data, s[:], 2, p.m)
+			case 4:
+				var s [padeTemps * 16]complex128
+				padeSmall(dst.Data, a.Data, s[:], 4, p.m)
+			case 8:
+				var s [padeTemps * 64]complex128
+				padeSmall(dst.Data, a.Data, s[:], 8, p.m)
+			default:
+				padeInto(ws, dst, a, p.m)
+			}
 			return
 		}
 	}
 	// Scale so the norm falls below theta13, square back afterwards:
 	// the scaling-and-squaring core. The squaring loop ping-pongs
 	// between dst and one workspace buffer, so no product allocates.
+	mark := ws.Mark()
+	defer ws.Rewind(mark)
 	s := 0
 	if norm > table[4].theta {
 		s = int(math.Ceil(math.Log2(norm / table[4].theta)))
@@ -159,6 +173,70 @@ func padeInto(ws *kernel.Workspace, dst, a *Matrix, m int) {
 			dst.Data[i*n+j] = b[i]
 		}
 	}
+}
+
+// padeTemps is the number of n×n temporaries padeSmall takes from its
+// scratch: A², A⁴, A⁶, A⁸, and the U and V sums.
+const padeTemps = 6
+
+// padeSmall is padeInto's low-order branch (m ≤ 9) with every
+// temporary in the caller's scratch (padeTemps·n² entries, typically a
+// stack array), bit for bit. It skips three things padeInto does, none
+// of which changes a bit of the result:
+//
+//   - padeInto's first power is I·A², equal to A² except that a zero
+//     component may carry the other sign; this path uses A² itself.
+//   - padeInto adds c₁·I and c₀·I by Axpy over all n² entries; this
+//     path starts the diagonal at c₁ and c₀ and the rest at +0, as
+//     those Axpys leave them.
+//   - padeInto scales each power by the complex c_k + 0i and adds it in
+//     its own pass; this path forms each entry's U and V sums in one
+//     pass, in the same order, scaling by the real c_k.
+//
+// Those differ from padeInto's terms at most in the sign of a zero
+// component. Both sums start at +0, and a sum of finite terms that
+// starts at +0 never becomes −0 (x + (−x) rounds to +0), so adding a
+// zero of either sign leaves it unchanged. Inputs reach this path only
+// when ‖A‖₁ ≤ θ₉, so they are finite. The LU solve (luSolveSmall)
+// repeats luFactor and luSolvePermuted operation for operation.
+//
+//epoc:hot
+func padeSmall(dst, a, scratch []complex128, n, m int) {
+	c := padeCoeffs(m)
+	nn := n * n
+	// pows[k-1] = A^{2k}; U and V need A², …, A^{m-1}.
+	pows := [4][]complex128{scratch[:nn], scratch[nn : 2*nn], scratch[2*nn : 3*nn], scratch[3*nn : 4*nn]}
+	usum, v := scratch[4*nn:5*nn], scratch[5*nn:6*nn]
+	np := m / 2
+	kernel.MatMul(nil, pows[0], a, a, n, n, n)
+	for k := 1; k < np; k++ {
+		kernel.MatMul(nil, pows[k], pows[k-1], pows[0], n, n, n)
+	}
+	for r := 0; r < n; r++ {
+		for col := 0; col < n; col++ {
+			i := r*n + col
+			var us, vs complex128
+			if r == col {
+				us, vs = complex(c[1], 0), complex(c[0], 0)
+			}
+			for k := 1; k <= np; k++ {
+				p := pows[k-1][i]
+				us += complex(c[2*k+1]*real(p), c[2*k+1]*imag(p))
+				vs += complex(c[2*k]*real(p), c[2*k]*imag(p))
+			}
+			usum[i], v[i] = us, vs
+		}
+	}
+	// U = A·usum into A²'s slot; then num = V + U overwrites usum and
+	// the denominator V - U overwrites V.
+	u := pows[0]
+	kernel.MatMul(nil, u, a, usum, n, n, n)
+	num, den := usum, v
+	for i := range num {
+		vi, ui := v[i], u[i]
+		num[i], den[i] = vi+ui, vi-ui
+	}
+	luSolveSmall(dst, den, num, n)
 }
 
 // lincomb3 sets dst = s1·m1 + s2·m2 + s3·m3 element-wise.

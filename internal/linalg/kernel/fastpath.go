@@ -66,6 +66,50 @@ func mul8(dst, a, b *[64]complex128) {
 	}
 }
 
+// adjMul4 computes dst = a†·b for 4×4, bit for bit as adjMul: each
+// entry starts at +0 and adds conj(a[p][i])·b[p][j] for p ascending.
+// The leading +0 is kept, because it turns a −0 first term into +0.
+func adjMul4(dst, a, b *[16]complex128) {
+	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+	b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
+	b8, b9, b10, b11 := b[8], b[9], b[10], b[11]
+	b12, b13, b14, b15 := b[12], b[13], b[14], b[15]
+	c0, c1, c2, c3 := conj(a[0]), conj(a[4]), conj(a[8]), conj(a[12])
+	dst[0] = 0 + c0*b0 + c1*b4 + c2*b8 + c3*b12
+	dst[1] = 0 + c0*b1 + c1*b5 + c2*b9 + c3*b13
+	dst[2] = 0 + c0*b2 + c1*b6 + c2*b10 + c3*b14
+	dst[3] = 0 + c0*b3 + c1*b7 + c2*b11 + c3*b15
+	c0, c1, c2, c3 = conj(a[1]), conj(a[5]), conj(a[9]), conj(a[13])
+	dst[4] = 0 + c0*b0 + c1*b4 + c2*b8 + c3*b12
+	dst[5] = 0 + c0*b1 + c1*b5 + c2*b9 + c3*b13
+	dst[6] = 0 + c0*b2 + c1*b6 + c2*b10 + c3*b14
+	dst[7] = 0 + c0*b3 + c1*b7 + c2*b11 + c3*b15
+	c0, c1, c2, c3 = conj(a[2]), conj(a[6]), conj(a[10]), conj(a[14])
+	dst[8] = 0 + c0*b0 + c1*b4 + c2*b8 + c3*b12
+	dst[9] = 0 + c0*b1 + c1*b5 + c2*b9 + c3*b13
+	dst[10] = 0 + c0*b2 + c1*b6 + c2*b10 + c3*b14
+	dst[11] = 0 + c0*b3 + c1*b7 + c2*b11 + c3*b15
+	c0, c1, c2, c3 = conj(a[3]), conj(a[7]), conj(a[11]), conj(a[15])
+	dst[12] = 0 + c0*b0 + c1*b4 + c2*b8 + c3*b12
+	dst[13] = 0 + c0*b1 + c1*b5 + c2*b9 + c3*b13
+	dst[14] = 0 + c0*b2 + c1*b6 + c2*b10 + c3*b14
+	dst[15] = 0 + c0*b3 + c1*b7 + c2*b11 + c3*b15
+}
+
+// adjMul8 computes dst = a†·b for 8×8 in adjMul's summation order,
+// one row of dst (one column of a) per outer iteration.
+func adjMul8(dst, a, b *[64]complex128) {
+	for i := 0; i < 8; i++ {
+		c0, c1, c2, c3 := conj(a[i]), conj(a[8+i]), conj(a[16+i]), conj(a[24+i])
+		c4, c5, c6, c7 := conj(a[32+i]), conj(a[40+i]), conj(a[48+i]), conj(a[56+i])
+		r := (*[8]complex128)(dst[8*i:])
+		for j := 0; j < 8; j++ {
+			r[j] = 0 + c0*b[j] + c1*b[8+j] + c2*b[16+j] + c3*b[24+j] +
+				c4*b[32+j] + c5*b[40+j] + c6*b[48+j] + c7*b[56+j]
+		}
+	}
+}
+
 // mulVec2 computes dst = a·v for 2×2.
 func mulVec2(dst *[2]complex128, a *[4]complex128, v *[2]complex128) {
 	v0, v1 := v[0], v[1]

@@ -183,10 +183,10 @@ func AdjointMul(dst, a, b []complex128, m, k, n int) {
 			adjMul(dst, a, b, 2)
 			return
 		case 4:
-			adjMul(dst, a, b, 4)
+			adjMul4((*[16]complex128)(dst), (*[16]complex128)(a), (*[16]complex128)(b))
 			return
 		case 8:
-			adjMul(dst, a, b, 8)
+			adjMul8((*[64]complex128)(dst), (*[64]complex128)(a), (*[64]complex128)(b))
 			return
 		}
 	}
@@ -210,9 +210,11 @@ func AdjointMul(dst, a, b []complex128, m, k, n int) {
 	}
 }
 
-// adjMul is AdjointMul specialized to small square n where the whole
-// product is register/L1 resident; constant trip counts let the
-// compiler unroll and eliminate bounds checks.
+// adjMul is AdjointMul for a small square n whose whole product is
+// L1 resident: the k-outer accumulation without the zero skip. n is a
+// runtime argument, so the trip counts are not constant and every
+// index is bounds-checked; n = 4 and 8 take the unrolled adjMul4 and
+// adjMul8, which sum in the same order.
 func adjMul(dst, a, b []complex128, n int) {
 	for i := range dst[:n*n] {
 		dst[i] = 0

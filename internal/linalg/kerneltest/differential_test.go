@@ -9,21 +9,6 @@ import (
 	"epoc/internal/linalg/kernel"
 )
 
-// operandClasses name every operand family the kernels must handle;
-// each generator may ignore the aspect ratio it cannot express (square
-// families use the row count).
-var operandClasses = []struct {
-	name string
-	gen  func(m, n int, rng *rand.Rand) []complex128
-}{
-	{"dense", RandomDense},
-	{"sparse10", func(m, n int, rng *rand.Rand) []complex128 { return RandomSparse(m, n, 0.1, rng) }},
-	{"unitary", func(m, n int, rng *rand.Rand) []complex128 { return RandomUnitary(m, rng) }},
-	{"hermitian", func(m, n int, rng *rand.Rand) []complex128 { return RandomHermitian(m, rng) }},
-	{"illcond", func(m, n int, rng *rand.Rand) []complex128 { return IllConditioned(m, rng) }},
-	{"denormal", Denormal},
-}
-
 // squareSizes covers every unrolled fast path (2, 4, 8), the generic
 // streaming sizes around them, and 16 as the largest size the pipeline
 // routinely exponentiates (4 qubits).
@@ -35,12 +20,12 @@ var squareSizes = []int{2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 // and a warm workspace does not change a single bit.
 func TestKernelMatMulMatchesNaive(t *testing.T) {
 	ws := kernel.NewWorkspace()
-	for _, cls := range operandClasses {
+	for _, cls := range Classes {
 		for _, n := range squareSizes {
-			t.Run(fmt.Sprintf("%s/%dx%d", cls.name, n, n), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%dx%d", cls.Name, n, n), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(n)*1000 + 7))
-				a := cls.gen(n, n, rng)
-				b := cls.gen(n, n, rng)
+				a := cls.Gen(n, n, rng)
+				b := cls.Gen(n, n, rng)
 				got := make([]complex128, n*n)
 				want := make([]complex128, n*n)
 				kernel.MatMul(nil, got, a, b, n, n, n)
@@ -86,12 +71,12 @@ func TestKernelMatMulRectangular(t *testing.T) {
 // TestKernelAdjointFusedMatchesNaive checks both adjoint-fused products
 // against their references across classes and sizes.
 func TestKernelAdjointFusedMatchesNaive(t *testing.T) {
-	for _, cls := range operandClasses {
+	for _, cls := range Classes {
 		for _, n := range squareSizes {
-			t.Run(fmt.Sprintf("%s/%d", cls.name, n), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%d", cls.Name, n), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(n)*77 + 3))
-				a := cls.gen(n, n, rng)
-				b := cls.gen(n, n, rng)
+				a := cls.Gen(n, n, rng)
+				b := cls.Gen(n, n, rng)
 				got := make([]complex128, n*n)
 				want := make([]complex128, n*n)
 				tol := SumTol(a, b, n)
@@ -114,17 +99,17 @@ func TestKernelAdjointFusedMatchesNaive(t *testing.T) {
 
 // TestKernelMulVecMatchesNaive covers the vector product fast paths.
 func TestKernelMulVecMatchesNaive(t *testing.T) {
-	for _, cls := range operandClasses {
+	for _, cls := range Classes {
 		for _, n := range squareSizes {
 			rng := rand.New(rand.NewSource(int64(n)*13 + 1))
-			a := cls.gen(n, n, rng)
+			a := cls.Gen(n, n, rng)
 			v := RandomDense(n, 1, rng)
 			got := make([]complex128, n)
 			want := make([]complex128, n)
 			kernel.MulVec(got, a, v, n, n)
 			NaiveMulVec(want, a, v, n, n)
 			if d, tol := MaxDiff(got, want), SumTol(a, v, n); d > tol {
-				t.Fatalf("%s/%d: MulVec vs naive: max diff %g > tol %g", cls.name, n, d, tol)
+				t.Fatalf("%s/%d: MulVec vs naive: max diff %g > tol %g", cls.Name, n, d, tol)
 			}
 		}
 	}

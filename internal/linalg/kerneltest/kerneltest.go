@@ -161,3 +161,68 @@ func Denormal(m, n int, rng *rand.Rand) []complex128 {
 	}
 	return out
 }
+
+// SignedZeros fills an m×n operand whose components are each +0, −0 or
+// a Gaussian with equal odds: the operands on which summation that
+// starts at +0 and summation that starts at its first term differ.
+func SignedZeros(m, n int, rng *rand.Rand) []complex128 {
+	part := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		}
+		return rng.NormFloat64()
+	}
+	out := make([]complex128, m*n)
+	for i := range out {
+		out[i] = complex(part(), part())
+	}
+	return out
+}
+
+// NonFinite is a dense operand with a NaN, a +Inf and a −Inf component
+// planted at random entries.
+func NonFinite(m, n int, rng *rand.Rand) []complex128 {
+	out := RandomDense(m, n, rng)
+	out[rng.Intn(len(out))] = complex(math.NaN(), 1)
+	out[rng.Intn(len(out))] = complex(0, math.Inf(1))
+	out[rng.Intn(len(out))] = complex(math.Inf(-1), -2)
+	return out
+}
+
+// Class is a named operand family; each generator may ignore the
+// aspect ratio it cannot express (square families use the row count).
+type Class struct {
+	Name string
+	Gen  func(m, n int, rng *rand.Rand) []complex128
+}
+
+// Classes are the finite operand families every kernel must handle.
+var Classes = []Class{
+	{"dense", RandomDense},
+	{"sparse10", func(m, n int, rng *rand.Rand) []complex128 { return RandomSparse(m, n, 0.1, rng) }},
+	{"unitary", func(m, n int, rng *rand.Rand) []complex128 { return RandomUnitary(m, rng) }},
+	{"hermitian", func(m, n int, rng *rand.Rand) []complex128 { return RandomHermitian(m, rng) }},
+	{"illcond", func(m, n int, rng *rand.Rand) []complex128 { return IllConditioned(m, rng) }},
+	{"denormal", Denormal},
+	{"signedzero", SignedZeros},
+}
+
+// BitEqual reports whether x and y hold the same bits, entry by entry,
+// and otherwise the first index where they differ. +0 and −0 differ.
+// Any NaN equals any other: an operation on two NaNs returns one of
+// their payloads, and the compiler may order the operands of a
+// commutative operation either way.
+func BitEqual(x, y []complex128) (int, bool) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for i := range x {
+		if !same(real(x[i]), real(y[i])) || !same(imag(x[i]), imag(y[i])) {
+			return i, false
+		}
+	}
+	return -1, true
+}

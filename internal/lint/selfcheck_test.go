@@ -98,9 +98,10 @@ func TestSuiteRoster(t *testing.T) {
 func TestHotAnnotationsPresent(t *testing.T) {
 	mod, modPath := loadRepo(t)
 	want := map[string][]string{
-		"internal/qoc": {"grapeFrom", "traceProduct", "update", "stepInto", "slotHamiltonianInto"},
+		"internal/qoc": {"grapeFrom", "traceProduct", "update", "stepInto", "slotHamiltonianInto",
+			"evaluate", "step", "suffixes", "rhoInto"},
 		"internal/linalg": {"Transpose", "Adjoint", "Kron", "EigHermitianInto", "ExpIHermitianInto", "ExpIFromEigInto",
-			"ExpmInto", "padeInto", "luFactor", "luSolvePermuted"},
+			"ExpmInto", "padeInto", "luFactor", "luSolvePermuted", "padeSmall", "luSolveSmall"},
 		"internal/opt":      {"LBFGS"},
 		"internal/densesim": {"ApplyUnitary"},
 	}

@@ -104,10 +104,10 @@ const adamStep = 0.02
 // grapeFrom runs the GRAPE ascent from an explicit initial amplitude
 // schedule (mutated in place as the working buffer). The ascent loop
 // is the pipeline's hottest path: all per-iteration memory comes from
-// the propagator cache and the per-run kernel workspace allocated up
-// front, never from this loop body, and the propagator cache recomputes
-// only the slices whose controls actually changed since the previous
-// iteration (saturated or warm-started slices are reused).
+// the ascent state allocated up front (newAscent), never from this
+// loop body, and the propagator cache recomputes only the slices whose
+// controls actually changed since the previous iteration (saturated or
+// warm-started slices are reused).
 //
 //epoc:hot
 func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfig) Result {
@@ -115,20 +115,10 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 	if target.Rows != m.Dim() {
 		panic("qoc: target dimension does not match model")
 	}
-	nc := len(m.Controls)
-	dim := m.Dim()
 	slots := len(amps)
 	rec := cfg.Region.Recorder()
-
-	mAdam := makeGrid(slots, nc)
-	vAdam := makeGrid(slots, nc)
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-	ws := kernel.NewWorkspace()
-	props := newPropCache(m, slots, ws)
-	left := linalg.NewMatrix(dim, dim)
-	rl := linalg.NewMatrix(dim, dim)
-	bestAmps := makeGrid(slots, nc)
+	a := newAscent(m, target, amps)
+	bestAmps := makeGrid(slots, len(m.Controls))
 	haveBest := false
 
 	best := Result{Fidelity: -1}
@@ -136,12 +126,8 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 	iter := 0
 	var stop error
 	for ; iter < cfg.MaxIter; iter++ {
-		// Forward propagation through the cache: unchanged slices keep
-		// their step unitaries, prefix/suffix products rebuild only
-		// from the first/last changed slice inward.
-		u := props.update(amps)
-		z := linalg.HSInner(target, u) // tr(target†·U)
-		fid = cmplx.Abs(z) / float64(dim)
+		z := a.evaluate()
+		fid = cmplx.Abs(z) / float64(m.Dim())
 		rec.Sample("qoc/grape/fidelity", fid)
 		if fid > best.Fidelity {
 			best.Fidelity = fid
@@ -163,43 +149,12 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 			stop = faultclock.ErrBudget
 			break
 		}
-
-		// Gradients: dz/du_{k,j} = -i·Dt·tr(target†·suffix_{k+1}·H_j·step_k·prefix_k)
-		//                       = -i·Dt·tr(M_k·H_j·Nk) with trace cycling.
-		// dF/du = Re(conj(z)·dz/du)/(|z|·dim).
-		zConj := cmplx.Conj(z)
-		zAbs := cmplx.Abs(z)
-		if zAbs < 1e-14 {
-			zAbs = 1e-14
+		if haveBest && iter+1 == cfg.MaxIter {
+			// The last iteration: the result is bestAmps, and no
+			// evaluation follows to read a stepped amps.
+			continue
 		}
-		// Adam's bias corrections depend only on the iteration.
-		bc1 := 1 - math.Pow(beta1, float64(iter+1))
-		bc2 := 1 - math.Pow(beta2, float64(iter+1))
-		for k := 0; k < slots; k++ {
-			// left = target†·suffix_{k+1} (adjoint fused, never
-			// materialized); right = step_k·prefix_k = prefix_{k+1}.
-			linalg.AdjointMulInto(left, target, props.suffix[k+1])
-			right := props.prefix[k+1]
-			// tr(left·H_j·right) = tr((right·left)·H_j)
-			linalg.MulInto(ws, rl, right, left)
-			for j := 0; j < nc; j++ {
-				tr := traceProduct(rl, m.Controls[j])
-				dz := complex(0, -m.Dt) * tr
-				grad := real(zConj*dz) / (zAbs * float64(dim))
-				// Adam ascent step (maximize fidelity).
-				mAdam[k][j] = beta1*mAdam[k][j] + (1-beta1)*grad
-				vAdam[k][j] = beta2*vAdam[k][j] + (1-beta2)*grad*grad
-				mh := mAdam[k][j] / bc1
-				vh := vAdam[k][j] / bc2
-				amps[k][j] += adamStep * m.MaxAmp[j] * mh / (math.Sqrt(vh) + eps)
-				// Project onto the hardware amplitude bound.
-				if amps[k][j] > m.MaxAmp[j] {
-					amps[k][j] = m.MaxAmp[j]
-				} else if amps[k][j] < -m.MaxAmp[j] {
-					amps[k][j] = -m.MaxAmp[j]
-				}
-			}
-		}
+		a.step(iter, z)
 	}
 	best.Slots = slots
 	best.Duration = float64(slots) * m.Dt
@@ -229,6 +184,100 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 	return best
 }
 
+// ascent is the working state of one GRAPE run: the amplitude
+// schedule it moves, Adam's moment grids, the propagator cache and the
+// gradient's scratch, all allocated by newAscent. An iteration is
+// evaluate then step, and neither allocates.
+type ascent struct {
+	m            *Model
+	target       *linalg.Matrix
+	amps         [][]float64 // [slot][control], moved in place
+	mAdam, vAdam [][]float64
+	ws           *kernel.Workspace
+	props        *propCache
+	left         *linalg.Matrix
+	rho          []complex128   // the entries of ρ the controls touch
+	dense        *linalg.Matrix // ρ in full, where no fixed-size order applies
+}
+
+func newAscent(m *Model, target *linalg.Matrix, amps [][]float64) *ascent {
+	dim, slots, nc := m.Dim(), len(amps), len(m.Controls)
+	ws := kernel.NewWorkspace()
+	a := &ascent{
+		m:      m,
+		target: target,
+		amps:   amps,
+		mAdam:  makeGrid(slots, nc),
+		vAdam:  makeGrid(slots, nc),
+		ws:     ws,
+		props:  newPropCache(m, slots, ws),
+		left:   linalg.NewMatrix(dim, dim),
+		rho:    make([]complex128, len(m.touched)),
+	}
+	if dim != 2 && dim != 4 && dim != 8 {
+		a.dense = linalg.NewMatrix(dim, dim)
+	}
+	return a
+}
+
+// evaluate propagates the current schedule through the cache and
+// returns z = tr(target†·U). Unchanged slices keep their step
+// unitaries, and the prefix products rebuild only from the first
+// changed slice on.
+//
+//epoc:hot
+func (a *ascent) evaluate() complex128 {
+	return linalg.HSInner(a.target, a.props.update(a.amps))
+}
+
+// step moves the schedule by one projected Adam ascent step along the
+// fidelity gradient, from z, the evaluation of iteration iter.
+//
+//epoc:hot
+func (a *ascent) step(iter int, z complex128) {
+	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	m := a.m
+	dim := m.Dim()
+	// Gradients: dz/du_{k,j} = -i·Dt·tr(target†·suffix_{k+1}·H_j·step_k·prefix_k)
+	//                       = -i·Dt·tr(M_k·H_j·Nk) with trace cycling.
+	// dF/du = Re(conj(z)·dz/du)/(|z|·dim).
+	a.props.suffixes()
+	zConj := cmplx.Conj(z)
+	zAbs := cmplx.Abs(z)
+	if zAbs < 1e-14 {
+		zAbs = 1e-14
+	}
+	// Adam's bias corrections depend only on the iteration.
+	bc1 := 1 - math.Pow(beta1, float64(iter+1))
+	bc2 := 1 - math.Pow(beta2, float64(iter+1))
+	for k, amps := range a.amps {
+		mAdam, vAdam := a.mAdam[k], a.vAdam[k]
+		// left = target†·suffix_{k+1} (adjoint fused, never
+		// materialized); right = step_k·prefix_k = prefix_{k+1}.
+		linalg.AdjointMulInto(a.left, a.target, a.props.suffix[k+1])
+		// tr(left·H_j·right) = tr(ρ·H_j) with ρ = right·left, of
+		// which only the entries the controls touch are formed.
+		rhoInto(a.ws, a.rho, m.touched, a.props.prefix[k+1], a.left, a.dense)
+		for j, terms := range m.terms {
+			tr := traceProduct(a.rho, terms)
+			dz := complex(0, -m.Dt) * tr
+			grad := real(zConj*dz) / (zAbs * float64(dim))
+			// Adam ascent step (maximize fidelity).
+			mAdam[j] = beta1*mAdam[j] + (1-beta1)*grad
+			vAdam[j] = beta2*vAdam[j] + (1-beta2)*grad*grad
+			mh := mAdam[j] / bc1
+			vh := vAdam[j] / bc2
+			amps[j] += adamStep * m.MaxAmp[j] * mh / (math.Sqrt(vh) + eps)
+			// Project onto the hardware amplitude bound.
+			if amps[j] > m.MaxAmp[j] {
+				amps[j] = m.MaxAmp[j]
+			} else if amps[j] < -m.MaxAmp[j] {
+				amps[j] = -m.MaxAmp[j]
+			}
+		}
+	}
+}
+
 // makeGrid allocates a zeroed slots×nc working grid (one row per time
 // slot, one column per control).
 func makeGrid(slots, nc int) [][]float64 {
@@ -239,21 +288,44 @@ func makeGrid(slots, nc int) [][]float64 {
 	return g
 }
 
-// traceProduct returns tr(a·b) without materializing the product.
+// rhoInto sets rho[t] to the entry touched[t] of a·b, bit for bit as
+// linalg.MulInto would compute it. At n = 2, 4 and 8 that is one
+// ascending sum over the shared index, seeded with its first product,
+// the order of the fixed-size kernel products. Other n form the whole
+// product in dense and gather from it.
 //
 //epoc:hot
-func traceProduct(a, b *linalg.Matrix) complex128 {
-	var s complex128
-	n := a.Rows
-	for i := 0; i < n; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		for k, av := range arow {
-			//epoc:lint-ignore floatcmp exact-zero sparsity fast path in the trace kernel
-			if av == 0 {
-				continue
-			}
-			s += av * b.Data[k*n+i]
+func rhoInto(ws *kernel.Workspace, rho []complex128, touched []rhoEntry, a, b, dense *linalg.Matrix) {
+	if dense != nil {
+		linalg.MulInto(ws, dense, a, b)
+		for t, e := range touched {
+			rho[t] = dense.Data[int(e.row)+int(e.col)]
 		}
+		return
+	}
+	n := a.Rows
+	for t, e := range touched {
+		ar := a.Data[e.row : int(e.row)+n]
+		bc := b.Data[e.col:]
+		s := ar[0] * bc[0]
+		for m := 1; m < n; m++ {
+			s += ar[m] * bc[m*n]
+		}
+		rho[t] = s
+	}
+}
+
+// traceProduct returns tr(ρ·H_j) = Σ ρ[i][k]·H_j[k][i] over the
+// control's nonzero entries, in controlPattern's order, with the
+// entries of ρ that rhoInto formed. Skipping the zero entries of H_j
+// is exact: each would add ρ[i][k]·0, a zero of either sign for finite
+// ρ, to a sum that starts at +0 and so can never be −0.
+//
+//epoc:hot
+func traceProduct(rho []complex128, terms []ctrlTerm) complex128 {
+	var s complex128
+	for _, t := range terms {
+		s += rho[t.rho] * t.v
 	}
 	return s
 }

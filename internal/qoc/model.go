@@ -18,6 +18,11 @@ import (
 
 // Model describes the controllable Hamiltonian
 // H(t) = H0 + Σ_j u_j(t)·H_j with |u_j| ≤ MaxAmp[j].
+//
+// StandardModel records each control's nonzero pattern when it builds
+// the model; the slice steps and gradients read only those entries.
+// A Model is shared read-only across workers, so its Drift and
+// Controls must not change after construction.
 type Model struct {
 	N        int
 	Drift    *linalg.Matrix
@@ -25,7 +30,25 @@ type Model struct {
 	Names    []string
 	MaxAmp   []float64
 	Dt       float64 // time-slot width in ns
+
+	// terms[j] lists the nonzero entries of Controls[j] in the order
+	// traceProduct sums them; touched lists, in ascending row-major
+	// order, every entry of the gradient's product ρ = prefix·left
+	// that some control's trace reads.
+	terms   [][]ctrlTerm
+	touched []rhoEntry
 }
+
+// ctrlTerm is one nonzero entry H_j[k][i] of a control Hamiltonian.
+type ctrlTerm struct {
+	h   int32 // k·n + i: its index in H_j
+	rho int32 // its position in Model.touched, where ρ[i][k] sits
+	v   complex128
+}
+
+// rhoEntry is one entry ρ[r][c] of the gradient product, as the row
+// offset r·n and the column c.
+type rhoEntry struct{ row, col int32 }
 
 // Dim returns the Hilbert-space dimension.
 func (m *Model) Dim() int { return 1 << m.N }
@@ -99,7 +122,48 @@ func StandardModel(n int, opts ModelOptions) *Model {
 		m.Names = append(m.Names, fmt.Sprintf("g%d.%d", e[0], e[1]))
 		m.MaxAmp = append(m.MaxAmp, opts.CouplerMax)
 	}
+	m.terms, m.touched = controlPattern(m.Controls)
 	return m
+}
+
+// controlPattern records the nonzero entries of each control, and the
+// entries of ρ their traces read. tr(ρ·H_j) = Σ ρ[i][k]·H_j[k][i] is
+// summed for i, then k, ascending, so each control's terms are sorted
+// by the position i·n + k of the ρ entry they pair with.
+func controlPattern(controls []*linalg.Matrix) ([][]ctrlTerm, []rhoEntry) {
+	if len(controls) == 0 {
+		return nil, nil
+	}
+	n := controls[0].Rows
+	used := make([]bool, n*n)
+	for _, c := range controls {
+		for h, v := range c.Data {
+			//epoc:lint-ignore floatcmp structural sparsity: only exact zeros contribute nothing to a sum
+			if v != 0 {
+				used[(h%n)*n+h/n] = true
+			}
+		}
+	}
+	var touched []rhoEntry
+	slot := make([]int32, n*n)
+	for p, ok := range used {
+		if ok {
+			slot[p] = int32(len(touched))
+			touched = append(touched, rhoEntry{row: int32(p / n * n), col: int32(p % n)})
+		}
+	}
+	terms := make([][]ctrlTerm, len(controls))
+	for j, c := range controls {
+		for i := 0; i < n; i++ {
+			for k := 0; k < n; k++ {
+				//epoc:lint-ignore floatcmp structural sparsity: only exact zeros contribute nothing to a sum
+				if v := c.Data[k*n+i]; v != 0 {
+					terms[j] = append(terms[j], ctrlTerm{h: int32(k*n + i), rho: slot[i*n+k], v: v})
+				}
+			}
+		}
+	}
+	return terms, touched
 }
 
 // Propagate returns the unitary generated by the amplitude schedule
@@ -135,8 +199,11 @@ func (m *Model) stepInto(ws *kernel.Workspace, dst, ham *linalg.Matrix, u []floa
 }
 
 // slotHamiltonianInto assembles H(u) = Drift + Σ_j u_j·H_j into the
-// caller-owned dst via axpy, with no temporaries — the form every
-// slice step assembles its Hamiltonian with.
+// caller-owned dst, with no temporaries — the form every slice step
+// assembles its Hamiltonian with. Each control adds only its nonzero
+// entries. A skipped entry would add u_j·0, a zero of either sign,
+// which changes no entry: Drift's zeros are +0, and a sum that starts
+// at +0 never becomes −0.
 //
 //epoc:hot
 func (m *Model) slotHamiltonianInto(dst *linalg.Matrix, u []float64) {
@@ -146,6 +213,9 @@ func (m *Model) slotHamiltonianInto(dst *linalg.Matrix, u []float64) {
 		if amp == 0 {
 			continue
 		}
-		dst.AddScaledInPlace(m.Controls[j], complex(amp, 0))
+		s := complex(amp, 0)
+		for _, t := range m.terms[j] {
+			dst.Data[t.h] += s * t.v
+		}
 	}
 }

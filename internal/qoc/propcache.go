@@ -37,6 +37,10 @@ type propCache struct {
 	prev [][]float64    // amplitudes each cached step was built from
 	seen []bool         // slice k has ever been computed
 
+	// stale is the highest suffix index the steps changed under since
+	// the last suffixes call (-1: the suffix chain is current).
+	stale int
+
 	// stepRecomputes counts slice propagator recomputations across the
 	// cache's lifetime — the counting-harness hook asserting that only
 	// changed slices recompute.
@@ -58,6 +62,7 @@ func newPropCache(m *Model, slots int, ws *kernel.Workspace) *propCache {
 		ham:    linalg.NewMatrix(dim, dim),
 		prev:   makeGrid(slots, len(m.Controls)),
 		seen:   make([]bool, slots),
+		stale:  -1,
 	}
 	for k := 0; k < slots; k++ {
 		p.steps[k] = linalg.NewMatrix(dim, dim)
@@ -71,9 +76,12 @@ func newPropCache(m *Model, slots int, ws *kernel.Workspace) *propCache {
 	return p
 }
 
-// update refreshes the propagator state for the given amplitude
-// schedule, recomputing only the slices whose controls changed since
-// the last call, and returns the total unitary U = prefix[slots].
+// update refreshes the steps and prefix products for the given
+// amplitude schedule, recomputing only the slices whose controls
+// changed since the last call, and returns the total unitary
+// U = prefix[slots]. The suffix chain waits for suffixes: only a
+// gradient reads it, and the iteration that reaches the target takes
+// none.
 //
 //epoc:hot
 func (p *propCache) update(amps [][]float64) *linalg.Matrix {
@@ -96,10 +104,19 @@ func (p *propCache) update(amps [][]float64) *linalg.Matrix {
 	for k := first; k < p.slots; k++ {
 		linalg.MulInto(p.ws, p.prefix[k+1], p.steps[k], p.prefix[k])
 	}
-	for k := last; k >= 0; k-- {
+	p.stale = max(p.stale, last)
+	return p.prefix[p.slots]
+}
+
+// suffixes rebuilds the suffix products the steps invalidated since
+// the last call, from the highest changed slice down to suffix[0].
+//
+//epoc:hot
+func (p *propCache) suffixes() {
+	for k := p.stale; k >= 0; k-- {
 		linalg.MulInto(p.ws, p.suffix[k], p.suffix[k+1], p.steps[k])
 	}
-	return p.prefix[p.slots]
+	p.stale = -1
 }
 
 // sameAmps reports whether a slice's control amplitudes are bitwise

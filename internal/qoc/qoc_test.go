@@ -183,7 +183,12 @@ func TestTraceProduct(t *testing.T) {
 	a := linalg.FromRows([][]complex128{{1, 2}, {3, 4}})
 	b := linalg.FromRows([][]complex128{{5, 6}, {7, 8}})
 	want := a.Mul(b).Trace()
-	if got := traceProduct(a, b); got != want {
+	terms, touched := controlPattern([]*linalg.Matrix{b})
+	rho := make([]complex128, len(touched))
+	for i, e := range touched {
+		rho[i] = a.Data[int(e.row)+int(e.col)]
+	}
+	if got := traceProduct(rho, terms[0]); got != want {
 		t.Fatalf("traceProduct %v, want %v", got, want)
 	}
 }

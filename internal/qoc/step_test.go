@@ -130,3 +130,34 @@ func BenchmarkKernelGrapeStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKernelGrapeIter times one full ascent iteration: the cached
+// forward propagation, the gradient and the Adam step, on the standard
+// 1–3 qubit models toward a Haar-random target. Every 200 iterations
+// (the pipeline's GRAPE budget) the ascent restarts from its initial
+// schedule, so the timed mix stays that of one probe.
+func BenchmarkKernelGrapeIter(b *testing.B) {
+	for _, c := range []struct{ n, slots int }{{1, 16}, {2, 48}, {3, 128}} {
+		m := StandardModel(c.n, ModelOptions{})
+		slots := c.slots
+		target := linalg.RandomUnitary(m.Dim(), rand.New(rand.NewSource(int64(c.n))))
+		init := randSchedule(m, slots, int64(c.n))
+		b.Run(fmt.Sprintf("d%d", m.Dim()), func(b *testing.B) {
+			a := newAscent(m, target, makeGrid(slots, len(m.Controls)))
+			copyAmps(a.amps, init)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				iter := i % 200
+				if iter == 0 {
+					copyAmps(a.amps, init)
+					for k := range a.mAdam {
+						clear(a.mAdam[k])
+						clear(a.vAdam[k])
+					}
+				}
+				a.step(iter, a.evaluate())
+			}
+		})
+	}
+}

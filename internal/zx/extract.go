@@ -15,6 +15,14 @@ import (
 // diagram without the expected generalized flow.
 var ErrNoExtraction = errors.New("zx: diagram admits no circuit extraction")
 
+// The three stops behind ErrNoExtraction. Each wraps it, so
+// errors.Is(err, ErrNoExtraction) holds whichever one ToCircuit hit.
+var (
+	errIterBudget     = fmt.Errorf("%w: iteration budget exhausted", ErrNoExtraction)
+	errRecoveryBudget = fmt.Errorf("%w: stall-recovery budget exhausted", ErrNoExtraction)
+	errNoPivot        = fmt.Errorf("%w: stalled frontier has no pivot to recover it", ErrNoExtraction)
+)
+
 // ToCircuit extracts a circuit from a graph-like diagram (call
 // Simplify or ToGraphLike first). The extraction walks from the
 // outputs toward the inputs, peeling off phase gates, CZs from frontier
@@ -59,7 +67,7 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 	recoveries := work.NumSpiders() + 8
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
-			return nil, ErrNoExtraction
+			return nil, errIterBudget
 		}
 		// 1. Peel phases off frontier vertices.
 		for q, v := range frontier {
@@ -177,8 +185,11 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 		if !advanced {
 			// Phase gadgets block frontier advancement; pivot one away.
 			recoveries--
-			if recoveries < 0 || !work.recoverStall(frontier, &qubitOf, inputQubit) {
-				return nil, ErrNoExtraction
+			if recoveries < 0 {
+				return nil, errRecoveryBudget
+			}
+			if !work.recoverStall(frontier, &qubitOf, inputQubit) {
+				return nil, errNoPivot
 			}
 		}
 	}
