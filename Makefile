@@ -48,7 +48,8 @@ bench:
 
 # Kernel-layer microbenchmarks (DESIGN.md §14): the unrolled/blocked
 # matmul paths and exponentials against the naive and pre-kernel
-# baselines, the cached GRAPE propagator loop, the QSearch template
+# baselines, the cached GRAPE propagator loop and one full GRAPE ascent
+# iteration (BenchmarkKernelGrapeIter, d2/d4/d8), the QSearch template
 # gradient (in-place evaluator against the dense rebuild), and the
 # stage-1 rewrite loops (incremental Peephole and resuming spider
 # fusion against their restart-from-scratch references), and the

@@ -118,6 +118,25 @@ func (d *smithDiv) div(n complex128) complex128 {
 	return complex(e, f)
 }
 
+// absGreater reports cmplx.Abs(x) > cmplx.Abs(y), luFactor's pivot
+// test, from the squared magnitudes when they settle it. In the normal
+// range each square is within 2 ulps of |z|² and each hypot within a
+// few ulps of |z|, so squares more than a relative 1e-12 apart order
+// the hypots the same way. Near ties, and outside [1e-290, 1e290]
+// (zeros, denormals, overflow, Inf and NaN), it compares the hypots.
+func absGreater(x, y complex128) bool {
+	sx, sy := absSq(x), absSq(y)
+	if sx >= 1e-290 && sx <= 1e290 && sy >= 1e-290 && sy <= 1e290 {
+		if sx > sy*(1+1e-12) {
+			return true
+		}
+		if sx*(1+1e-12) < sy {
+			return false
+		}
+	}
+	return cmplx.Abs(x) > cmplx.Abs(y)
+}
+
 // luSolveSmall solves den·X = num into dst for n ≤ 8: luFactor on den
 // in place, then luSolvePermuted on every column of num, with the same
 // operations in the same order. The pivots and their Smith divisors
@@ -134,15 +153,14 @@ func luSolveSmall(dst, den, num []complex128, n int) {
 	}
 	for k := 0; k < n; k++ {
 		p := k
-		best := cmplx.Abs(den[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if a := cmplx.Abs(den[i*n+k]); a > best {
-				best = a
+			if absGreater(den[i*n+k], den[p*n+k]) {
 				p = i
 			}
 		}
-		//epoc:lint-ignore floatcmp pivot magnitude exactly 0 means structurally singular
-		if best == 0 {
+		// luFactor's test: the pivot's magnitude is exactly 0.
+		//epoc:lint-ignore floatcmp pivot exactly 0 means structurally singular
+		if den[p*n+k] == 0 {
 			panic("linalg: Expm Padé denominator singular")
 		}
 		rowK := den[k*n : k*n+n]

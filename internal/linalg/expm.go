@@ -28,43 +28,33 @@ func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 		panic("linalg: ExpmInto shape mismatch")
 	}
 	n := a.Rows
-	norm := a.OneNorm()
-
-	// Padé approximant orders and their theta bounds.
-	type pade struct {
-		m     int
-		theta float64
-	}
-	table := []pade{{3, 1.495585217958292e-2}, {5, 2.539398330063230e-1}, {7, 9.504178996162932e-1}, {9, 2.097847961257068}, {13, 5.371920351148152}}
-
-	for _, p := range table[:4] {
-		if norm <= p.theta {
-			// The unscaled low orders: GRAPE's slice steps, on the
-			// stack at the qubit dimensions 2, 4 and 8.
-			switch n {
-			case 2:
-				var s [padeTemps * 4]complex128
-				padeSmall(dst.Data, a.Data, s[:], 2, p.m)
-			case 4:
-				var s [padeTemps * 16]complex128
-				padeSmall(dst.Data, a.Data, s[:], 4, p.m)
-			case 8:
-				var s [padeTemps * 64]complex128
-				padeSmall(dst.Data, a.Data, s[:], 8, p.m)
-			default:
-				padeInto(ws, dst, a, p.m)
-			}
-			return
+	if m := lowPadeOrder(a); m != 0 {
+		// The unscaled low orders: GRAPE's slice steps, on the stack
+		// at the qubit dimensions 2, 4 and 8.
+		switch n {
+		case 2:
+			var s [padeTemps * 4]complex128
+			padeSmall(dst.Data, a.Data, s[:], 2, m)
+		case 4:
+			var s [padeTemps * 16]complex128
+			padeSmall(dst.Data, a.Data, s[:], 4, m)
+		case 8:
+			var s [padeTemps * 64]complex128
+			padeSmall(dst.Data, a.Data, s[:], 8, m)
+		default:
+			padeInto(ws, dst, a, m)
 		}
+		return
 	}
 	// Scale so the norm falls below theta13, square back afterwards:
 	// the scaling-and-squaring core. The squaring loop ping-pongs
 	// between dst and one workspace buffer, so no product allocates.
 	mark := ws.Mark()
 	defer ws.Rewind(mark)
+	norm := a.OneNorm()
 	s := 0
-	if norm > table[4].theta {
-		s = int(math.Ceil(math.Log2(norm / table[4].theta)))
+	if norm > theta13 {
+		s = int(math.Ceil(math.Log2(norm / theta13)))
 	}
 	scaled := matrixAt(ws, n, n)
 	copy(scaled.Data, a.Data)
@@ -79,6 +69,55 @@ func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 	if cur != dst {
 		copy(dst.Data, cur.Data)
 	}
+}
+
+// The Padé orders below 13 and the 1-norm bounds θ_m up to which each
+// is accurate (Higham 2005), and θ₁₃, above which ExpmInto scales.
+var (
+	lowPadeOrders = [4]int{3, 5, 7, 9}
+	lowPadeThetas = [4]float64{1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068}
+)
+
+const theta13 = 5.371920351148152
+
+// lowPadeOrder returns the smallest order m ∈ {3, 5, 7, 9} with
+// a.OneNorm() ≤ θ_m, or 0 when the norm exceeds θ₉, without a hypot
+// per entry in the common case: for n ≤ 64 it first sums √(re² + im²)
+// instead. Each such column sum is within 150 ulps of OneNorm's (hypot
+// and the square root are each within a few ulps of |z|, and each sum
+// of at most 64 terms rounds by at most 63 ulps), so when the estimate
+// is more than a relative 1e-12 from every θ, each comparison comes out
+// as it would on OneNorm. Otherwise, or when the estimate is not
+// finite, it compares OneNorm itself. Squares that underflow lose at
+// most 64·1e-154 in all, far inside the margin.
+func lowPadeOrder(a *Matrix) int {
+	n := a.Rows
+	norm := math.NaN()
+	if n <= 64 {
+		norm = 0
+		for j := 0; j < n; j++ {
+			var s float64
+			for i := j; i < len(a.Data); i += n {
+				z := a.Data[i]
+				s += math.Sqrt(real(z)*real(z) + imag(z)*imag(z))
+			}
+			norm = max(norm, s)
+		}
+		for _, theta := range lowPadeThetas {
+			if !(math.Abs(norm-theta) > 1e-12*theta) { // also true for NaN
+				norm = math.NaN()
+			}
+		}
+	}
+	if math.IsNaN(norm) {
+		norm = a.OneNorm()
+	}
+	for k, theta := range lowPadeThetas {
+		if norm <= theta {
+			return lowPadeOrders[k]
+		}
+	}
+	return 0
 }
 
 // padeCoeffs returns the Padé numerator coefficients for order m.
@@ -193,12 +232,15 @@ const padeTemps = 6
 //     its own pass; this path forms each entry's U and V sums in one
 //     pass, in the same order, scaling by the real c_k.
 //
-// Those differ from padeInto's terms at most in the sign of a zero
-// component. Both sums start at +0, and a sum of finite terms that
-// starts at +0 never becomes −0 (x + (−x) rounds to +0), so adding a
-// zero of either sign leaves it unchanged. Inputs reach this path only
-// when ‖A‖₁ ≤ θ₉, so they are finite. The LU solve (luSolveSmall)
-// repeats luFactor and luSolvePermuted operation for operation.
+// For finite A those differ from padeInto's terms at most in the sign
+// of a zero component. Both sums start at +0, and a sum of finite terms
+// that starts at +0 never becomes −0 (x + (−x) rounds to +0), so adding
+// a zero of either sign leaves it unchanged. ExpmInto sends this path
+// no infinity (its column sum exceeds every θ), but can send it a NaN,
+// since OneNorm skips a column whose sum is NaN; then U, and with it
+// the result, is NaN in every entry here as in padeInto. The LU solve
+// (luSolveSmall) repeats luFactor and luSolvePermuted operation for
+// operation.
 //
 //epoc:hot
 func padeSmall(dst, a, scratch []complex128, n, m int) {

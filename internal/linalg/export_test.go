@@ -42,3 +42,9 @@ func SmithDiv(n, m complex128) complex128 {
 	d := newSmithDiv(m)
 	return d.div(n)
 }
+
+// LowPadeOrder is lowPadeOrder, ExpmInto's choice of unscaled order.
+func LowPadeOrder(a *Matrix) int { return lowPadeOrder(a) }
+
+// AbsGreater is absGreater, luSolveSmall's pivot comparison.
+func AbsGreater(x, y complex128) bool { return absGreater(x, y) }

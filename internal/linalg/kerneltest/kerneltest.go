@@ -166,8 +166,18 @@ func Denormal(m, n int, rng *rand.Rand) []complex128 {
 // a Gaussian with equal odds: the operands on which summation that
 // starts at +0 and summation that starts at its first term differ.
 func SignedZeros(m, n int, rng *rand.Rand) []complex128 {
+	return signedZeros(m, n, 3, rng)
+}
+
+// Zeros fills an m×n operand with +0 and −0 components at random: every
+// product and sum is then a zero whose sign is all that can differ.
+func Zeros(m, n int, rng *rand.Rand) []complex128 {
+	return signedZeros(m, n, 2, rng)
+}
+
+func signedZeros(m, n, kinds int, rng *rand.Rand) []complex128 {
 	part := func() float64 {
-		switch rng.Intn(3) {
+		switch rng.Intn(kinds) {
 		case 0:
 			return 0
 		case 1:
@@ -208,6 +218,7 @@ var Classes = []Class{
 	{"illcond", func(m, n int, rng *rand.Rand) []complex128 { return IllConditioned(m, rng) }},
 	{"denormal", Denormal},
 	{"signedzero", SignedZeros},
+	{"zeros", Zeros},
 }
 
 // BitEqual reports whether x and y hold the same bits, entry by entry,

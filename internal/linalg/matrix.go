@@ -126,15 +126,6 @@ func (m *Matrix) AddInPlace(n *Matrix) *Matrix {
 	return m
 }
 
-// AddScaledInPlace sets m = m + s·n and returns m, without the
-// temporary that Add(n.Scale(s)) would build — the axpy primitive of
-// the Hamiltonian assembly inside GRAPE's hot loop.
-func (m *Matrix) AddScaledInPlace(n *Matrix, s complex128) *Matrix {
-	checkSameShape(m, n)
-	kernel.Axpy(m.Data, n.Data, s)
-	return m
-}
-
 // CopyFrom copies n's elements into m (shapes must match) and returns
 // m, reusing m's storage.
 func (m *Matrix) CopyFrom(n *Matrix) *Matrix {

@@ -99,8 +99,9 @@ func (p *propCache) update(amps [][]float64) *linalg.Matrix {
 		}
 		last = k
 	}
-	// Prefix entries before the first changed slice and suffix entries
-	// after the last changed one are still valid; rebuild the rest.
+	// Prefix entries before the first changed slice are still valid;
+	// rebuild the rest. Suffix entries after the last changed slice
+	// stay valid too, and suffixes rebuilds the others.
 	for k := first; k < p.slots; k++ {
 		linalg.MulInto(p.ws, p.prefix[k+1], p.steps[k], p.prefix[k])
 	}
