@@ -53,11 +53,13 @@ bench:
 # gradient (in-place evaluator against the dense rebuild), and the
 # stage-1 rewrite loops (incremental Peephole and resuming spider
 # fusion against their restart-from-scratch references), and the
-# state-vector stride kernels against the bit-spreading reference.
+# state-vector stride kernels against the bit-spreading reference, and
+# a repeat compile on a warmed shared store at two store sizes (its
+# ns/op should not grow with the store).
 # -benchmem makes the zero-allocation claim visible in the output.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix' \
-		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix|^BenchmarkRepeatCompileWarmStore' \
+		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim ./internal/core
 
 # Machine-readable benchmark artifact: the small suite (Table 1
 # circuits, estimate mode) as bench/BENCH_small.json. Deterministic

@@ -73,11 +73,13 @@ func storeConfig(o *Options) map[string]string {
 
 // attachStore resolves the compile's store: Options.Store when its
 // namespace matches this configuration, else a store opened from
-// StorePath (owned by this compile and closed by detachStore). A
+// StorePath (owned by this compile and closed after its harvest). A
 // shared store whose namespace does not match is dropped for this
 // compile — its records were produced under other knobs, and warming
 // from them would be exactly the cache poisoning the namespace exists
-// to prevent.
+// to prevent. It then warms the compile's caches from the store, which
+// warms each library and cache once: on a shared store that already
+// warmed them, this is two map lookups.
 func attachStore(o *Options) (owned *store.Store, err error) {
 	ns := store.Namespace(storeConfig(o))
 	if o.Store != nil && o.Store.Namespace() != ns {
@@ -104,11 +106,12 @@ func attachStore(o *Options) (owned *store.Store, err error) {
 	return owned, nil
 }
 
-// harvestStore persists what the compile learned: every new library
-// and cache entry is staged and flushed. A flush failure never fails
-// the compile — the result in hand is valid — it is counted and the
-// entries stay staged for the next flush (or are lost with the
-// process, which is the cold-start status quo).
+// harvestStore persists what the compile learned: every library and
+// cache entry added since the store's last harvest of them is staged
+// and flushed. A flush failure never fails the compile — the result in
+// hand is valid — it is counted and the entries stay staged for the
+// next flush (or are lost with the process, which is the cold-start
+// status quo).
 func harvestStore(o *Options) {
 	if o.Store == nil {
 		return
@@ -136,7 +139,9 @@ const warmStartMaxDist = 0.75
 // The snapshot — not the live library — is what every pulse consults,
 // so pulses that concurrent compiles store into a shared library cannot
 // change a later pulse's warm choice, and the output stays
-// byte-identical at any worker count.
+// byte-identical at any worker count. The entries are the library's
+// cached Export snapshot, shared with every other caller, so they are
+// only read.
 func snapshotWarmCands(o *Options) {
 	entries := o.Library.Export()
 	if len(entries) == 0 {

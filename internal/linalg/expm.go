@@ -49,9 +49,18 @@ func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 	// Scale so the norm falls below theta13, square back afterwards:
 	// the scaling-and-squaring core. The squaring loop ping-pongs
 	// between dst and one workspace buffer, so no product allocates.
+	norm := a.OneNorm()
+	if !(norm <= math.MaxFloat64) {
+		// A NaN or infinite norm has no scaling exponent (converting
+		// it to int is undefined), and e^A has no finite entries to
+		// give: answer NaN in every entry.
+		for i := range dst.Data {
+			dst.Data[i] = complex(math.NaN(), math.NaN())
+		}
+		return
+	}
 	mark := ws.Mark()
 	defer ws.Rewind(mark)
-	norm := a.OneNorm()
 	s := 0
 	if norm > theta13 {
 		s = int(math.Ceil(math.Log2(norm / theta13)))
@@ -90,6 +99,12 @@ const theta13 = 5.371920351148152
 // as it would on OneNorm. Otherwise, or when the estimate is not
 // finite, it compares OneNorm itself. Squares that underflow lose at
 // most 64·1e-154 in all, far inside the margin.
+//
+// A NaN entry makes OneNorm NaN, and the order is then chosen from the
+// other entries (nonNaNNorm): NaN reaches every entry of the result at
+// any order (see padeSmall), so the order bears only on cost. An
+// infinite entry, or a matrix with no entry that is not NaN, takes no
+// low order, and ExpmInto answers it without a Padé step.
 func lowPadeOrder(a *Matrix) int {
 	n := a.Rows
 	norm := math.NaN()
@@ -110,7 +125,7 @@ func lowPadeOrder(a *Matrix) int {
 		}
 	}
 	if math.IsNaN(norm) {
-		norm = a.OneNorm()
+		norm = nonNaNNorm(a)
 	}
 	for k, theta := range lowPadeThetas {
 		if norm <= theta {
@@ -118,6 +133,26 @@ func lowPadeOrder(a *Matrix) int {
 		}
 	}
 	return 0
+}
+
+// nonNaNNorm is OneNorm over the entries whose magnitude is not NaN,
+// summed in OneNorm's order, or NaN when there is no such entry.
+func nonNaNNorm(a *Matrix) float64 {
+	norm, seen := 0.0, false
+	for j := 0; j < a.Cols; j++ {
+		var s float64
+		for i := j; i < len(a.Data); i += a.Cols {
+			if v := cmplx.Abs(a.Data[i]); !math.IsNaN(v) {
+				s += v
+				seen = true
+			}
+		}
+		norm = max(norm, s)
+	}
+	if !seen {
+		return math.NaN()
+	}
+	return norm
 }
 
 // padeCoeffs returns the Padé numerator coefficients for order m.
@@ -237,10 +272,10 @@ const padeTemps = 6
 // that starts at +0 never becomes −0 (x + (−x) rounds to +0), so adding
 // a zero of either sign leaves it unchanged. ExpmInto sends this path
 // no infinity (its column sum exceeds every θ), but can send it a NaN,
-// since OneNorm skips a column whose sum is NaN; then U, and with it
-// the result, is NaN in every entry here as in padeInto. The LU solve
-// (luSolveSmall) repeats luFactor and luSolvePermuted operation for
-// operation.
+// since lowPadeOrder chooses the order from the entries that are not
+// NaN; then U, and with it the result, is NaN in every entry here as
+// in padeInto. The LU solve (luSolveSmall) repeats luFactor and
+// luSolvePermuted operation for operation.
 //
 //epoc:hot
 func padeSmall(dst, a, scratch []complex128, n, m int) {

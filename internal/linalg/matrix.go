@@ -255,7 +255,8 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// OneNorm returns the maximum absolute column sum.
+// OneNorm returns the maximum absolute column sum, or NaN when an
+// entry's magnitude is NaN.
 func (m *Matrix) OneNorm() float64 {
 	var mx float64
 	for j := 0; j < m.Cols; j++ {
@@ -263,9 +264,10 @@ func (m *Matrix) OneNorm() float64 {
 		for i := 0; i < m.Rows; i++ {
 			s += cmplx.Abs(m.Data[i*m.Cols+j])
 		}
-		if s > mx {
-			mx = s
+		if math.IsNaN(s) {
+			return s
 		}
+		mx = max(mx, s)
 	}
 	return mx
 }

@@ -159,6 +159,46 @@ func TestNorms(t *testing.T) {
 	}
 }
 
+// TestOneNormNaN: a NaN entry makes the norm NaN wherever its column
+// falls, so a caller that gates on OneNorm cannot read a NaN matrix as
+// a small one.
+func TestOneNormNaN(t *testing.T) {
+	for _, pos := range []int{0, 1, 2, 3} {
+		for _, z := range []complex128{complex(math.NaN(), 0), complex(0, math.NaN())} {
+			a := FromRows([][]complex128{{0.01, 5}, {0.02, 7}})
+			a.Data[pos] = z
+			if n := a.OneNorm(); !math.IsNaN(n) {
+				t.Fatalf("NaN %v at entry %d: OneNorm %v, want NaN", z, pos, n)
+			}
+		}
+	}
+}
+
+// TestExpmIntoNonFiniteNorm: a matrix whose norm is NaN or infinite and
+// that takes no low Padé order has no scaling exponent; ExpmInto
+// answers NaN in every entry instead of converting the norm to int.
+func TestExpmIntoNonFiniteNorm(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]*Matrix{
+		"all-nan":     FromRows([][]complex128{{complex(nan, nan), complex(nan, 0)}, {complex(0, nan), complex(nan, nan)}}),
+		"nan-and-inf": FromRows([][]complex128{{complex(nan, 0), 0}, {0, complex(inf, 0)}}),
+		"nan-large":   FromRows([][]complex128{{complex(nan, 0), 0}, {0, 40}}),
+		"inf":         FromRows([][]complex128{{complex(-inf, 0), 0}, {0, 1}}),
+	}
+	for name, a := range cases {
+		if m := lowPadeOrder(a); m != 0 {
+			t.Fatalf("%s: low Padé order %d, want the scaling path", name, m)
+		}
+		dst := NewMatrix(2, 2)
+		ExpmInto(nil, dst, a)
+		for i, v := range dst.Data {
+			if !math.IsNaN(real(v)) || !math.IsNaN(imag(v)) {
+				t.Fatalf("%s: entry %d is %v, want NaN", name, i, v)
+			}
+		}
+	}
+}
+
 func TestIsUnitaryIsHermitian(t *testing.T) {
 	h := FromRows([][]complex128{{1, 2i}, {-2i, 5}})
 	if !h.IsHermitian(tol) {

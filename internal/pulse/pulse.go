@@ -7,7 +7,9 @@
 package pulse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -127,26 +129,36 @@ func (s *Schedule) String() string {
 // compilations (the long-lived server in internal/serve shares one
 // process-wide). Unlike synth.Cache it does not coalesce in-flight
 // work: two concurrent compiles that miss on the same unitary both
-// run QOC and both store — duplicate effort, never a wrong pulse.
-// The library keeps no hit/miss tally: a shared library's totals mix
-// every compile's lookups, so each compile counts its own in
-// core.Stats.
+// run QOC and both store. The library keeps one canonical entry per
+// verified-equal unitary (see prefer), so which of the two it serves
+// does not depend on their timing, and neither does what a restart
+// warmed from their records serves. The library keeps no hit/miss
+// tally: a shared library's totals mix every compile's lookups, so
+// each compile counts its own in core.Stats.
+//
+// A library never drops an entry; an entry changes only when a
+// preferred pulse replaces it. Every new or replacing entry is
+// appended to an insertion log, which ExportSince reads from a
+// position, so a persistent store harvests only what is new.
 type Library struct {
 	MatchGlobalPhase bool
 
 	mu      sync.Mutex
-	entries map[string][]libEntry
+	entries map[string][]*libEntry
+	log     []*libEntry // insertion log, replaced entries included
+	snap    []Entry     // Export's snapshot; nil until rebuilt after a change
 }
 
 type libEntry struct {
-	u *linalg.Matrix
-	p *Pulse
+	u        *linalg.Matrix
+	p        *Pulse
+	replaced bool // a preferred pulse took this entry's place
 }
 
 // NewLibrary returns an empty library; matchGlobalPhase selects the
 // EPOC keying behaviour.
 func NewLibrary(matchGlobalPhase bool) *Library {
-	return &Library{MatchGlobalPhase: matchGlobalPhase, entries: map[string][]libEntry{}}
+	return &Library{MatchGlobalPhase: matchGlobalPhase, entries: map[string][]*libEntry{}}
 }
 
 // Key is a unitary's lookup key: its fingerprint under a library's
@@ -178,10 +190,10 @@ func (l *Library) Key(u *linalg.Matrix) Key {
 // collisions and are skipped.
 const matchTol = 1e-4
 
-// find returns the verified entry for k, if any. The caller must hold
-// l.mu.
-func (l *Library) find(k Key) (*Pulse, bool) {
-	for _, e := range l.entries[k.s] {
+// find returns the index in k's collision chain of the verified entry
+// for k, or -1. The caller must hold l.mu.
+func (l *Library) find(k Key) int {
+	for i, e := range l.entries[k.s] {
 		if e.u.Rows != k.u.Rows {
 			continue
 		}
@@ -192,25 +204,71 @@ func (l *Library) find(k Key) (*Pulse, bool) {
 			d = linalg.FrobeniusDistance(e.u, k.u) / float64(k.u.Rows)
 		}
 		if d < matchTol {
-			return e.p, true
+			return i
 		}
 	}
-	return nil, false
+	return -1
 }
 
 // Get returns the pulse cached under k and whether it hit.
 func (l *Library) Get(k Key) (*Pulse, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.find(k)
+	if i := l.find(k); i >= 0 {
+		return l.entries[k.s][i].p, true
+	}
+	return nil, false
 }
 
 // Put caches a pulse under k, keeping a copy of the unitary for hit
-// verification.
-func (l *Library) Put(k Key, p *Pulse) {
+// verification. When a verified-equal entry exists, p replaces it only
+// if it is preferred (the shorter pulse; see prefer), and is dropped
+// otherwise.
+func (l *Library) Put(k Key, p *Pulse) { _ = l.put(k, p) }
+
+// put makes p the entry for k unless a verified-equal entry holds a
+// pulse p is not preferred to, reporting whether the library changed.
+func (l *Library) put(k Key, p *Pulse) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries[k.s] = append(l.entries[k.s], libEntry{u: k.u.Clone(), p: p})
+	chain := l.entries[k.s]
+	i := l.find(k)
+	if i >= 0 && !prefer(p, chain[i].p) {
+		return false
+	}
+	e := &libEntry{u: k.u.Clone(), p: p}
+	if i >= 0 {
+		chain[i].replaced = true
+		chain[i] = e
+	} else {
+		l.entries[k.s] = append(chain, e)
+	}
+	l.log = append(l.log, e)
+	l.snap = nil
+	return true
+}
+
+// prefer reports whether a should replace b as the entry for one
+// unitary: the shorter pulse first, then the higher fidelity, then the
+// fewer slots, then the amplitudes compared slot by slot and control
+// by control, then the label. It reads only what a persisted record
+// keeps (Qubits is not persisted), so a store that loads two records
+// for one unitary warms the same entry whatever order they load in.
+// Equal pulses do not replace, which keeps re-importing a no-op.
+func prefer(a, b *Pulse) bool {
+	if c := cmp.Compare(a.Duration, b.Duration); c != 0 {
+		return c < 0
+	}
+	if c := cmp.Compare(a.Fidelity, b.Fidelity); c != 0 {
+		return c > 0
+	}
+	if c := cmp.Compare(a.Slots, b.Slots); c != 0 {
+		return c < 0
+	}
+	if c := slices.CompareFunc(a.Amps, b.Amps, slices.Compare[[]float64]); c != 0 {
+		return c < 0
+	}
+	return a.Label < b.Label
 }
 
 // Lookup returns the cached pulse for a unitary and whether it hit.
@@ -234,52 +292,59 @@ type Entry struct {
 }
 
 // Export snapshots every entry, sorted by fingerprint key (collision
-// chains keep insertion order). The deterministic order is load-bearing:
-// the warm-start selector and the store's harvest both iterate it, and
-// both must behave identically at any worker count.
+// chains keep insertion order; a replacing entry takes the replaced
+// one's place). The deterministic order is load-bearing: the
+// warm-start selector iterates it, and must behave identically at any
+// worker count. The snapshot is built once per change to the library
+// and shared by every caller until the next Put or Import changes it,
+// so callers must treat the returned slice as read-only.
 func (l *Library) Export() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	keys := make([]string, 0, len(l.entries))
-	for k := range l.entries {
-		keys = append(keys, k)
+	if l.snap == nil && len(l.log) > 0 {
+		keys := make([]string, 0, len(l.entries))
+		for k := range l.entries {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		snap := make([]Entry, 0, len(l.log))
+		for _, k := range keys {
+			for _, e := range l.entries[k] {
+				snap = append(snap, Entry{U: e.u, P: e.p})
+			}
+		}
+		l.snap = snap
 	}
-	sort.Strings(keys)
+	return l.snap
+}
+
+// ExportSince returns the entries appended to the insertion log at or
+// after position pos, in insertion order, and the log's end: the
+// position to resume from. An entry replaced since it was logged is
+// left out, since its replacement is logged after it.
+func (l *Library) ExportSince(pos int) ([]Entry, int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var out []Entry
-	for _, k := range keys {
-		for _, e := range l.entries[k] {
+	for _, e := range l.log[pos:] {
+		if !e.replaced {
 			out = append(out, Entry{U: e.u, P: e.p})
 		}
 	}
-	return out
+	return out, len(l.log)
 }
 
-// Import stores a pulse unless a verified-equal entry already exists,
-// reporting whether it was added. Unlike Store it re-keys the unitary
-// under this library's own keying scheme, so records persisted by a
-// MatchGlobalPhase library import correctly into a non-matching one
-// and vice versa.
+// Import stores a pulse under this library's own keying, as Put does,
+// reporting whether it added or replaced an entry. Unlike Store it
+// ignores nil arguments, and it re-keys the unitary under this
+// library's keying scheme, so records persisted by a MatchGlobalPhase
+// library import correctly into a non-matching one and vice versa.
 func (l *Library) Import(u *linalg.Matrix, p *Pulse) bool {
 	if u == nil || p == nil {
 		return false
 	}
-	k := l.Key(u)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.find(k); ok {
-		return false
-	}
-	l.entries[k.s] = append(l.entries[k.s], libEntry{u: u.Clone(), p: p})
-	return true
+	return l.put(l.Key(u), p)
 }
 
 // Len returns the number of cached entries.
-func (l *Library) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, es := range l.entries {
-		n += len(es)
-	}
-	return n
-}
+func (l *Library) Len() int { return len(l.Export()) }

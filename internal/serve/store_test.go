@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -244,5 +245,79 @@ func TestServeStoreOpenFailure(t *testing.T) {
 	}
 	if _, err := New(Config{StorePath: path}); err == nil {
 		t.Fatal("New succeeded with an unusable store path")
+	}
+}
+
+// TestConcurrentColdClientsRepeatAcrossRestart: two clients compile
+// two neighbouring circuits cold and concurrently, in opposite orders,
+// so a circuit may be compiled while the other's pulses are already
+// warm-start candidates, and a unitary can get two different pulses.
+// Whatever the timing, the library keeps one canonical pulse per
+// unitary, so the repeats answer the same latencies before and after a
+// restart warmed from the records both compiles left.
+func TestConcurrentColdClientsRepeatAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	qasms := []string{
+		warmQASM,
+		"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nrx(0.55) q[0];\nry(0.3) q[1];\ncx q[0],q[1];\nrx(0.2) q[1];\n",
+	}
+	compile := func(s *Server, qasm string) (*CompileResponse, error) {
+		w := post(s, `{"qasm":`+jsonString(qasm)+`}`, nil)
+		if w.Code != http.StatusOK {
+			return nil, &apiErrorErr{code: w.Code, body: w.Body.String()}
+		}
+		var resp CompileResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			return nil, err
+		}
+		return &resp, nil
+	}
+	repeats := func(s *Server) []float64 {
+		t.Helper()
+		var out []float64
+		for _, q := range qasms {
+			resp, err := compile(s, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Manifest == nil || resp.Manifest.Metrics["qoc_runs"] != 0 {
+				t.Fatalf("repeat ran QOC: %+v", resp.Manifest)
+			}
+			out = append(out, resp.Manifest.Metrics["latency_ns"], resp.Manifest.Metrics["fidelity"])
+		}
+		return out
+	}
+
+	s1, err := New(Config{Workers: 2, StorePath: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 2)
+	for client := 0; client < 2; client++ {
+		go func(first int) {
+			for i := 0; i < len(qasms); i++ {
+				if _, err := compile(s1, qasms[(first+i)%len(qasms)]); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(client)
+	}
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := repeats(s1)
+	shutdownServer(t, s1)
+
+	s2, err := New(Config{Workers: 2, StorePath: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, s2)
+	if after := repeats(s2); !slices.Equal(after, before) {
+		t.Fatalf("repeat latency and fidelity per circuit changed across the restart: %v, then %v", before, after)
 	}
 }

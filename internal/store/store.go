@@ -9,7 +9,6 @@ import (
 	"sync"
 	"weak"
 
-	"epoc/internal/linalg"
 	"epoc/internal/pulse"
 	"epoc/internal/report"
 	"epoc/internal/synth"
@@ -38,7 +37,7 @@ type Counters struct {
 
 	PulseHarvested int64 // new pulse records staged by HarvestLibrary
 	SynthHarvested int64 // new synth records staged by HarvestSynthCache
-	Skipped        int64 // cache entries a Harvest could not encode (never an error: they just stay in-memory)
+	Skipped        int64 // entries a Harvest could not encode, each counted once (never an error: they just stay in-memory)
 	Flushed        int64 // records written to disk over the store's lifetime
 }
 
@@ -62,14 +61,52 @@ type Store struct {
 	onDisk   map[string]bool   // filenames known to exist with valid content
 	counters Counters
 
-	// harvested holds the library and cache entries, by unitary, whose
-	// records are already staged or on disk, so a repeat harvest skips
-	// them without encoding. Entries are never evicted or mutated once
-	// exported, so the unitary's identity is a stable key. Weak keys
-	// keep the set from pinning the matrices of discarded libraries;
-	// such a stale key costs only its map slot.
-	harvested map[weak.Pointer[linalg.Matrix]]bool
-	closed    bool
+	// libs and caches record, per library and cache, whether this
+	// store has warmed it and how far into its insertion log it has
+	// harvested.
+	libs   tracker[pulse.Library]
+	caches tracker[synth.Cache]
+	closed bool
+}
+
+// progress is a store's work on one library or cache: whether the
+// store warmed it, and the insertion-log position its next harvest
+// starts from.
+type progress struct {
+	warmed bool
+	pos    int
+}
+
+// tracker maps libraries or caches, by identity, to a store's progress
+// on each. Weak keys keep it from pinning discarded libraries; the
+// dead keys are swept out each time the map has doubled since the last
+// sweep, so a caller that warms a fresh library per compile does not
+// grow it without bound.
+type tracker[T any] struct {
+	m     map[weak.Pointer[T]]*progress
+	sweep int // map size that triggers the next sweep
+}
+
+// of returns the progress on x, starting it if x is new.
+func (t *tracker[T]) of(x *T) *progress {
+	k := weak.Make(x)
+	if pr := t.m[k]; pr != nil {
+		return pr
+	}
+	if t.m == nil {
+		t.m = map[weak.Pointer[T]]*progress{}
+	}
+	if len(t.m) >= t.sweep {
+		for k := range t.m {
+			if k.Value() == nil {
+				delete(t.m, k)
+			}
+		}
+		t.sweep = max(16, 2*len(t.m))
+	}
+	pr := &progress{}
+	t.m[k] = pr
+	return pr
 }
 
 // Open loads (or creates) the namespace directory under root. Corrupt
@@ -85,12 +122,11 @@ func Open(root, namespace string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		root:      root,
-		ns:        namespace,
-		dir:       dir,
-		pending:   map[string][]byte{},
-		onDisk:    map[string]bool{},
-		harvested: map[weak.Pointer[linalg.Matrix]]bool{},
+		root:    root,
+		ns:      namespace,
+		dir:     dir,
+		pending: map[string][]byte{},
+		onDisk:  map[string]bool{},
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -149,63 +185,94 @@ func (s *Store) Counters() Counters {
 }
 
 // WarmLibrary imports every loaded pulse record into l, returning how
-// many were added (records already present — by the library's own
-// verified matching — are skipped, so warming is idempotent).
+// many entries it added or replaced (Library.Import). A store warms a
+// library once: its loaded records never change after Open and a
+// library never drops an entry, so a repeat warm of the same library
+// would import nothing, and it returns 0 without looking.
 func (s *Store) WarmLibrary(l *pulse.Library) int {
 	if s == nil || l == nil {
 		return 0
 	}
 	s.mu.Lock()
-	recs := s.pulses
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	pr := s.libs.of(l)
+	if pr.warmed {
+		return 0
+	}
+	pr.warmed = true
+	unharvested, start := l.ExportSince(pr.pos)
 	added := 0
-	for _, r := range recs {
+	for _, r := range s.pulses {
 		if l.Import(r.U, r.Pulse) {
 			added++
 		}
 	}
-	s.mu.Lock()
+	_, end := l.ExportSince(start)
+	pr.pos = warmedPos(pr.pos, len(unharvested), start, end, added)
 	s.counters.WarmPulses += int64(added)
-	s.mu.Unlock()
 	return added
 }
 
-// WarmSynthCache imports every loaded synth record into c.
+// WarmSynthCache imports every loaded synth record into c, once per
+// cache, as WarmLibrary does for a library.
 func (s *Store) WarmSynthCache(c *synth.Cache) int {
 	if s == nil || c == nil {
 		return 0
 	}
 	s.mu.Lock()
-	recs := s.synths
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	pr := s.caches.of(c)
+	if pr.warmed {
+		return 0
+	}
+	pr.warmed = true
+	unharvested, start := c.ExportSince(pr.pos)
 	added := 0
-	for _, r := range recs {
+	for _, r := range s.synths {
 		if c.Import(r.U, r.Circ, r.Ok) {
 			added++
 		}
 	}
-	s.mu.Lock()
+	_, end := c.ExportSince(start)
+	pr.pos = warmedPos(pr.pos, len(unharvested), start, end, added)
 	s.counters.WarmSynth += int64(added)
-	s.mu.Unlock()
 	return added
 }
 
-// HarvestLibrary stages every library entry not already persisted,
-// returning how many new records were staged. Entries the codec cannot
-// represent are counted Skipped and left in memory only.
+// warmedPos returns where the harvest of a just-warmed library or cache
+// starts. What the warm imported came from this store's disk, so the
+// harvest may skip it, but only when nothing before it is unharvested
+// and the log grew by exactly the imports (no concurrent compile
+// logged an entry between them). Otherwise the harvest keeps its
+// position and encodes the imported entries once, finding their
+// records on disk.
+func warmedPos(pos, unharvested, start, end, added int) int {
+	if unharvested == 0 && end-start == added {
+		return end
+	}
+	return pos
+}
+
+// HarvestLibrary stages the library entries logged since this store's
+// last harvest of l, returning how many new records were staged. An
+// entry the codec cannot represent is counted Skipped, once, and stays
+// in memory only: the harvest position moves past it, so it is never
+// encoded again.
 func (s *Store) HarvestLibrary(l *pulse.Library) int {
 	if s == nil || l == nil {
 		return 0
 	}
-	entries := l.Export()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0
 	}
+	pr := s.libs.of(l)
+	entries, end := l.ExportSince(pr.pos)
+	pr.pos = end
 	staged := 0
 	for _, e := range entries {
-		if s.stageLocked(e.U, func() (string, []byte, error) { return EncodePulseRecord(e.U, e.P) }) {
+		if s.stageLocked(EncodePulseRecord(e.U, e.P)) {
 			staged++
 		}
 	}
@@ -213,21 +280,23 @@ func (s *Store) HarvestLibrary(l *pulse.Library) int {
 	return staged
 }
 
-// HarvestSynthCache stages every completed synthesis-cache entry not
-// already persisted.
+// HarvestSynthCache stages the synthesis-cache entries completed since
+// this store's last harvest of c, as HarvestLibrary does.
 func (s *Store) HarvestSynthCache(c *synth.Cache) int {
 	if s == nil || c == nil {
 		return 0
 	}
-	entries := c.Export()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0
 	}
+	pr := s.caches.of(c)
+	entries, end := c.ExportSince(pr.pos)
+	pr.pos = end
 	staged := 0
 	for _, e := range entries {
-		if s.stageLocked(e.U, func() (string, []byte, error) { return EncodeSynthRecord(e.U, e.Circ, e.Ok) }) {
+		if s.stageLocked(EncodeSynthRecord(e.U, e.Circ, e.Ok)) {
 			staged++
 		}
 	}
@@ -235,22 +304,14 @@ func (s *Store) HarvestSynthCache(c *synth.Cache) int {
 	return staged
 }
 
-// stageLocked stages the record of one harvested entry unless it is
-// already staged or on disk, reporting whether it was staged. An entry
-// seen by an earlier harvest is skipped before encoding: encoding and
-// hashing every entry on every harvest would make each compile's
-// harvest grow with the store. The caller must hold s.mu.
-func (s *Store) stageLocked(u *linalg.Matrix, encode func() (string, []byte, error)) bool {
-	key := weak.Make(u)
-	if s.harvested[key] {
-		return false
-	}
-	name, data, err := encode()
+// stageLocked stages one encoded record unless it is already staged or
+// on disk, reporting whether it was staged; an encoding error counts
+// Skipped. The caller must hold s.mu.
+func (s *Store) stageLocked(name string, data []byte, err error) bool {
 	if err != nil {
 		s.counters.Skipped++
 		return false
 	}
-	s.harvested[key] = true
 	if s.onDisk[name] || s.pending[name] != nil {
 		return false
 	}

@@ -231,8 +231,8 @@ func TestHarvestSkipsEntriesAlreadySeen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Entries warmed from disk are found there by the first harvest and
-	// skipped, unencoded, by every later one.
+	// Entries warmed from disk are this store's own records: no harvest
+	// encodes them, the first included.
 	s2, err := Open(root, "ns")
 	if err != nil {
 		t.Fatal(err)
@@ -243,12 +243,11 @@ func TestHarvestSkipsEntriesAlreadySeen(t *testing.T) {
 	}
 	lib2 := pulse.NewLibrary(true)
 	s2.WarmLibrary(lib2)
-	if n := s2.HarvestLibrary(lib2); n != 0 {
-		t.Fatalf("harvest of a warmed library staged %d", n)
-	}
 	spoil(lib2)
-	if n := s2.HarvestLibrary(lib2); n != 0 || s2.Counters().Skipped != 0 {
-		t.Fatalf("repeat harvest of a warmed library staged %d and skipped %d", n, s2.Counters().Skipped)
+	for i := 0; i < 2; i++ {
+		if n := s2.HarvestLibrary(lib2); n != 0 || s2.Counters().Skipped != 0 {
+			t.Fatalf("harvest %d of a warmed library staged %d and skipped %d", i, n, s2.Counters().Skipped)
+		}
 	}
 }
 

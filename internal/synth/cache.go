@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"sort"
 	"sync"
 
 	"epoc/internal/circuit"
@@ -59,9 +58,15 @@ const CacheTol = 1e-6
 // Cached circuits are shared between callers and must be treated as
 // immutable. All methods are safe on a nil *Cache: GetOrCompute then
 // degrades to calling compute directly (no caching, no coalescing).
+//
+// Each completed fill and each import is appended to an insertion log,
+// which ExportSince reads from a position, so a persistent store
+// harvests only what is new. A fill enters the log when it completes:
+// an in-flight fill is not yet in it, and a failed one never is.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string][]*cacheEntry
+	log     []*cacheEntry // completed entries in completion order
 }
 
 // cacheEntry is one synthesized unitary class. done is closed once
@@ -131,7 +136,10 @@ func (c *Cache) GetOrCompute(g *faultclock.Gate, u *linalg.Matrix, compute func(
 				close(e.done)
 				return circ, ok, CacheMiss, err
 			}
+			c.mu.Lock()
 			e.circ, e.ok = circ, ok
+			c.log = append(c.log, e)
+			c.mu.Unlock()
 			close(e.done)
 			return circ, ok, CacheMiss, nil
 		}
@@ -174,31 +182,22 @@ type Entry struct {
 	Ok   bool
 }
 
-// Export snapshots every *completed* entry, sorted by fingerprint key.
-// In-flight entries are skipped without waiting: a harvest runs at
-// compile boundaries and must not block on another compile's synthesis.
-func (c *Cache) Export() []Entry {
+// ExportSince returns the entries logged at or after position pos, in
+// completion order, and the log's end: the position to resume from.
+// It never waits on an in-flight fill: a harvest runs at compile
+// boundaries and must not block on another compile's synthesis, and
+// the fill is logged, after pos, once it completes.
+func (c *Cache) ExportSince(pos int) ([]Entry, int) {
 	if c == nil {
-		return nil
+		return nil, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
+	out := make([]Entry, 0, len(c.log)-pos)
+	for _, e := range c.log[pos:] {
+		out = append(out, Entry{U: e.u, Circ: e.circ, Ok: e.ok})
 	}
-	sort.Strings(keys)
-	var out []Entry
-	for _, k := range keys {
-		for _, e := range c.entries[k] {
-			select {
-			case <-e.done:
-				out = append(out, Entry{U: e.u, Circ: e.circ, Ok: e.ok})
-			default:
-			}
-		}
-	}
-	return out
+	return out, len(c.log)
 }
 
 // Import seeds the cache with a completed synthesis result unless a
@@ -218,6 +217,7 @@ func (c *Cache) Import(u *linalg.Matrix, circ *circuit.Circuit, ok bool) bool {
 	e := &cacheEntry{u: u.Clone(), done: make(chan struct{}), circ: circ, ok: ok}
 	close(e.done)
 	c.entries[key] = append(c.entries[key], e)
+	c.log = append(c.log, e)
 	return true
 }
 

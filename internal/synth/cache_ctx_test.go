@@ -163,3 +163,66 @@ func TestCacheWaiterSeesBudgetDeadline(t *testing.T) {
 		t.Fatalf("expired waiter status = %v, want CacheCoalesced", st)
 	}
 }
+
+// TestCacheExportSince: a harvest that runs while a fill is in flight
+// does not see it, and the first harvest after the fill lands does; a
+// failed fill is never exported. Resuming from each returned position
+// exports every completed entry exactly once.
+func TestCacheExportSince(t *testing.T) {
+	c := NewCache()
+	cx, cz := gate.New(gate.CX).Matrix(), gate.New(gate.CZ).Matrix()
+	swap, rz := gate.New(gate.SWAP).Matrix(), gate.New(gate.RZ, 0.3).Matrix()
+	started, release, filled := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(filled)
+		c.GetOrCompute(nil, cx, func() (*circuit.Circuit, bool, error) {
+			close(started)
+			<-release
+			return cxCircuit(), true, nil
+		})
+	}()
+	<-started
+	if !c.Import(cz, nil, false) {
+		t.Fatal("import was refused")
+	}
+	if _, _, _, err := c.GetOrCompute(nil, swap, func() (*circuit.Circuit, bool, error) {
+		return nil, false, context.Canceled
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("failed fill: %v", err)
+	}
+	seen := map[*circuit.Circuit]int{}
+	var units []int
+	harvest := func(pos int) int {
+		es, end := c.ExportSince(pos)
+		for _, e := range es {
+			seen[e.Circ]++
+			units = append(units, e.U.Rows)
+		}
+		return end
+	}
+	pos := harvest(0)
+	if len(units) != 1 || pos != 1 {
+		t.Fatalf("harvest during the fill exported %d entries to position %d, want the import alone", len(units), pos)
+	}
+	close(release)
+	<-filled
+	if _, _, _, err := c.GetOrCompute(nil, rz, func() (*circuit.Circuit, bool, error) {
+		c1 := circuit.New(1)
+		c1.Append(gate.New(gate.RZ, 0.3), 0)
+		return c1, true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pos = harvest(pos)
+	if pos = harvest(pos); pos != 3 || len(units) != 3 {
+		t.Fatalf("after the fill landed: %d entries exported, position %d; want 3, 3", len(units), pos)
+	}
+	for circ, n := range seen {
+		if n != 1 {
+			t.Fatalf("entry %v exported %d times", circ, n)
+		}
+	}
+	if c.Len() != 3 {
+		t.Fatalf("cache holds %d entries, want 3 (the failed fill left none)", c.Len())
+	}
+}
