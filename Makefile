@@ -46,8 +46,8 @@ test-leak:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Kernel-layer microbenchmarks (DESIGN.md §14): the unrolled/blocked
-# matmul paths and exponentials against the naive and pre-kernel
+# Kernel-layer microbenchmarks (DESIGN.md §14): the unrolled 2×2/4×4/8×8
+# matmul paths (the only sizes the pipeline forms) and exponentials against the naive and pre-kernel
 # baselines, the cached GRAPE propagator loop and one full GRAPE ascent
 # iteration (BenchmarkKernelGrapeIter, d2/d4/d8), the QSearch template
 # gradient (in-place evaluator against the dense rebuild), and the

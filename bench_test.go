@@ -328,7 +328,7 @@ func BenchmarkStateVector16Q(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sim.RunCircuit(c)
-		if s.Norm() < 0.99 {
+		if real(s.Overlap(s)) < 0.99*0.99 {
 			b.Fatal("norm lost")
 		}
 	}

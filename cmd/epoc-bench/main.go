@@ -29,8 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"epoc/internal/core"
 	"epoc/internal/debugsrv"
@@ -90,21 +88,12 @@ func main() {
 		benchCtx = ctx
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "epoc-bench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "epoc-bench:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProf, err := debugsrv.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "epoc-bench:", err)
+		os.Exit(1)
 	}
+	defer stopProf()
 
 	full := *mode == "full"
 	if *mode != "full" && *mode != "estimate" {
@@ -145,17 +134,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "epoc-bench:", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "epoc-bench:", err)
-		}
-		f.Close()
+	if err := debugsrv.WriteHeapProfile(*memprofile); err != nil {
+		fmt.Fprintln(os.Stderr, "epoc-bench:", err)
+		os.Exit(1)
 	}
 }
 

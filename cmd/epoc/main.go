@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -59,7 +57,7 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := startCPUProfile(*cpuprofile)
+	stopProf, err := debugsrv.StartCPUProfile(*cpuprofile)
 	if err != nil {
 		fatal(err)
 	}
@@ -79,7 +77,6 @@ func main() {
 		GRAPEIters: *grape,
 		Workers:    *workers,
 		Budgets:    b,
-		StorePath:  *storePath,
 	}
 	var rec *obs.Recorder
 	if *stats || *reportOut != "" {
@@ -106,6 +103,13 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -mode %q", *mode))
 	}
+	if *storePath != "" {
+		st, err := core.OpenStore(*storePath, opts)
+		if err != nil {
+			fatal(err)
+		}
+		opts.Store = st
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -116,6 +120,11 @@ func main() {
 	res, err := core.CompileContext(ctx, c, opts)
 	if err != nil {
 		fatal(err)
+	}
+	if opts.Store != nil {
+		if err := opts.Store.Close(); err != nil {
+			fatal(fmt.Errorf("close store: %w", err))
+		}
 	}
 	st := res.Stats
 	fmt.Printf("strategy:      %s\n", res.Strategy)
@@ -189,43 +198,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	if err := writeHeapProfile(*memprofile); err != nil {
+	if err := debugsrv.WriteHeapProfile(*memprofile); err != nil {
 		fatal(err)
 	}
-}
-
-// startCPUProfile begins a runtime/pprof CPU profile when path is
-// non-empty; the returned func stops it and closes the file.
-func startCPUProfile(path string) (func(), error) {
-	if path == "" {
-		return func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
-}
-
-// writeHeapProfile dumps a heap profile when path is non-empty.
-func writeHeapProfile(path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC() // materialize up-to-date allocation stats
-	return pprof.WriteHeapProfile(f)
 }
 
 // circuitName labels the run in the manifest: the benchmark name when

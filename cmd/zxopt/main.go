@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"epoc/internal/benchcirc"
 	"epoc/internal/circuit"
@@ -44,19 +42,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "zxopt: debug server on http://%s/debug/pprof\n", addr)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProf, err := debugsrv.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		fatal(err)
 	}
+	defer stopProf()
 
 	c, err := loadCircuit(*in, *bench)
 	if err != nil {
@@ -83,16 +73,8 @@ func main() {
 		}
 		fmt.Printf("wrote:        %s\n", *out)
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
+	if err := debugsrv.WriteHeapProfile(*memprofile); err != nil {
+		fatal(err)
 	}
 }
 

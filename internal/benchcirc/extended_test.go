@@ -99,7 +99,7 @@ func TestQuantumWalkSpreads(t *testing.T) {
 	if atOrigin > 0.99 {
 		t.Fatal("walker did not move")
 	}
-	if math.Abs(s.Norm()-1) > 1e-9 {
+	if math.Abs(math.Sqrt(real(s.Overlap(s)))-1) > 1e-9 {
 		t.Fatal("norm broken")
 	}
 }
@@ -112,8 +112,8 @@ func TestSupremacyEntangles(t *testing.T) {
 	s := sim.RunCircuit(c)
 	// Output distribution should be spread (Porter-Thomas-like): no
 	// basis state dominates.
-	for i, p := range s.Probabilities() {
-		if p > 0.5 {
+	for i := range s.Amp {
+		if p := s.Probability(i); p > 0.5 {
 			t.Fatalf("state %d carries probability %v", i, p)
 		}
 	}

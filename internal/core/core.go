@@ -22,7 +22,6 @@ import (
 	"epoc/internal/circuit"
 	"epoc/internal/faultclock"
 	"epoc/internal/hardware"
-	"epoc/internal/linalg"
 	"epoc/internal/logx"
 	"epoc/internal/obs"
 	"epoc/internal/pulse"
@@ -82,12 +81,6 @@ type Budgets struct {
 	QOCIters   int           // per-run GRAPE iteration cap
 }
 
-// Zero reports whether no budget is configured.
-func (b Budgets) Zero() bool {
-	return b.Total == 0 && b.SynthTime == 0 && b.QOCTime == 0 &&
-		b.SynthNodes == 0 && b.QOCIters == 0
-}
-
 // Options configures Compile.
 type Options struct {
 	Strategy Strategy
@@ -130,13 +123,8 @@ type Options struct {
 	// configuration's (core.StoreNamespace); a mismatched store is
 	// ignored for the compile — never read, never written — because its
 	// records were produced under different physics or tuning.
+	// Open it with OpenStore; the caller closes it.
 	Store *store.Store
-
-	// StorePath, when Store is nil, opens a per-compile store under
-	// this root directory (namespace derived from the options) and
-	// closes it after the compile — the one-shot CLI convenience.
-	// Long-lived processes should open once and share via Store.
-	StorePath string
 
 	// WarmStart seeds GRAPE from the nearest stored library entry (by
 	// phase-invariant similarity, internal/qoc/similarity.go) on a
@@ -211,12 +199,10 @@ type Options struct {
 	// compile root, then the stage-5 region once QOC starts (so pulse
 	// regions nest under it), threaded through this Options copy.
 	region trace.Region
-	// warmCands/warmUs are the warm-start candidate snapshot taken at
-	// stage-5 entry (see snapshotWarmCands): the exported library
-	// entries, and a parallel matrix slice with nil holes for entries
-	// without raw amplitudes, shaped for qoc.Nearest.
+	// warmCands is the warm-start candidate snapshot taken at stage-5
+	// entry (see schedulePulses): the library's cached Export slice,
+	// shared with every other reader, so it is only read.
 	warmCands []pulse.Entry
-	warmUs    []*linalg.Matrix
 }
 
 // inStage runs f as one pipeline stage region under the compile root.
@@ -278,7 +264,7 @@ func (o *Options) withDefaults() Options {
 		out.SynthCache = synth.NewCache()
 	}
 	if out.WarmStart == nil {
-		warm := out.Store != nil || out.StorePath != ""
+		warm := out.Store != nil
 		out.WarmStart = &warm
 	}
 	return out
@@ -425,14 +411,7 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 		o.totalDeadline = clock.Now().Add(o.Budgets.Total)
 	}
 	start := time.Now()
-	res, ownedStore, err := compileRoot(c, &o, start)
-	if ownedStore != nil {
-		defer func() {
-			if cerr := ownedStore.Close(); cerr != nil {
-				o.Obs.Add("store/flush_errors", 1)
-			}
-		}()
-	}
+	res, err := compileRoot(c, &o, start)
 	if err != nil {
 		return nil, err
 	}
@@ -463,20 +442,17 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 
 // compileRoot runs the pipeline inside the compile's root region, so
 // the "compile" timer and span cover store attachment and every stage
-// but not the post-compile harvest. It returns the per-compile store it
-// opened (if any) for the caller to close after harvesting.
-func compileRoot(c *circuit.Circuit, o *Options, start time.Time) (*Result, *store.Store, error) {
+// but not the post-compile harvest.
+func compileRoot(c *circuit.Circuit, o *Options, start time.Time) (*Result, error) {
 	root := trace.Open(o.Trace, o.Obs, o.Log, "compile").
 		SetStr("strategy", string(o.Strategy)).
 		SetInt("qubits", int64(c.NumQubits)).
 		SetInt("gates", int64(c.Len()))
 	defer root.End()
 	o.region = root
-	ownedStore, err := attachStore(o)
-	if err != nil {
-		return nil, nil, err
-	}
+	attachStore(o)
 	var res *Result
+	var err error
 	switch o.Strategy {
 	case GateBased:
 		res, err = compileGateBased(c, *o)
@@ -493,7 +469,7 @@ func compileRoot(c *circuit.Circuit, o *Options, start time.Time) (*Result, *sto
 				"err", err.Error(),
 				"elapsed_ms", float64(time.Since(start).Nanoseconds())/1e6)
 		}
-		return nil, ownedStore, err
+		return nil, err
 	}
 	if res.Stats.SynthDegraded > 0 {
 		res.DegradeReasons = append(res.DegradeReasons, "synth")
@@ -510,5 +486,5 @@ func compileRoot(c *circuit.Circuit, o *Options, start time.Time) (*Result, *sto
 	} else {
 		o.Obs.Add("compile/completed", 1)
 	}
-	return res, ownedStore, nil
+	return res, nil
 }

@@ -201,11 +201,12 @@ func schedulePulses(n int, pulsed *circuit.Circuit, o Options, res *Result) erro
 	o.region = sp
 	// Freeze the warm-start candidate set before any worker runs: every
 	// pulse in this compile selects its neighbour from the same
-	// snapshot, so the choice — and therefore the output — cannot
-	// depend on worker scheduling. AccQOC keeps its own MST warm-start
-	// policy.
+	// snapshot, not the live library, so pulses that concurrent
+	// compiles store into a shared library cannot change the choice,
+	// and the output cannot depend on worker scheduling. AccQOC keeps
+	// its own MST warm-start policy.
 	if o.Mode == QOCFull && *o.WarmStart && o.Strategy != AccQOC {
-		snapshotWarmCands(&o)
+		o.warmCands = o.Library.Export()
 	}
 	st := &res.Stats
 	// misses holds this compile's jobs under the library's own
@@ -521,7 +522,7 @@ func log2(dim int) int {
 
 // pulseFor produces job i's pulse, via GRAPE or the calibrated
 // estimator. With a warm-candidate snapshot in place (see
-// snapshotWarmCands) it seeds the optimizer from the nearest stored
+// schedulePulses) it seeds the optimizer from the nearest stored
 // neighbour's amplitudes — the AccQOC similarity-reuse idea, driven by
 // the persistent store instead of an MST over the current batch. The
 // snapshot was taken before any of this compile's pulses ran, so the
@@ -530,8 +531,8 @@ func log2(dim int) int {
 // from the library.
 func pulseFor(j pulseJob, i int, o Options, st *Stats) (*pulse.Pulse, error) {
 	var warm [][]float64
-	if len(o.warmUs) > 0 && o.Mode == QOCFull {
-		if idx, dist := qoc.Nearest(o.warmUs, j.u, warmStartMaxDist); idx >= 0 {
+	if len(o.warmCands) > 0 && o.Mode == QOCFull {
+		if idx, dist := nearestWarm(o.warmCands, j.u, warmStartMaxDist); idx >= 0 {
 			warm = o.warmCands[idx].P.Amps
 			st.WarmStarts++
 			o.Obs.Observe("qoc/warmstart/distance", dist)

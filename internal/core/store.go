@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"epoc/internal/linalg"
+	"epoc/internal/pulse"
+	"epoc/internal/qoc"
 	"epoc/internal/store"
 )
 
@@ -71,29 +74,18 @@ func storeConfig(o *Options) map[string]string {
 	}
 }
 
-// attachStore resolves the compile's store: Options.Store when its
-// namespace matches this configuration, else a store opened from
-// StorePath (owned by this compile and closed after its harvest). A
-// shared store whose namespace does not match is dropped for this
-// compile — its records were produced under other knobs, and warming
-// from them would be exactly the cache poisoning the namespace exists
-// to prevent. It then warms the compile's caches from the store, which
-// warms each library and cache once: on a shared store that already
-// warmed them, this is two map lookups.
-func attachStore(o *Options) (owned *store.Store, err error) {
-	ns := store.Namespace(storeConfig(o))
-	if o.Store != nil && o.Store.Namespace() != ns {
+// attachStore checks the compile's store: a store whose namespace does
+// not match this configuration is dropped for this compile — its
+// records were produced under other knobs, and warming from them would
+// be exactly the cache poisoning the namespace exists to prevent. It
+// then warms the compile's caches from the store, which warms each
+// library and cache once: on a shared store that already warmed them,
+// this is two map lookups.
+func attachStore(o *Options) {
+	if o.Store != nil && o.Store.Namespace() != store.Namespace(storeConfig(o)) {
 		o.Obs.Add("store/namespace_mismatch", 1)
 		o.region.SetStr("store", "namespace_mismatch")
 		o.Store = nil
-	}
-	if o.Store == nil && o.StorePath != "" {
-		st, err := store.Open(o.StorePath, ns)
-		if err != nil {
-			return nil, err
-		}
-		o.Store = st
-		owned = st
 	}
 	if o.Store != nil {
 		wp := o.Store.WarmLibrary(o.Library)
@@ -103,7 +95,6 @@ func attachStore(o *Options) (owned *store.Store, err error) {
 		o.region.SetInt("store_warm_pulses", int64(wp)).
 			SetInt("store_warm_synth", int64(ws))
 	}
-	return owned, nil
 }
 
 // harvestStore persists what the compile learned: every library and
@@ -134,25 +125,21 @@ func harvestStore(o *Options) {
 // promises.
 const warmStartMaxDist = 0.75
 
-// snapshotWarmCands freezes the warm-start candidate set at stage-5
-// entry: the library's exported entries that carry raw amplitudes.
-// The snapshot — not the live library — is what every pulse consults,
-// so pulses that concurrent compiles store into a shared library cannot
-// change a later pulse's warm choice, and the output stays
-// byte-identical at any worker count. The entries are the library's
-// cached Export snapshot, shared with every other caller, so they are
-// only read.
-func snapshotWarmCands(o *Options) {
-	entries := o.Library.Export()
-	if len(entries) == 0 {
-		return
-	}
-	us := make([]*linalg.Matrix, len(entries))
-	for i, e := range entries {
-		if e.P != nil && e.P.Slots > 0 && len(e.P.Amps) > 0 {
-			us[i] = e.U
+// nearestWarm returns the index of the candidate closest to target
+// under qoc.Similarity, considering only entries that carry raw
+// amplitudes, have target's dimension and lie within maxDist, or -1
+// when none qualifies. Ties keep the lowest index, so over the
+// library's fixed export order the choice is deterministic, which
+// byte-identical output at any worker count depends on.
+func nearestWarm(cands []pulse.Entry, target *linalg.Matrix, maxDist float64) (idx int, dist float64) {
+	idx, dist = -1, math.Inf(1)
+	for i, e := range cands {
+		if e.P == nil || e.P.Slots <= 0 || len(e.P.Amps) == 0 || e.U.Rows != target.Rows {
+			continue
+		}
+		if d := qoc.Similarity(e.U, target); d < dist && d <= maxDist {
+			idx, dist = i, d
 		}
 	}
-	o.warmCands = entries
-	o.warmUs = us
+	return idx, dist
 }

@@ -21,12 +21,12 @@ import (
 // returns options that compile through all three.
 func warmedShared(t testing.TB, dir string) (Options, *store.Store) {
 	t.Helper()
-	st, err := OpenStore(dir, storeTestOpts(2, ""))
+	st, err := OpenStore(dir, storeTestOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = st.Close() })
-	opts := storeTestOpts(2, "")
+	opts := storeTestOpts(2)
 	opts.Store, opts.Library, opts.SynthCache = st, pulse.NewLibrary(true), synth.NewCache()
 	st.WarmLibrary(opts.Library)
 	st.WarmSynthCache(opts.SynthCache)
@@ -40,7 +40,7 @@ func warmedShared(t testing.TB, dir string) (Options, *store.Store) {
 func TestRepeatCompileOnWarmStoreDoesNoStoreWork(t *testing.T) {
 	dir := t.TempDir()
 	c := rotCircuit(0.5)
-	if _, err := Compile(c, storeTestOpts(2, dir)); err != nil {
+	if _, err := compileOnStore(t, dir, c, storeTestOpts(2)); err != nil {
 		t.Fatal(err)
 	}
 	opts, st := warmedShared(t, dir)
@@ -129,15 +129,16 @@ func BenchmarkRepeatCompileWarmStore(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			dir := b.TempDir()
-			opts := storeTestOpts(2, dir)
+			opts := storeTestOpts(2)
 			if records == 0 {
-				opts.StorePath = ""
 				opts.Library, opts.SynthCache = pulse.NewLibrary(true), synth.NewCache()
-			}
-			if _, err := Compile(c, opts); err != nil {
-				b.Fatal(err)
-			}
-			if records > 0 {
+				if _, err := Compile(c, opts); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				if _, err := compileOnStore(b, dir, c, opts); err != nil {
+					b.Fatal(err)
+				}
 				fillStore(b, dir, records)
 				opts, _ = warmedShared(b, dir)
 				if _, err := Compile(c, opts); err != nil {
@@ -159,7 +160,7 @@ func BenchmarkRepeatCompileWarmStore(b *testing.B) {
 // fillStore adds pulse records under dir until its namespace holds n.
 func fillStore(b *testing.B, dir string, n int) {
 	b.Helper()
-	st, err := OpenStore(dir, storeTestOpts(2, ""))
+	st, err := OpenStore(dir, storeTestOpts(2))
 	if err != nil {
 		b.Fatal(err)
 	}

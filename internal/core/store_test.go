@@ -17,14 +17,29 @@ import (
 // storeTestOpts returns full-GRAPE options small enough for a test
 // compile but otherwise default, pinned so every compile in a test
 // shares one store namespace.
-func storeTestOpts(n int, storePath string) Options {
+func storeTestOpts(n int) Options {
 	return Options{
 		Strategy:   EPOC,
 		Device:     hardware.LinearChain(n),
 		Mode:       QOCFull,
 		GRAPEIters: 80,
-		StorePath:  storePath,
 	}
+}
+
+// compileOnStore compiles c on a store opened under dir for this
+// compile alone and closed after it: a fresh process in miniature.
+func compileOnStore(t testing.TB, dir string, c *circuit.Circuit, opts Options) (*Result, error) {
+	t.Helper()
+	st, err := OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Store = st
+	res, err := Compile(c, opts)
+	if cerr := st.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	return res, err
 }
 
 // rotCircuit is the warm-start fixture: small rotations around a CX.
@@ -57,7 +72,7 @@ func TestStoreRestartServesWarm(t *testing.T) {
 	dir := t.TempDir()
 	c := rotCircuit(0.5)
 
-	cold, err := Compile(c, storeTestOpts(2, dir))
+	cold, err := compileOnStore(t, dir, c, storeTestOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +81,9 @@ func TestStoreRestartServesWarm(t *testing.T) {
 	}
 
 	rec := obs.New()
-	opts := storeTestOpts(2, dir)
+	opts := storeTestOpts(2)
 	opts.Obs = rec
-	warm, err := Compile(c, opts)
+	warm, err := compileOnStore(t, dir, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +116,7 @@ func TestStoreRestartServesWarm(t *testing.T) {
 // harness the cold pipeline is held to.
 func TestStoreWarmStartDeterminismAndEquivalence(t *testing.T) {
 	seed := t.TempDir()
-	if _, err := Compile(rotCircuit(0.5), storeTestOpts(2, seed)); err != nil {
+	if _, err := compileOnStore(t, seed, rotCircuit(0.5), storeTestOpts(2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -116,9 +131,9 @@ func TestStoreWarmStartDeterminismAndEquivalence(t *testing.T) {
 		// instead of warm starts.
 		dir := t.TempDir()
 		copyStoreDir(t, seed, dir)
-		opts := storeTestOpts(2, dir)
+		opts := storeTestOpts(2)
 		opts.Workers = workers
-		res, err := Compile(perturbed, opts)
+		res, err := compileOnStore(t, dir, perturbed, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +193,7 @@ func copyStoreDir(t *testing.T, src, dst string) {
 // be cache poisoning — but the compile itself proceeds cold.
 func TestStoreNamespaceMismatchDropsStore(t *testing.T) {
 	dir := t.TempDir()
-	other := storeTestOpts(2, "")
+	other := storeTestOpts(2)
 	other.GRAPEIters = 33 // a different namespace
 	st, err := OpenStore(dir, other)
 	if err != nil {
@@ -187,7 +202,7 @@ func TestStoreNamespaceMismatchDropsStore(t *testing.T) {
 	defer func() { _ = st.Close() }()
 
 	rec := obs.New()
-	opts := storeTestOpts(2, "")
+	opts := storeTestOpts(2)
 	opts.Store = st
 	opts.Obs = rec
 	res, err := Compile(rotCircuit(0.5), opts)
@@ -218,12 +233,12 @@ func TestStoreNamespaceMismatchDropsStore(t *testing.T) {
 func TestStoreCorruptionDoesNotPoisonCompile(t *testing.T) {
 	dir := t.TempDir()
 	c := rotCircuit(0.5)
-	cold, err := Compile(c, storeTestOpts(2, dir))
+	cold, err := compileOnStore(t, dir, c, storeTestOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ns := StoreNamespace(storeTestOpts(2, dir))
+	ns := StoreNamespace(storeTestOpts(2))
 	nsDir := filepath.Join(dir, ns)
 	entries, err := os.ReadDir(nsDir)
 	if err != nil {
@@ -264,7 +279,7 @@ func TestStoreCorruptionDoesNotPoisonCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Compile(c, storeTestOpts(2, dir))
+	res, err := compileOnStore(t, dir, c, storeTestOpts(2))
 	if err != nil {
 		t.Fatalf("compile from corrupted store failed: %v", err)
 	}
@@ -278,7 +293,7 @@ func TestStoreCorruptionDoesNotPoisonCompile(t *testing.T) {
 	// The damaged records were recomputed; a reopened store must be
 	// whole again (content addressing heals the flipped record under a
 	// fresh write of the same name).
-	st, err := OpenStore(dir, storeTestOpts(2, dir))
+	st, err := OpenStore(dir, storeTestOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +309,7 @@ func TestStoreCorruptionDoesNotPoisonCompile(t *testing.T) {
 // race nor corrupt the directory.
 func TestStoreConcurrentCompiles(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir, storeTestOpts(2, ""))
+	st, err := OpenStore(dir, storeTestOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +317,7 @@ func TestStoreConcurrentCompiles(t *testing.T) {
 	errc := make(chan error, len(angles))
 	for _, theta := range angles {
 		go func(theta float64) {
-			opts := storeTestOpts(2, "")
+			opts := storeTestOpts(2)
 			opts.Store = st
 			_, err := Compile(rotCircuit(theta), opts)
 			errc <- err
@@ -316,7 +331,7 @@ func TestStoreConcurrentCompiles(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenStore(dir, storeTestOpts(2, ""))
+	re, err := OpenStore(dir, storeTestOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,19 +348,19 @@ func TestStoreConcurrentCompiles(t *testing.T) {
 // same physics, different qubit count → same namespace (pulses are
 // per-block); different physics → different namespace.
 func TestStoreNamespaceCoversDeviceKnobs(t *testing.T) {
-	base := storeTestOpts(2, "")
-	wide := storeTestOpts(7, "")
+	base := storeTestOpts(2)
+	wide := storeTestOpts(7)
 	if StoreNamespace(base) != StoreNamespace(wide) {
 		t.Fatal("qubit count must not split the namespace")
 	}
-	slow := storeTestOpts(2, "")
+	slow := storeTestOpts(2)
 	dev := *hardware.LinearChain(2)
 	dev.Dt = dev.Dt * 2
 	slow.Device = &dev
 	if StoreNamespace(base) == StoreNamespace(slow) {
 		t.Fatal("device Dt must split the namespace")
 	}
-	est := storeTestOpts(2, "")
+	est := storeTestOpts(2)
 	est.Mode = QOCEstimate
 	if StoreNamespace(base) == StoreNamespace(est) {
 		t.Fatal("QOC mode must split the namespace")

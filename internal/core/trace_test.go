@@ -90,7 +90,7 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 	if plain.Stats != traced.Stats {
 		t.Fatalf("tracing changed stats: %+v vs %+v", plain.Stats, traced.Stats)
 	}
-	if tr.Len() == 0 {
+	if tr.Summary().Spans == 0 {
 		t.Fatal("tracer recorded nothing")
 	}
 	// Estimate mode still attributes per-pulse spans.

@@ -8,6 +8,9 @@
 //	epoc -in circuit.qasm -debug-addr localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile
 //	curl -s localhost:6060/metrics
+//
+// It also writes the CPU and heap profile files behind the CLIs'
+// -cpuprofile and -memprofile flags.
 package debugsrv
 
 import (

@@ -18,7 +18,6 @@ import (
 	"epoc/internal/circuit"
 	"epoc/internal/gate"
 	"epoc/internal/linalg"
-	"epoc/internal/linalg/kernel"
 )
 
 // Density is an n-qubit density matrix.
@@ -27,19 +26,17 @@ type Density struct {
 	Rho *linalg.Matrix
 
 	// Conjugation scratch, allocated on first use: every channel is a
-	// sum of B·ρ·B† terms, and routing them through the workspace
-	// kernels with persistent buffers keeps schedule replays (one
-	// conjugation per pulse step) allocation-light.
-	ws       *kernel.Workspace
+	// sum of B·ρ·B† terms, and routing them through the Into kernels
+	// with persistent buffers keeps schedule replays (one conjugation
+	// per pulse step) allocation-light.
 	tmp, out *linalg.Matrix
 }
 
 // ensureScratch lazily allocates the conjugation buffers so literal
 // construction of Density (tests, callers that only read ρ) stays valid.
 func (d *Density) ensureScratch() {
-	if d.ws == nil {
+	if d.tmp == nil {
 		dim := d.Rho.Rows
-		d.ws = kernel.NewWorkspace()
 		d.tmp = linalg.NewMatrix(dim, dim)
 		d.out = linalg.NewMatrix(dim, dim)
 	}
@@ -49,7 +46,7 @@ func (d *Density) ensureScratch() {
 // materialized), swapping ρ with the scratch output instead of copying.
 func (d *Density) conjugate(b *linalg.Matrix) {
 	d.ensureScratch()
-	linalg.MulInto(d.ws, d.tmp, b, d.Rho)
+	linalg.MulInto(d.tmp, b, d.Rho)
 	linalg.MulAdjointInto(d.out, d.tmp, b)
 	d.Rho, d.out = d.out, d.Rho
 }
@@ -57,7 +54,7 @@ func (d *Density) conjugate(b *linalg.Matrix) {
 // conjugateAdd adds b·ρ·b† into dst without touching ρ.
 func (d *Density) conjugateAdd(dst *linalg.Matrix, b *linalg.Matrix) {
 	d.ensureScratch()
-	linalg.MulInto(d.ws, d.tmp, b, d.Rho)
+	linalg.MulInto(d.tmp, b, d.Rho)
 	linalg.MulAdjointInto(d.out, d.tmp, b)
 	dst.AddInPlace(d.out)
 }

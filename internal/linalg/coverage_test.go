@@ -20,8 +20,8 @@ func TestExpmPadeOrders(t *testing.T) {
 		want := NewMatrix(4, 4)
 		ExpIHermitianInto(nil, want, h, scale)
 		if !got.Equal(want, 1e-8) {
-			t.Fatalf("scale %v: Padé and eigen exponentials differ by %v",
-				scale, got.Sub(want).MaxAbs())
+			t.Fatalf("scale %v: Padé and eigen exponentials differ by %v (Frobenius)",
+				scale, got.Sub(want).FrobeniusNorm())
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestSolveSingularError(t *testing.T) {
 
 func TestCanonicalPhaseZeroMatrix(t *testing.T) {
 	z := NewMatrix(2, 2)
-	if got := CanonicalPhase(z); got.MaxAbs() != 0 {
+	if got := CanonicalPhase(z); !got.Equal(z, 0) {
 		t.Fatal("zero matrix canonicalization changed values")
 	}
 }

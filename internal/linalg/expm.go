@@ -72,7 +72,7 @@ func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 	tmp := matrixAt(ws, n, n)
 	cur, oth := dst, &tmp
 	for i := 0; i < s; i++ {
-		MulInto(ws, oth, cur, cur)
+		MulInto(oth, cur, cur)
 		cur, oth = oth, cur
 	}
 	if cur != dst {
@@ -183,26 +183,26 @@ func padeInto(ws *kernel.Workspace, dst, a *Matrix, m int) {
 	defer ws.Rewind(mark)
 
 	a2 := matrixAt(ws, n, n)
-	MulInto(ws, &a2, a, a)
+	MulInto(&a2, a, a)
 	u := matrixAt(ws, n, n)
 	v := matrixAt(ws, n, n)
 
 	if m == 13 {
 		a4 := matrixAt(ws, n, n)
-		MulInto(ws, &a4, &a2, &a2)
+		MulInto(&a4, &a2, &a2)
 		a6 := matrixAt(ws, n, n)
-		MulInto(ws, &a6, &a4, &a2)
+		MulInto(&a6, &a4, &a2)
 		// U = A·(A6·(c13·A6 + c11·A4 + c9·A2) + c7·A6 + c5·A4 + c3·A2 + c1·I)
 		inner := matrixAt(ws, n, n)
 		lincomb3(&inner, &a6, c[13], &a4, c[11], &a2, c[9])
 		t := matrixAt(ws, n, n)
-		MulInto(ws, &t, &a6, &inner)
+		MulInto(&t, &a6, &inner)
 		addLincomb3(&t, &a6, c[7], &a4, c[5], &a2, c[3])
 		addDiag(&t, c[1])
-		MulInto(ws, &u, a, &t)
+		MulInto(&u, a, &t)
 		// V = A6·(c12·A6 + c10·A4 + c8·A2) + c6·A6 + c4·A4 + c2·A2 + c0·I
 		lincomb3(&inner, &a6, c[12], &a4, c[10], &a2, c[8])
-		MulInto(ws, &v, &a6, &inner)
+		MulInto(&v, &a6, &inner)
 		addLincomb3(&v, &a6, c[6], &a4, c[4], &a2, c[2])
 		addDiag(&v, c[0])
 	} else {
@@ -220,11 +220,11 @@ func padeInto(ws *kernel.Workspace, dst, a *Matrix, m int) {
 			}
 			kernel.Axpy(v.Data, pow.Data, complex(c[2*k], 0))
 			if 2*(k+1) <= m {
-				MulInto(ws, powNext, pow, &a2)
+				MulInto(powNext, pow, &a2)
 				pow, powNext = powNext, pow
 			}
 		}
-		MulInto(ws, &u, a, &usum)
+		MulInto(&u, a, &usum)
 	}
 	// e^A ≈ (V - U)⁻¹ (V + U): factor V-U in place and solve into dst.
 	num := matrixAt(ws, n, n)

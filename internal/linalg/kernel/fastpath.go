@@ -1,8 +1,8 @@
 package kernel
 
 // Fully unrolled fast paths for the 1–3 qubit (2×2, 4×4, 8×8) dense
-// products that dominate GRAPE propagation, VUG instantiation and
-// density simulation. Operands arrive as fixed-size array pointers so
+// products that dominate GRAPE propagation and VUG instantiation.
+// Operands arrive as fixed-size array pointers so
 // every index is a compile-time constant: no bounds checks, no loop
 // counters in the 2×2/4×4 bodies, and the 8×8 row loop unrolls k and j
 // completely. Summation over the shared dimension is in ascending
@@ -107,32 +107,5 @@ func adjMul8(dst, a, b *[64]complex128) {
 			r[j] = 0 + c0*b[j] + c1*b[8+j] + c2*b[16+j] + c3*b[24+j] +
 				c4*b[32+j] + c5*b[40+j] + c6*b[48+j] + c7*b[56+j]
 		}
-	}
-}
-
-// mulVec2 computes dst = a·v for 2×2.
-func mulVec2(dst *[2]complex128, a *[4]complex128, v *[2]complex128) {
-	v0, v1 := v[0], v[1]
-	dst[0] = a[0]*v0 + a[1]*v1
-	dst[1] = a[2]*v0 + a[3]*v1
-}
-
-// mulVec4 computes dst = a·v for 4×4.
-func mulVec4(dst *[4]complex128, a *[16]complex128, v *[4]complex128) {
-	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-	dst[0] = a[0]*v0 + a[1]*v1 + a[2]*v2 + a[3]*v3
-	dst[1] = a[4]*v0 + a[5]*v1 + a[6]*v2 + a[7]*v3
-	dst[2] = a[8]*v0 + a[9]*v1 + a[10]*v2 + a[11]*v3
-	dst[3] = a[12]*v0 + a[13]*v1 + a[14]*v2 + a[15]*v3
-}
-
-// mulVec8 computes dst = a·v for 8×8.
-func mulVec8(dst *[8]complex128, a *[64]complex128, v *[8]complex128) {
-	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-	v4, v5, v6, v7 := v[4], v[5], v[6], v[7]
-	for i := 0; i < 8; i++ {
-		r := i * 8
-		dst[i] = a[r]*v0 + a[r+1]*v1 + a[r+2]*v2 + a[r+3]*v3 +
-			a[r+4]*v4 + a[r+5]*v5 + a[r+6]*v6 + a[r+7]*v7
 	}
 }

@@ -1,37 +1,15 @@
 package kernel
 
-// Blocking parameters for the packed path, sized so one destination
-// tile (tileI×tileJ), its packed operand panel (tileK×tileJ) and the
-// streamed rows of a stay L1/L2 resident: 32×32 complex128 tiles are
-// 16 KiB, a 128×32 panel is 64 KiB.
-const (
-	tileI = 32
-	tileJ = 32
-	tileK = 128
-
-	// packMin is the smallest shared dimension for which transpose
-	// packing pays for its O(k·n) copy; below it the streaming ikj loop
-	// already runs at memory speed.
-	packMin = 32
-
-	// packDensity is the minimum nonzero fraction of a for the packed
-	// path: the compiler's embedded operators (Kron/EmbedOperator
-	// outputs) are mostly zeros, and for them skipping whole b-rows on
-	// exact zeros beats any amount of cache blocking.
-	packDensity = 0.5
-)
-
 // MatMul computes dst = a·b with a m×k, b k×n, dst m×n, all row-major.
-// dst must not alias a or b. ws (nil allowed) provides pack scratch
-// for the blocked path.
+// dst must not alias a or b. ws is unused: no path needs scratch, and
+// the parameter stays because perfbench calls MatMul with it.
 //
-// Dispatch: exact 2×2/4×4/8×8 square products take the fully unrolled
-// fast paths; large, mostly-dense products take the cache-blocked
-// transpose-packed path; everything else takes the zero-skipping
-// streaming loop. Path choice is a pure function of the operand shapes
-// and values, and each path's floating-point summation order is fixed,
-// so MatMul is bit-deterministic: the same operands always produce the
-// same bytes, at any worker count.
+// Dispatch: exact 2×2/4×4/8×8 square products, every product the
+// pipeline forms, take the fully unrolled fast paths; everything else
+// takes the zero-skipping streaming loop. Path choice is a pure
+// function of the operand shapes, and each path's floating-point
+// summation order is fixed, so MatMul is bit-deterministic: the same
+// operands always produce the same bytes, at any worker count.
 func MatMul(ws *Workspace, dst, a, b []complex128, m, k, n int) {
 	if m == k && k == n {
 		switch n {
@@ -46,26 +24,7 @@ func MatMul(ws *Workspace, dst, a, b []complex128, m, k, n int) {
 			return
 		}
 	}
-	if k >= packMin && n >= packMin && density(a) >= packDensity {
-		matMulPacked(ws, dst, a, b, m, k, n)
-		return
-	}
 	matMulStream(dst, a, b, m, k, n)
-}
-
-// density returns the fraction of nonzero entries of a.
-func density(a []complex128) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	nz := 0
-	for _, v := range a {
-		//epoc:lint-ignore floatcmp exact-zero sparsity census steering the path dispatch
-		if v != 0 {
-			nz++
-		}
-	}
-	return float64(nz) / float64(len(a))
 }
 
 // matMulStream is the streaming ikj loop with an exact-zero skip on a:
@@ -91,84 +50,15 @@ func matMulStream(dst, a, b []complex128, m, k, n int) {
 	}
 }
 
-// matMulPacked is the cache-blocked path: b is transpose-packed one
-// tileK×tileJ panel at a time so the inner kernel reduces contiguous
-// row-pairs, then i×j tiles of dst are filled with 4-way unrolled dot
-// products. The lane recombination reorders the sum relative to the
-// streaming path (different rounding, same tolerance class), but the
-// order is fixed per shape, so the path stays bit-deterministic.
-func matMulPacked(ws *Workspace, dst, a, b []complex128, m, k, n int) {
-	mark := ws.Mark()
-	defer ws.Rewind(mark)
-	pack := ws.TakeComplex(tileK * tileJ)
-
-	for i := range dst {
-		dst[i] = 0
-	}
-	for j0 := 0; j0 < n; j0 += tileJ {
-		jn := min(tileJ, n-j0)
-		for k0 := 0; k0 < k; k0 += tileK {
-			kn := min(tileK, k-k0)
-			// Pack bᵀ for this panel: pack[j][p] = b[k0+p][j0+j].
-			for j := 0; j < jn; j++ {
-				col := pack[j*kn : (j+1)*kn]
-				src := (k0)*n + j0 + j
-				for p := 0; p < kn; p++ {
-					col[p] = b[src]
-					src += n
-				}
-			}
-			for i0 := 0; i0 < m; i0 += tileI {
-				im := min(tileI, m-i0)
-				for i := 0; i < im; i++ {
-					arow := a[(i0+i)*k+k0 : (i0+i)*k+k0+kn]
-					drow := dst[(i0+i)*n+j0 : (i0+i)*n+j0+jn]
-					for j := 0; j < jn; j++ {
-						drow[j] += dotc(arow, pack[j*kn:(j+1)*kn])
-					}
-				}
-			}
-		}
-	}
-}
-
-// dotc is the packed path's inner reduction: Σ a[p]·b[p] with 4-way
-// unrolling over contiguous operands. Partial sums are recombined in
-// lane order (s0+s1)+(s2+s3) deterministically.
-func dotc(a, b []complex128) complex128 {
-	var s0, s1, s2, s3 complex128
-	p := 0
-	for ; p+4 <= len(a); p += 4 {
-		s0 += a[p] * b[p]
-		s1 += a[p+1] * b[p+1]
-		s2 += a[p+2] * b[p+2]
-		s3 += a[p+3] * b[p+3]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; p < len(a); p++ {
-		s += a[p] * b[p]
-	}
-	return s
-}
-
 // MulVec computes dst = a·v with a m×n row-major, v length n, dst
 // length m. dst must not alias v.
 func MulVec(dst, a, v []complex128, m, n int) {
-	if m == n {
-		switch n {
-		case 2:
-			mulVec2((*[2]complex128)(dst), (*[4]complex128)(a), (*[2]complex128)(v))
-			return
-		case 4:
-			mulVec4((*[4]complex128)(dst), (*[16]complex128)(a), (*[4]complex128)(v))
-			return
-		case 8:
-			mulVec8((*[8]complex128)(dst), (*[64]complex128)(a), (*[8]complex128)(v))
-			return
-		}
-	}
 	for i := 0; i < m; i++ {
-		dst[i] = dotc(a[i*n:(i+1)*n], v)
+		var s complex128
+		for j, x := range a[i*n : (i+1)*n] {
+			s += x * v[j]
+		}
+		dst[i] = s
 	}
 }
 
@@ -245,8 +135,9 @@ func MulAdjoint(dst, a, b []complex128, m, k, n int) {
 	}
 }
 
-// dotcConj returns Σ a[p]·conj(b[p]) with the same 4-way unrolled,
-// deterministic lane recombination as dotc.
+// dotcConj returns Σ a[p]·conj(b[p]) with 4-way unrolling over
+// contiguous operands. Partial sums are recombined in lane order
+// (s0+s1)+(s2+s3) deterministically.
 func dotcConj(a, b []complex128) complex128 {
 	var s0, s1, s2, s3 complex128
 	p := 0

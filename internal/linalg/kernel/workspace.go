@@ -2,15 +2,14 @@
 // internal/linalg. It operates on raw row-major []complex128 buffers
 // (no Matrix type, no in-module dependencies) and provides:
 //
-//   - MatMul: general complex matmul with an exact-zero-skipping path
-//     for the sparse embedded operators the compiler builds, and a
-//     cache-blocked, transpose-packed path for large dense products;
 //   - fully unrolled fast paths for the 2×2, 4×4 and 8×8 (1–3 qubit)
-//     products that dominate GRAPE propagation and VUG instantiation,
-//     including adjoint-fused variants (a†·b, a·b†) so callers never
-//     materialize a conjugate transpose;
+//     products, the only sizes the pipeline forms (blocks are capped
+//     at 3 qubits), and adjoint-fused products (a†·b, a·b†) so
+//     callers never materialize a conjugate transpose;
+//   - an exact-zero-skipping streaming loop for every other shape,
+//     which only tests and the density-matrix reference reach;
 //   - Workspace, a per-goroutine bump arena that makes the hot loops
-//     (GRAPE propagators, L-BFGS instantiation, density simulation)
+//     (GRAPE propagators, Padé exponentials, eigensolves)
 //     allocation-free in steady state.
 //
 // Every kernel is deterministic: the floating-point summation order is
@@ -29,7 +28,7 @@ package kernel
 // Ownership rules (see DESIGN.md §14): a Workspace is NOT goroutine
 // safe — create one per goroutine and never share. Slices obtained
 // from Take* are owned by the arena and are invalidated by Rewind past
-// their Mark or by Reset; results that outlive a kernel call must be
+// their Mark; results that outlive a kernel call must be
 // copied into caller-owned memory. All methods are nil-safe: a nil
 // *Workspace degrades to plain make allocations, so workspace-threaded
 // APIs stay usable in cold paths and tests without plumbing.
@@ -64,16 +63,6 @@ func (w *Workspace) Rewind(m Mark) {
 	w.c.rewind(m.c)
 	w.f.rewind(m.f)
 	w.i.rewind(m.i)
-}
-
-// Reset releases everything. Only call when no arena slice is live.
-func (w *Workspace) Reset() {
-	if w == nil {
-		return
-	}
-	w.c.rewind(pos{epoch: w.c.epoch})
-	w.f.rewind(pos{epoch: w.f.epoch})
-	w.i.rewind(pos{epoch: w.i.epoch})
 }
 
 // TakeComplex returns a zeroed length-n complex scratch slice.

@@ -57,7 +57,6 @@ func TestWorkspaceNilSafe(t *testing.T) {
 		t.Fatalf("nil workspace TakeInt: got len %d", len(ints))
 	}
 	w.Rewind(m)
-	w.Reset()
 }
 
 func TestWorkspaceStackDiscipline(t *testing.T) {

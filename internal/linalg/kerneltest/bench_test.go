@@ -80,23 +80,6 @@ func BenchmarkPrePRMul(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelMulBlocked(b *testing.B) {
-	for _, n := range []int{48, 96} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			ws := kernel.NewWorkspace()
-			benchSquare(b, n, func(dst, x, y []complex128) { kernel.MatMul(ws, dst, x, y, n, n, n) })
-		})
-	}
-}
-
-func BenchmarkNaiveMulBlockedSizes(b *testing.B) {
-	for _, n := range []int{48, 96} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			benchSquare(b, n, func(dst, x, y []complex128) { NaiveMatMul(dst, x, y, n, n, n) })
-		})
-	}
-}
-
 func BenchmarkKernelAdjointMul(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {

@@ -9,9 +9,9 @@ import (
 	"epoc/internal/linalg/kernel"
 )
 
-// squareSizes covers every unrolled fast path (2, 4, 8), the generic
-// streaming sizes around them, and 16 as the largest size the pipeline
-// routinely exponentiates (4 qubits).
+// squareSizes covers every unrolled fast path (2, 4, 8) and the
+// generic streaming sizes around them. The pipeline's largest operand
+// is 8 (3-qubit blocks); 16 is the 4-qubit model GRAPE's tests run.
 var squareSizes = []int{2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 
 // TestKernelMatMulMatchesNaive is the core differential property: for
@@ -45,9 +45,8 @@ func TestKernelMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestKernelMatMulRectangular covers non-square shapes, including ones
-// past the packing threshold so the cache-blocked path is differential-
-// tested too (dims ≥ 32, dense).
+// TestKernelMatMulRectangular covers non-square shapes through the
+// streaming loop, large dense ones included.
 func TestKernelMatMulRectangular(t *testing.T) {
 	shapes := [][3]int{{2, 5, 3}, {7, 4, 9}, {1, 16, 1}, {16, 1, 16}, {33, 40, 37}, {48, 48, 48}, {64, 33, 35}}
 	rng := rand.New(rand.NewSource(42))
@@ -97,7 +96,7 @@ func TestKernelAdjointFusedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestKernelMulVecMatchesNaive covers the vector product fast paths.
+// TestKernelMulVecMatchesNaive covers the vector product.
 func TestKernelMulVecMatchesNaive(t *testing.T) {
 	for _, cls := range Classes {
 		for _, n := range squareSizes {

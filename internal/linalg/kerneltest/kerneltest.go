@@ -117,7 +117,7 @@ func RandomDense(m, n int, rng *rand.Rand) []complex128 {
 }
 
 // RandomSparse zeroes all but a `fill` fraction of a random operand, so
-// the kernel's zero-skip streaming path and density dispatch are hit.
+// the kernel's zero-skip streaming path is hit.
 func RandomSparse(m, n int, fill float64, rng *rand.Rand) []complex128 {
 	out := make([]complex128, m*n)
 	for i := range out {

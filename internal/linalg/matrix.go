@@ -143,10 +143,9 @@ func (m *Matrix) ScaleInPlace(s complex128) *Matrix {
 }
 
 // Mul returns the matrix product m·n. It routes through the kernel
-// layer (internal/linalg/kernel): unrolled fast paths for 2×2/4×4/8×8,
-// a cache-blocked transpose-packed path for large dense products, and
-// a zero-skipping streaming loop otherwise. Hot loops that must not
-// allocate use MulInto with a kernel.Workspace instead.
+// layer (internal/linalg/kernel): unrolled fast paths for 2×2/4×4/8×8
+// and a zero-skipping streaming loop otherwise. Hot loops that must
+// not allocate use MulInto instead.
 func (m *Matrix) Mul(n *Matrix) *Matrix {
 	if m.Cols != n.Rows {
 		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
@@ -163,28 +162,6 @@ func (m *Matrix) MulVec(v []complex128) []complex128 {
 	}
 	out := make([]complex128, m.Rows)
 	kernel.MulVec(out, m.Data, v, m.Rows, m.Cols)
-	return out
-}
-
-// Transpose returns mᵀ.
-//
-//epoc:hot
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
-// Conj returns the element-wise complex conjugate of m.
-func (m *Matrix) Conj() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = cmplx.Conj(v)
-	}
 	return out
 }
 
@@ -242,17 +219,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		s += real(v)*real(v) + imag(v)*imag(v)
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the maximum absolute value of any element.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := cmplx.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // OneNorm returns the maximum absolute column sum, or NaN when an

@@ -6,10 +6,11 @@ import (
 	"epoc/internal/linalg/kernel"
 )
 
-// Workspace-threaded, allocation-free entry points. Each *Into
-// function writes its result into a caller-owned, pre-shaped dst and
-// takes an optional *kernel.Workspace for internal temporaries (nil
-// falls back to plain allocation, so cold paths need no plumbing).
+// Allocation-free entry points. Each *Into function writes its result
+// into a caller-owned, pre-shaped dst; the products need no scratch,
+// and the exponentials and eigensolver take an optional
+// *kernel.Workspace for internal temporaries (nil falls back to plain
+// allocation, so cold paths need no plumbing).
 // The //epoc:hot loops in qoc, opt and densesim route through these;
 // the allocating methods (Mul, Expm, EigHermitian, …) are thin
 // wrappers that remain for everything else. Ownership rules are in
@@ -18,12 +19,12 @@ import (
 
 // MulInto sets dst = a·b. dst must be pre-shaped to a.Rows×b.Cols and
 // must not alias a or b.
-func MulInto(ws *kernel.Workspace, dst, a, b *Matrix) {
+func MulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: MulInto shape mismatch %dx%d = %dx%d · %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	kernel.MatMul(ws, dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
+	kernel.MatMul(nil, dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
 }
 
 // AdjointMulInto sets dst = a†·b without materializing a†. dst must be

@@ -54,10 +54,22 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 
 	// Table hygiene: every layeringDAG entry must name a real package,
-	// so deleted or renamed packages cannot leave stale DAG rows.
-	for rel := range layeringDAG {
-		if _, ok := mod.Packages[modPath+"/"+rel]; !ok {
+	// and every edge it declares must be an import of a non-test file,
+	// so deleted packages and dropped imports cannot leave stale rows.
+	for rel, deps := range layeringDAG {
+		pkg, ok := mod.Packages[modPath+"/"+rel]
+		if !ok {
 			t.Errorf("layeringDAG entry %q names no package in the module; update the table and ARCHITECTURE.md", rel)
+			continue
+		}
+		imported := map[string]bool{}
+		for _, imp := range pkg.Types.Imports() {
+			imported[imp.Path()] = true
+		}
+		for _, dep := range deps {
+			if !imported[modPath+"/"+dep] {
+				t.Errorf("layeringDAG edge %s → %s is no import of a non-test file; drop it from the table and ARCHITECTURE.md", rel, dep)
+			}
 		}
 	}
 
@@ -100,7 +112,7 @@ func TestHotAnnotationsPresent(t *testing.T) {
 	want := map[string][]string{
 		"internal/qoc": {"grapeFrom", "traceProduct", "update", "stepInto", "slotHamiltonianInto",
 			"evaluate", "step", "suffixes", "rhoInto"},
-		"internal/linalg": {"Transpose", "Adjoint", "Kron", "EigHermitianInto", "ExpIHermitianInto", "ExpIFromEigInto",
+		"internal/linalg": {"Adjoint", "Kron", "EigHermitianInto", "ExpIHermitianInto", "ExpIFromEigInto",
 			"ExpmInto", "padeInto", "luFactor", "luSolvePermuted", "padeSmall", "luSolveSmall"},
 		"internal/opt":      {"LBFGS"},
 		"internal/densesim": {"ApplyUnitary"},
@@ -126,9 +138,10 @@ func TestHotAnnotationsPresent(t *testing.T) {
 	}
 }
 
-// testOnlyAllowed lists the exported internal functions that may have
-// no caller in shipped code: each is an oracle other packages' tests
-// compare against, or an invariant checker or fixture the tests share.
+// testOnlyAllowed lists the exported internal functions and methods
+// that may have no caller in shipped code: each is an oracle other
+// packages' tests compare against, or an invariant checker or fixture
+// the tests share. A method is named package.Type.Method.
 var testOnlyAllowed = map[string]string{
 	"internal/sim.RunCircuit":         "state-vector oracle the benchmark, QASM and densesim tests compare against",
 	"internal/sim.FromAmplitudes":     "builds oracle states for the simulator and equivalence tests",
@@ -140,6 +153,14 @@ var testOnlyAllowed = map[string]string{
 	"internal/faultclock.NewFake":     "fake clock fixture that makes budget expiry deterministic in tests",
 	"internal/faultclock.NewInjector": "trip-point fixture that fires cancellation at an exact loop iteration",
 	"internal/faultclock.Sites":       "lists every trip point for the table-driven conformance tests",
+
+	"internal/linalg.Matrix.IsUnitary":       "invariant checker: the gate, circuit, partition and linalg tests assert unitarity with it",
+	"internal/linalg.Matrix.IsHermitian":     "invariant checker: the linalg and QOC tests assert Hermitian generators with it",
+	"internal/sim.State.Probability":         "outcome-probability oracle the benchmark-circuit, QASM and simulator tests read results through",
+	"internal/circuit.Circuit.Clone":         "copy the routing tests append layout-restoring SWAPs to before the equivalence check",
+	"internal/faultclock.Fake.Advance":       "moves the fake clock so tests expire budgets at an exact instant",
+	"internal/faultclock.Injector.TripAfter": "arms a trip point to fire at an exact loop iteration",
+	"internal/faultclock.Injector.Hits":      "counts a trip point's passes so tests can place TripAfter inside a loop",
 }
 
 // testSupportPackages hold only oracles for other packages' tests.
@@ -149,11 +170,13 @@ var testSupportPackages = map[string]bool{
 }
 
 // TestNoTestOnlyFuncs keeps production packages free of code that only
-// tests use: every exported package-level function under internal/
-// must be referenced from a non-test file of the module (LoadModule
-// parses no test files), or be allowlisted above with its reason.
-// Methods are out of scope, because interface dispatch is not
-// resolved statically.
+// tests use: every exported package-level function and exported method
+// under internal/ must be referenced from a non-test file of the module
+// (LoadModule parses no test files), or be allowlisted above with its
+// reason. A method that implements an interface the module can see,
+// from the standard library (fmt.Stringer, error, json.Marshaler,
+// sort.Interface, http.Handler, …) or declared in the module, counts as
+// called, because interface dispatch is not resolved statically.
 func TestNoTestOnlyFuncs(t *testing.T) {
 	mod, modPath := loadRepo(t)
 	if mod.Packages[modPath+"/perfbench"] == nil {
@@ -173,10 +196,15 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv != nil || !fn.Name.IsExported() {
+				if !ok || !fn.Name.IsExported() {
 					continue
 				}
-				funcs[pkg.Info.Defs[fn.Name]] = site{rel + "." + fn.Name.Name, fn}
+				obj := pkg.Info.Defs[fn.Name]
+				name := rel + "." + fn.Name.Name
+				if recv := receiverNamed(obj); recv != nil {
+					name = rel + "." + recv.Obj().Name() + "." + fn.Name.Name
+				}
+				funcs[obj] = site{name, fn}
 			}
 		}
 	}
@@ -184,10 +212,19 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 	used := map[types.Object]bool{}
 	for _, pkg := range mod.Sorted() {
 		for id, obj := range pkg.Info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+			}
 			// A recursive call is not a caller.
 			if s, ok := funcs[obj]; ok && (id.Pos() < s.decl.Pos() || id.Pos() >= s.decl.End()) {
 				used[obj] = true
 			}
+		}
+	}
+	ifaces := visibleInterfaces(mod)
+	for obj := range funcs {
+		if recv := receiverNamed(obj); recv != nil && implementsVisible(recv, obj.Name(), ifaces) {
+			used[obj] = true
 		}
 	}
 
@@ -206,7 +243,86 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 	// Table hygiene, as for layeringDAG: no stale allowlist rows.
 	for name := range testOnlyAllowed {
 		if !declared[name] {
-			t.Errorf("testOnlyAllowed names %s, which is not an exported internal function", name)
+			t.Errorf("testOnlyAllowed names %s, which is not an exported internal function or method", name)
 		}
 	}
+}
+
+// receiverNamed returns the named type a method is declared on, or nil
+// for a package-level function.
+func receiverNamed(obj types.Object) *types.Named {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	named, _ := typ.(*types.Named)
+	return named
+}
+
+// visibleInterfaces indexes by method name every method-set interface
+// the module can see: error, the interfaces declared at package level
+// in the module and everything it imports, and the interface literals
+// written in the module's own code.
+func visibleInterfaces(mod *Module) map[string][]*types.Interface {
+	byMethod := map[string][]*types.Interface{}
+	add := func(typ types.Type) {
+		it, ok := typ.(*types.Interface)
+		if !ok || !it.IsMethodSet() {
+			return
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			byMethod[name] = append(byMethod[name], it)
+		}
+	}
+	add(types.Universe.Lookup("error").Type().Underlying())
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if named, ok := tn.Type().(*types.Named); !ok || named.TypeParams().Len() == 0 {
+					add(tn.Type().Underlying())
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range mod.Sorted() {
+		visit(pkg.Types)
+		for _, tv := range pkg.Info.Types {
+			add(tv.Type)
+		}
+	}
+	return byMethod
+}
+
+// implementsVisible reports whether the method name of recv is part of
+// an interface in ifaces that *recv implements.
+func implementsVisible(recv *types.Named, name string, ifaces map[string][]*types.Interface) bool {
+	if recv.TypeParams().Len() > 0 {
+		return false
+	}
+	ptr := types.NewPointer(recv)
+	for _, it := range ifaces[name] {
+		if types.Implements(ptr, it) {
+			return true
+		}
+	}
+	return false
 }

@@ -83,14 +83,6 @@ func (l *Logger) With(args ...any) *Logger {
 	return &Logger{s: l.s.With(args...)}
 }
 
-// Debug logs at LevelDebug; no-op on nil.
-func (l *Logger) Debug(msg string, args ...any) {
-	if l == nil {
-		return
-	}
-	l.s.Debug(msg, args...)
-}
-
 // Info logs at LevelInfo; no-op on nil.
 func (l *Logger) Info(msg string, args ...any) {
 	if l == nil {

@@ -25,7 +25,7 @@ func TestJSONRecords(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, slog.LevelInfo)
 	l.Info("compile done", "stage", "zx", "elapsed_ms", 12.5)
-	l.Debug("suppressed below level")
+	l.s.Debug("suppressed below level")
 	l.Error("boom", "err", "synth failed")
 
 	lines := decodeLines(t, &buf)
@@ -62,7 +62,6 @@ func TestWithCarriesAttrs(t *testing.T) {
 
 func TestNilLoggerIsSafe(t *testing.T) {
 	var l *Logger
-	l.Debug("x")
 	l.Info("x", "k", "v")
 	l.Warn("x")
 	l.Error("x")

@@ -38,7 +38,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -103,15 +102,6 @@ func (h *Hist) observe(v float64) {
 		}
 	}
 	h[NumBuckets]++
-}
-
-// Total returns the sum of all bucket counts.
-func (h *Hist) Total() int64 {
-	var n int64
-	for _, c := range h {
-		n += c
-	}
-	return n
 }
 
 // Recorder accumulates counters, timer aggregates, value
@@ -447,18 +437,6 @@ func (r *Recorder) Merge(s *Snapshot) {
 			d.Buckets[i] += v.Buckets[i]
 		}
 	}
-}
-
-// JSON renders the snapshot as indented JSON with a trailing newline.
-// Map keys are emitted sorted (encoding/json's behaviour), so the
-// bytes are a deterministic function of the snapshot's contents. Nil
-// snapshots render as "null".
-func (s *Snapshot) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // CounterNames returns the snapshot's counter names sorted

@@ -127,7 +127,7 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	if d.Buckets[0] != 2 || d.Buckets[4] != 1 || d.Buckets[NumBuckets] != 2 {
 		t.Fatalf("bucket placement: %v", d.Buckets)
 	}
-	if got := d.Buckets.Total(); got != d.Count {
+	if got := bucketTotal(d.Buckets); got != d.Count {
 		t.Fatalf("bucket total %d != count %d", got, d.Count)
 	}
 
@@ -136,7 +136,7 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	if tm.Buckets[6] != 1 {
 		t.Fatalf("timer bucket placement: %v", tm.Buckets)
 	}
-	if got := tm.Buckets.Total(); got != tm.Count {
+	if got := bucketTotal(tm.Buckets); got != tm.Count {
 		t.Fatalf("timer bucket total %d != count %d", got, tm.Count)
 	}
 }
@@ -164,7 +164,7 @@ func TestMerge(t *testing.T) {
 	if d.Count != 2 || d.Sum != 101 || d.Min != 1 || d.Max != 100 {
 		t.Fatalf("merged dist: %+v", d)
 	}
-	if got := d.Buckets.Total(); got != 2 {
+	if got := bucketTotal(d.Buckets); got != 2 {
 		t.Fatalf("merged dist buckets total %d, want 2", got)
 	}
 	tm := s.Timers["t"]
@@ -172,7 +172,7 @@ func TestMerge(t *testing.T) {
 		tm.Min != time.Millisecond || tm.Max != time.Second {
 		t.Fatalf("merged timer: %+v", tm)
 	}
-	if got := tm.Buckets.Total(); got != 2 {
+	if got := bucketTotal(tm.Buckets); got != 2 {
 		t.Fatalf("merged timer buckets total %d, want 2", got)
 	}
 	if s.Timers["only-b-timer"].Count != 1 || s.Dists["only-b-dist"].Count != 1 {
@@ -282,4 +282,13 @@ func TestTimerNamesHottestFirst(t *testing.T) {
 			t.Fatalf("order: %v", got)
 		}
 	}
+}
+
+// bucketTotal returns the sum of a histogram's bucket counts.
+func bucketTotal(h Hist) int64 {
+	var n int64
+	for _, c := range h {
+		n += c
+	}
+	return n
 }

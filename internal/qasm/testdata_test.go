@@ -79,8 +79,8 @@ func TestQFTFileIsUniformOnZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.RunCircuit(prog.Circuit)
-	for i, p := range s.Probabilities() {
-		if math.Abs(p-1.0/16) > 1e-9 {
+	for i := range s.Amp {
+		if p := s.Probability(i); math.Abs(p-1.0/16) > 1e-9 {
 			t.Fatalf("QFT|0> not uniform at %d: %v", i, p)
 		}
 	}

@@ -193,7 +193,6 @@ type ascent struct {
 	target       *linalg.Matrix
 	amps         [][]float64 // [slot][control], moved in place
 	mAdam, vAdam [][]float64
-	ws           *kernel.Workspace
 	props        *propCache
 	left         *linalg.Matrix
 	rho          []complex128   // the entries of ρ the controls touch
@@ -202,15 +201,13 @@ type ascent struct {
 
 func newAscent(m *Model, target *linalg.Matrix, amps [][]float64) *ascent {
 	dim, slots, nc := m.Dim(), len(amps), len(m.Controls)
-	ws := kernel.NewWorkspace()
 	a := &ascent{
 		m:      m,
 		target: target,
 		amps:   amps,
 		mAdam:  makeGrid(slots, nc),
 		vAdam:  makeGrid(slots, nc),
-		ws:     ws,
-		props:  newPropCache(m, slots, ws),
+		props:  newPropCache(m, slots, kernel.NewWorkspace()),
 		left:   linalg.NewMatrix(dim, dim),
 		rho:    make([]complex128, len(m.touched)),
 	}
@@ -257,7 +254,7 @@ func (a *ascent) step(iter int, z complex128) {
 		linalg.AdjointMulInto(a.left, a.target, a.props.suffix[k+1])
 		// tr(left·H_j·right) = tr(ρ·H_j) with ρ = right·left, of
 		// which only the entries the controls touch are formed.
-		rhoInto(a.ws, a.rho, m.touched, a.props.prefix[k+1], a.left, a.dense)
+		rhoInto(a.rho, m.touched, a.props.prefix[k+1], a.left, a.dense)
 		for j, terms := range m.terms {
 			tr := traceProduct(a.rho, terms)
 			dz := complex(0, -m.Dt) * tr
@@ -295,9 +292,9 @@ func makeGrid(slots, nc int) [][]float64 {
 // product in dense and gather from it.
 //
 //epoc:hot
-func rhoInto(ws *kernel.Workspace, rho []complex128, touched []rhoEntry, a, b, dense *linalg.Matrix) {
+func rhoInto(rho []complex128, touched []rhoEntry, a, b, dense *linalg.Matrix) {
 	if dense != nil {
-		linalg.MulInto(ws, dense, a, b)
+		linalg.MulInto(dense, a, b)
 		for t, e := range touched {
 			rho[t] = dense.Data[int(e.row)+int(e.col)]
 		}

@@ -103,7 +103,7 @@ func (p *propCache) update(amps [][]float64) *linalg.Matrix {
 	// rebuild the rest. Suffix entries after the last changed slice
 	// stay valid too, and suffixes rebuilds the others.
 	for k := first; k < p.slots; k++ {
-		linalg.MulInto(p.ws, p.prefix[k+1], p.steps[k], p.prefix[k])
+		linalg.MulInto(p.prefix[k+1], p.steps[k], p.prefix[k])
 	}
 	p.stale = max(p.stale, last)
 	return p.prefix[p.slots]
@@ -115,7 +115,7 @@ func (p *propCache) update(amps [][]float64) *linalg.Matrix {
 //epoc:hot
 func (p *propCache) suffixes() {
 	for k := p.stale; k >= 0; k-- {
-		linalg.MulInto(p.ws, p.suffix[k], p.suffix[k+1], p.steps[k])
+		linalg.MulInto(p.suffix[k], p.suffix[k+1], p.steps[k])
 	}
 	p.stale = -1
 }

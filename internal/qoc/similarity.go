@@ -79,22 +79,3 @@ func WarmStartGRAPE(m *Model, target *linalg.Matrix, slots int, warm [][]float64
 	}
 	return grapeFrom(m, target, init, cfg)
 }
-
-// Nearest returns the index of the candidate closest to target under
-// Similarity, considering only same-dimension candidates within
-// maxDist, or -1 when none qualifies. Ties keep the lowest index, so
-// given a fixed candidate order the choice is deterministic — the
-// warm-start selector in core depends on that for byte-identical
-// output at any worker count.
-func Nearest(cands []*linalg.Matrix, target *linalg.Matrix, maxDist float64) (idx int, dist float64) {
-	idx, dist = -1, math.Inf(1)
-	for i, c := range cands {
-		if c == nil || c.Rows != target.Rows {
-			continue
-		}
-		if d := Similarity(c, target); d < dist && d <= maxDist {
-			idx, dist = i, d
-		}
-	}
-	return idx, dist
-}

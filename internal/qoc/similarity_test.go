@@ -7,37 +7,6 @@ import (
 	"epoc/internal/linalg"
 )
 
-func TestNearestDeterministicTieBreak(t *testing.T) {
-	target := gate.New(gate.RX, 0.5).Matrix()
-	near := gate.New(gate.RX, 0.52).Matrix()
-	// Two identical candidates: the lowest index must win, every time.
-	cands := []*linalg.Matrix{near, near.Clone()}
-	idx, dist := Nearest(cands, target, 0.75)
-	if idx != 0 {
-		t.Fatalf("tie broke to index %d, want 0", idx)
-	}
-	if dist <= 0 || dist > 0.75 {
-		t.Fatalf("distance %g out of range", dist)
-	}
-}
-
-func TestNearestSkipsUnusableCandidates(t *testing.T) {
-	target := gate.New(gate.RX, 0.5).Matrix()
-	cands := []*linalg.Matrix{
-		nil,                        // entry without raw amplitudes
-		gate.New(gate.CX).Matrix(), // wrong dimension
-		gate.New(gate.RX, 3.0).Matrix(),
-	}
-	// RX(3.0) is far from RX(0.5): beyond maxDist nothing qualifies.
-	if idx, _ := Nearest(cands, target, 0.1); idx != -1 {
-		t.Fatalf("distant candidate accepted at index %d", idx)
-	}
-	// With a permissive bound the in-dimension candidate wins.
-	if idx, _ := Nearest(cands, target, 2); idx != 2 {
-		t.Fatalf("nearest index %d, want 2", idx)
-	}
-}
-
 // TestWarmStartConvergesNoWorseThanCold is the library-fixture
 // contract behind the persistent store's warm starts: seeding GRAPE
 // from a converged neighbour's amplitudes must reach the fidelity

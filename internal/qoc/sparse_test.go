@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"epoc/internal/linalg"
-	"epoc/internal/linalg/kernel"
 	"epoc/internal/linalg/kerneltest"
 )
 
@@ -38,7 +37,6 @@ func TestSparseContractionMatchesDense(t *testing.T) {
 			n := m.Dim()
 			t.Run(fmt.Sprintf("%s/d%d", cls.Name, n), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(n)*7 + 2))
-				ws := kernel.NewWorkspace()
 				var dense *linalg.Matrix
 				if n > 8 {
 					dense = linalg.NewMatrix(n, n)
@@ -49,9 +47,9 @@ func TestSparseContractionMatchesDense(t *testing.T) {
 					copy(a.Data, cls.Gen(n, n, rng))
 					copy(b.Data, cls.Gen(n, n, rng))
 					full := linalg.NewMatrix(n, n)
-					linalg.MulInto(nil, full, a, b)
+					linalg.MulInto(full, a, b)
 					rho := make([]complex128, len(m.touched))
-					rhoInto(ws, rho, m.touched, a, b, dense)
+					rhoInto(rho, m.touched, a, b, dense)
 					for i, e := range m.touched {
 						want := full.Data[int(e.row)+int(e.col)]
 						if _, ok := kerneltest.BitEqual(rho[i:i+1], []complex128{want}); !ok {

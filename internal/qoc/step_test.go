@@ -9,6 +9,7 @@ import (
 
 	"epoc/internal/linalg"
 	"epoc/internal/linalg/kernel"
+	"epoc/internal/linalg/kerneltest"
 )
 
 // theta13 is the 1-norm above which linalg.ExpmInto scales and squares
@@ -75,7 +76,7 @@ func TestStepMatchesEigenExponential(t *testing.T) {
 			linalg.ExpIHermitianInto(ws, want, h, -m.Dt)
 			m.stepInto(ws, got, ham, u)
 
-			if d := got.Sub(want).MaxAbs(); d > tol {
+			if d := kerneltest.MaxDiff(got.Data, want.Data); d > tol {
 				t.Fatalf("%s schedule %d: step differs from e^{-iHDt} by %.3g (max entry)", tc.name, si, d)
 			}
 			linalg.AdjointMulInto(gram, got, got)

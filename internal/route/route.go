@@ -19,10 +19,9 @@ import (
 
 // Topology is an undirected coupling graph over physical qubits.
 type Topology struct {
-	N     int
-	adj   map[int]map[int]bool
-	dist  [][]int
-	edges [][2]int
+	N    int
+	adj  map[int]map[int]bool
+	dist [][]int
 }
 
 // NewTopology builds a topology from an edge list.
@@ -37,7 +36,6 @@ func NewTopology(n int, edges [][2]int) *Topology {
 		}
 		t.adj[e[0]][e[1]] = true
 		t.adj[e[1]][e[0]] = true
-		t.edges = append(t.edges, e)
 	}
 	t.computeDistances()
 	return t
@@ -114,9 +112,6 @@ func (t *Topology) Neighbors(q int) []int {
 
 // Distance returns the coupling-graph distance (-1 if disconnected).
 func (t *Topology) Distance(a, b int) int { return t.dist[a][b] }
-
-// Edges returns the coupler list.
-func (t *Topology) Edges() [][2]int { return t.edges }
 
 // Result carries a routed circuit and its mapping metadata.
 type Result struct {

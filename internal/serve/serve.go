@@ -72,11 +72,6 @@ type Config struct {
 	// (default 2m). MaxDeadline caps every request (default 10m).
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// DeadlineGrace is the slack between the soft deadline (mapped to
-	// Budgets.Total: the compile degrades to fit) and the hard context
-	// deadline that aborts a compile which failed to degrade in time
-	// (default 5s). Only armed under the real clock; see job.run.
-	DeadlineGrace time.Duration
 
 	// RetainJobs bounds how many finished jobs stay queryable via
 	// GET /v1/compile/{id} (default 128; oldest evicted first).
@@ -120,6 +115,12 @@ type Config struct {
 	Clock faultclock.Clock
 }
 
+// deadlineGrace is the slack between a request's soft deadline
+// (mapped to Budgets.Total: the compile degrades to fit) and the hard
+// context deadline that aborts a compile which failed to degrade in
+// time. Only armed under the real clock; see job.run.
+const deadlineGrace = 5 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -135,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 10 * time.Minute
-	}
-	if c.DeadlineGrace <= 0 {
-		c.DeadlineGrace = 5 * time.Second
 	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 128
@@ -384,7 +382,7 @@ func (s *Server) runJob(j *job) {
 
 	// Deadline → budget mapping (DESIGN.md §11): the soft deadline
 	// becomes Budgets.Total so the pipeline degrades to fit; the hard
-	// context deadline sits DeadlineGrace later as a backstop for a
+	// context deadline sits deadlineGrace later as a backstop for a
 	// compile that cannot reach a degrade checkpoint. The hard
 	// deadline is real-time only — under an injected fake clock the
 	// budget machinery (which reads the same fake) is the sole timer.
@@ -397,7 +395,7 @@ func (s *Server) runJob(j *job) {
 		cancel context.CancelFunc
 	)
 	if s.cfg.Clock == nil {
-		ctx, cancel = context.WithDeadline(j.baseCtx, time.Now().Add(remaining+s.cfg.DeadlineGrace))
+		ctx, cancel = context.WithDeadline(j.baseCtx, time.Now().Add(remaining+deadlineGrace))
 	} else {
 		ctx, cancel = context.WithCancel(j.baseCtx)
 	}

@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 
 	"epoc/internal/circuit"
@@ -201,26 +200,8 @@ func (s *State) Fidelity(t *State) float64 {
 	return o * o
 }
 
-// Norm returns ‖s‖₂ (1 for normalized states).
-func (s *State) Norm() float64 {
-	var acc float64
-	for _, a := range s.Amp {
-		acc += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return math.Sqrt(acc)
-}
-
 // Probability returns the probability of measuring basis state idx.
 func (s *State) Probability(idx int) float64 {
 	a := s.Amp[idx]
 	return real(a)*real(a) + imag(a)*imag(a)
-}
-
-// Probabilities returns the full measurement distribution.
-func (s *State) Probabilities() []float64 {
-	out := make([]float64, len(s.Amp))
-	for i := range s.Amp {
-		out[i] = s.Probability(i)
-	}
-	return out
 }

@@ -18,7 +18,7 @@ func TestNewStateIsZeroKet(t *testing.T) {
 	if s.Amp[0] != 1 {
 		t.Fatal("|000> amplitude not 1")
 	}
-	if math.Abs(s.Norm()-1) > tol {
+	if math.Abs(math.Sqrt(real(s.Overlap(s)))-1) > tol {
 		t.Fatal("not normalized")
 	}
 }
@@ -57,10 +57,9 @@ func TestGHZOnManyQubits(t *testing.T) {
 	if math.Abs(real(s.Amp[0])-inv) > tol || math.Abs(real(s.Amp[(1<<n)-1])-inv) > tol {
 		t.Fatal("GHZ amplitudes wrong")
 	}
-	probs := s.Probabilities()
 	var total float64
-	for _, p := range probs {
-		total += p
+	for i := range s.Amp {
+		total += s.Probability(i)
 	}
 	if math.Abs(total-1) > tol {
 		t.Fatal("probabilities do not sum to 1")
@@ -205,7 +204,7 @@ func TestQuickNormPreserved(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(5, 30, rng)
 		s := RunCircuit(c)
-		return math.Abs(s.Norm()-1) < 1e-8
+		return math.Abs(math.Sqrt(real(s.Overlap(s)))-1) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

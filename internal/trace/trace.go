@@ -206,16 +206,6 @@ func (s *Span) SetBool(key string, v bool) *Span {
 	return s
 }
 
-// Len reports how many spans have been started.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // snapshot copies the span list under the lock. The span structs
 // themselves are read without synchronization, which is safe once
 // their owning goroutines have ended them and joined (the pipeline

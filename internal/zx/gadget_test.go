@@ -124,8 +124,8 @@ func TestGadgetFusionDirect(t *testing.T) {
 	if !g.alive[l1] {
 		survivor = l2
 	}
-	if math.Abs(g.Phase(survivor)-0.7) > 1e-9 {
-		t.Fatalf("fused leaf phase %v, want 0.7", g.Phase(survivor))
+	if math.Abs(g.phase[survivor]-0.7) > 1e-9 {
+		t.Fatalf("fused leaf phase %v, want 0.7", g.phase[survivor])
 	}
 }
 

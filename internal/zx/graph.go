@@ -82,12 +82,6 @@ func (g *Graph) RemoveVertex(v int) {
 	g.live--
 }
 
-// Kind returns the vertex kind.
-func (g *Graph) Kind(v int) VKind { return g.kind[v] }
-
-// Phase returns the vertex phase in radians.
-func (g *Graph) Phase(v int) float64 { return g.phase[v] }
-
 // SetPhase overwrites the vertex phase.
 func (g *Graph) SetPhase(v int, p float64) { g.phase[v] = normPhase(p) }
 

@@ -87,7 +87,7 @@ func TestFromCircuitStructure(t *testing.T) {
 	// CX adds one Z and one X spider.
 	zs, xs := 0, 0
 	for _, v := range g.Vertices() {
-		switch g.Kind(v) {
+		switch g.kind[v] {
 		case ZSpider:
 			zs++
 		case XSpider:
@@ -106,17 +106,17 @@ func TestColorChangeRemovesXSpiders(t *testing.T) {
 	g := FromCircuit(c)
 	g.ToGraphLike()
 	for _, v := range g.Vertices() {
-		if g.Kind(v) == XSpider {
+		if g.kind[v] == XSpider {
 			t.Fatal("X spider survived ToGraphLike")
 		}
 	}
 	// All spider-spider edges must be Hadamard.
 	for _, v := range g.Vertices() {
-		if g.Kind(v) != ZSpider {
+		if g.kind[v] != ZSpider {
 			continue
 		}
 		for _, w := range g.Neighbors(v) {
-			if g.Kind(w) == ZSpider {
+			if g.kind[w] == ZSpider {
 				if k, _ := g.Edge(v, w); k != Hadamard {
 					t.Fatal("simple spider-spider edge survived ToGraphLike")
 				}
@@ -133,8 +133,8 @@ func TestFusionMergesPhases(t *testing.T) {
 	g.ToGraphLike()
 	var phases []float64
 	for _, v := range g.Vertices() {
-		if g.Kind(v) == ZSpider && !phaseIsZero(g.Phase(v)) {
-			phases = append(phases, g.Phase(v))
+		if g.kind[v] == ZSpider && !phaseIsZero(g.phase[v]) {
+			phases = append(phases, g.phase[v])
 		}
 	}
 	if len(phases) != 1 || math.Abs(phases[0]-0.7) > 1e-9 {
@@ -233,8 +233,8 @@ func TestGraphBasics(t *testing.T) {
 		t.Fatal("edge lookup wrong")
 	}
 	g.AddToPhase(a, 2*math.Pi-0.5)
-	if !phaseIsZero(g.Phase(a)) {
-		t.Fatalf("phase wrap: %v", g.Phase(a))
+	if !phaseIsZero(g.phase[a]) {
+		t.Fatalf("phase wrap: %v", g.phase[a])
 	}
 	g.RemoveVertex(b)
 	if g.Degree(a) != 0 {
