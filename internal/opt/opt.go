@@ -139,8 +139,12 @@ func LBFGS(f Objective, g Gradient, x0 []float64, cfg LBFGSConfig) Result {
 					step *= 2
 					ft = ft2
 				}
-				fNew = eval(step)
-				copy(xNew, trial)
+				// ft is f at x + step·d already; form that point
+				// directly instead of sweeping the objective again.
+				fNew = ft
+				for i := range x {
+					xNew[i] = x[i] + step*d[i]
+				}
 				return true
 			}
 			step *= 0.5
