@@ -7,10 +7,6 @@ import (
 	"epoc/internal/linalg"
 )
 
-// fdStep is the central-difference width of the instantiation
-// gradient.
-const fdStep = 1e-7
-
 // sweepOp is one gate of a template's forward sweep: a U3 on qubit a
 // whose parameters start at x[p], or, when p < 0, a CX with control a
 // and target b.
@@ -18,14 +14,14 @@ type sweepOp struct{ a, b, p int }
 
 // evaluator computes the instantiation objective of one target (the
 // phase-invariant Hilbert-Schmidt cost 1 - |tr(T(x)†·U)|/dim) and its
-// central-difference gradient, for whichever template it was last
-// reset to. Gates act directly on the rows of one preallocated running
-// product instead of being embedded into dense operators, and the
-// gradient restarts each perturbed sweep from the cached prefix product
-// of the gates before the perturbed one. Both are bit-identical to
-// evaluating the dense product EmbedOperator(g_k)·…·EmbedOperator(g_0)
-// through linalg.Mul and differencing full rebuilds (DESIGN.md §14), so
-// L-BFGS follows exactly the trajectory the dense evaluation gives.
+// exact gradient, for whichever template it was last reset to. Gates
+// act directly on the rows of one preallocated running product instead
+// of being embedded into dense operators. The objective is
+// bit-identical to evaluating the dense product
+// EmbedOperator(g_k)·…·EmbedOperator(g_0) through linalg.Mul (DESIGN.md
+// §14); the gradient is the adjoint of that sweep, exact up to
+// rounding, from a forward sweep that keeps every prefix product and
+// one backward sweep.
 //
 // An evaluator owns its buffers and is not safe for concurrent use; a
 // QSearch builds one and reuses it for every node it instantiates.
@@ -36,9 +32,9 @@ type evaluator struct {
 	// prefix holds len(ops)+1 dim×dim products, row-major:
 	// prefix[k·dim²:] is the product of ops[:k] at the gradient point.
 	prefix []complex128
-	work   []complex128    // running product of one sweep
-	gates  [][4]complex128 // U3 entries per op at the gradient point
-	trig   []u3Trig        // the factors each op's gates entry is built from
+	work   []complex128 // running product of the objective's sweep
+	back   []complex128 // running product of the gradient's adjoint sweep
+	trig   []u3Trig     // the factors of each op's U3 at the gradient point
 }
 
 // newEvaluator returns an evaluator for target on n qubits with buffers
@@ -46,7 +42,7 @@ type evaluator struct {
 // grow them on reset.
 func newEvaluator(target *linalg.Matrix, n, maxPlacements int) *evaluator {
 	dim := 1 << n
-	e := &evaluator{dim: dim, target: target.Data, work: make([]complex128, dim*dim)}
+	e := &evaluator{dim: dim, target: target.Data, work: make([]complex128, dim*dim), back: make([]complex128, dim*dim)}
 	e.grow(n + 3*maxPlacements)
 	return e
 }
@@ -54,7 +50,6 @@ func newEvaluator(target *linalg.Matrix, n, maxPlacements int) *evaluator {
 func (e *evaluator) grow(nops int) {
 	if cap(e.ops) < nops {
 		e.ops = make([]sweepOp, 0, nops)
-		e.gates = make([][4]complex128, nops)
 		e.trig = make([]u3Trig, nops)
 		e.prefix = make([]complex128, (nops+1)*e.dim*e.dim)
 	}
@@ -97,11 +92,16 @@ func (e *evaluator) objective(x []float64) float64 {
 	return e.distance(e.work)
 }
 
-// gradient fills grad with the central difference of the objective at
-// x: for every parameter, (f(x+h·eᵢ) - f(x-h·eᵢ)) / (2h). Each
-// perturbed sweep starts from the product of the gates before the
-// perturbed one, computed once per call in a forward sweep, and
-// recomputes only the trig factors the perturbed parameter enters.
+// gradient fills grad with the exact gradient of the objective at x.
+// With U = A_k·G_k·P_k, where P_k is the product of the ops before op
+// k and A_k of those after it, the overlap s = tr(U†·T) is
+// tr((G_k·P_k)†·B_k) with B_k = A_k†·T. So s is linear in op k's 2×2
+// gate g: s = Σ conj(g_αβ)·M_αβ over its environment
+// M_αβ = Σ conj(P_k[r_β,·])·B_k[r_α,·], summed over the row pairs
+// (r_0, r_1) that differ in op k's qubit. A forward sweep keeps every
+// P_k, and one backward sweep from B = T forms each U3's environment
+// and then steps B ← G_k†·B. ∂f = -Re(s̄·∂s)/(|s|·dim), with ∂s from
+// the closed-form derivatives of U3.
 //
 //epoc:hot
 func (e *evaluator) gradient(x, grad []float64) {
@@ -115,54 +115,84 @@ func (e *evaluator) gradient(x, grad []float64) {
 			continue
 		}
 		e.trig[k] = newU3Trig(x[op.p], x[op.p+1], x[op.p+2])
-		e.gates[k] = e.trig[k].entries()
-		applyU3(next, e.dim, op.a, &e.gates[k])
+		g := e.trig[k].entries()
+		applyU3(next, e.dim, op.a, &g)
 	}
-	for k, op := range e.ops {
+	n := len(e.ops)
+	s := e.overlap(e.prefix[n*dd : (n+1)*dd])
+	abs := cmplx.Abs(s)
+	if !(abs > 0) {
+		// f is 1 and flat in every direction the overlap can take.
+		for i := range grad {
+			grad[i] = 0
+		}
+		return
+	}
+	// ∂f = -Re(w·∂s) with w = s̄/(|s|·dim).
+	w := cmplx.Conj(s) / complex(abs*float64(e.dim), 0)
+	copy(e.back, e.target)
+	var m [4]complex128
+	for k := len(e.ops) - 1; k >= 0; k-- {
+		op := e.ops[k]
 		if op.p < 0 {
+			applyCX(e.back, e.dim, op.a, op.b)
 			continue
 		}
-		v := x[op.p : op.p+3]
-		for j := range v {
-			fp := e.sweepFrom(k, e.trig[k].step(v, j, fdStep))
-			fm := e.sweepFrom(k, e.trig[k].step(v, j, -fdStep))
-			grad[op.p+j] = (fp - fm) / (2 * fdStep)
+		environment(e.prefix[k*dd:(k+1)*dd], e.back, e.dim, op.a, &m)
+		dth, dph, dla := e.trig[k].overlapDerivs(&m)
+		grad[op.p] = -real(w * dth)
+		grad[op.p+1] = -real(w * dph)
+		grad[op.p+2] = -real(w * dla)
+		if k > 0 {
+			gh := e.trig[k].adjoint()
+			applyU3(e.back, e.dim, op.a, &gh)
 		}
 	}
 }
 
-// sweepFrom is the objective with op k's U3 replaced by g and every
-// other gate at the gradient point: it restarts from prefix k, whose
-// bits are exactly those the full sweep reaches there.
+// environment fills m with the 2×2 environment of a gate on qubit q
+// between the prefix product p and the adjoint-swept target b:
+// m[2α+β] = Σ conj(p[r_β,·])·b[r_α,·] over the row pairs r_0 (bit q
+// clear) and r_1 = r_0|bit.
 //
 //epoc:hot
-func (e *evaluator) sweepFrom(k int, g [4]complex128) float64 {
-	dd := e.dim * e.dim
-	copy(e.work, e.prefix[k*dd:(k+1)*dd])
-	applyU3(e.work, e.dim, e.ops[k].a, &g)
-	for i := k + 1; i < len(e.ops); i++ {
-		op := e.ops[i]
-		if op.p < 0 {
-			applyCX(e.work, e.dim, op.a, op.b)
+func environment(p, b []complex128, dim, q int, m *[4]complex128) {
+	var m00, m01, m10, m11 complex128
+	bit := 1 << q
+	for r0 := 0; r0 < dim; r0++ {
+		if r0&bit != 0 {
 			continue
 		}
-		applyU3(e.work, e.dim, op.a, &e.gates[i])
+		r1 := r0 | bit
+		p0, p1 := p[r0*dim:(r0+1)*dim], p[r1*dim:(r1+1)*dim]
+		b0, b1 := b[r0*dim:(r0+1)*dim], b[r1*dim:(r1+1)*dim]
+		for j := range p0 {
+			c0, c1 := cmplx.Conj(p0[j]), cmplx.Conj(p1[j])
+			m00 += c0 * b0[j]
+			m01 += c1 * b0[j]
+			m10 += c0 * b1[j]
+			m11 += c1 * b1[j]
+		}
 	}
-	return e.distance(e.work)
+	m[0], m[1], m[2], m[3] = m00, m01, m10, m11
 }
 
-// distance is 1 - |tr(u†·target)|/dim, summed in linalg.HSInner's
-// order.
+// distance is 1 - |tr(u†·target)|/dim.
 func (e *evaluator) distance(u []complex128) float64 {
-	var s complex128
-	for i, v := range u {
-		s += cmplx.Conj(v) * e.target[i]
-	}
-	d := 1 - cmplx.Abs(s)/float64(e.dim)
+	d := 1 - cmplx.Abs(e.overlap(u))/float64(e.dim)
 	if d < 0 {
 		return 0
 	}
 	return d
+}
+
+// overlap is tr(u†·target), summed in linalg.HSInner's order.
+func (e *evaluator) overlap(u []complex128) complex128 {
+	var s complex128
+	for i, v := range u {
+		s += cmplx.Conj(v) * e.target[i]
+	}
+	return s
 }
 
 // u3Entries returns U3(θ,φ,λ) row-major, computed exactly as
@@ -198,23 +228,24 @@ func (t u3Trig) entries() [4]complex128 {
 	return [4]complex128{t.c, -t.s * t.eLam, t.s * t.ePhi, t.c * t.eSum}
 }
 
-// step returns the entries at x = (θ,φ,λ) with x[j] moved by h, where
-// t holds the factors at x: a θ step keeps the three exponentials, a φ
-// or λ step keeps cos, sin and the other parameter's exponential.
-func (t u3Trig) step(x []float64, j int, h float64) [4]complex128 {
-	theta, phi, lam := x[0], x[1], x[2]
-	switch j {
-	case 0:
-		theta += h
-		t.c, t.s = complex(math.Cos(theta/2), 0), complex(math.Sin(theta/2), 0)
-	case 1:
-		phi += h
-		t.ePhi, t.eSum = expi(phi), expi(phi+lam)
-	default:
-		lam += h
-		t.eLam, t.eSum = expi(lam), expi(phi+lam)
-	}
-	return t.entries()
+// adjoint returns the entries of U3(θ,φ,λ)†.
+func (t u3Trig) adjoint() [4]complex128 {
+	g := t.entries()
+	return [4]complex128{cmplx.Conj(g[0]), cmplx.Conj(g[2]), cmplx.Conj(g[1]), cmplx.Conj(g[3])}
+}
+
+// overlapDerivs returns ∂s/∂θ, ∂s/∂φ and ∂s/∂λ for an overlap
+// s = Σ conj(g_j)·m[j] that is linear in the gate's entries g. With
+// g = [c, -s·e^{iλ}, s·e^{iφ}, c·e^{i(φ+λ)}], c = cos θ/2, s = sin θ/2:
+// ∂θ g = ½[-s, -c·e^{iλ}, c·e^{iφ}, -s·e^{i(φ+λ)}],
+// ∂φ g = [0, 0, i·s·e^{iφ}, i·c·e^{i(φ+λ)}] and
+// ∂λ g = [0, -i·s·e^{iλ}, 0, i·c·e^{i(φ+λ)}].
+func (t u3Trig) overlapDerivs(m *[4]complex128) (dth, dph, dla complex128) {
+	eLam, ePhi, eSum := cmplx.Conj(t.eLam)*m[1], cmplx.Conj(t.ePhi)*m[2], cmplx.Conj(t.eSum)*m[3]
+	dth = 0.5 * (-t.s*m[0] - t.c*eLam + t.c*ePhi - t.s*eSum)
+	dph = -1i * (t.s*ePhi + t.c*eSum)
+	dla = -1i * (t.c*eSum - t.s*eLam)
+	return dth, dph, dla
 }
 
 func setIdentity(u []complex128, dim int) {

@@ -31,17 +31,38 @@ type template struct {
 func (t *template) paramCount() int { return 3 * (t.n + 2*len(t.placements)) }
 
 // toCircuit renders the instantiated template as a circuit of U3 VUGs
-// and CNOTs, dropping U3s that are identity up to phase.
-func (t *template) toCircuit(params []float64) *circuit.Circuit {
-	c := circuit.New(t.n)
-	p := 0
-	emit1q := func(q int) {
-		theta, phi, lam := params[p], params[p+1], params[p+2]
-		p += 3
-		if isIdentityU3(theta, phi, lam) {
-			return
+// and CNOTs in a canonical gauge (gaugePush), dropping the U3s that are
+// identity up to phase, and returns the circuit with its distance from
+// ev's target. A U3 is a drop candidate when its own HS cost from the
+// identity is below instantiateTol; a drop is kept only while the
+// circuit stays under instantiateTol, or, for a circuit that is not,
+// while its distance does not grow.
+func (t *template) toCircuit(ev *evaluator, params []float64) (*circuit.Circuit, float64) {
+	x := t.gaugePush(params)
+	ev.reset(t)
+	dist := ev.objective(x)
+	drop := make([]bool, len(x)/3)
+	for i := range drop {
+		v := x[3*i : 3*i+3]
+		if u3Cost(v[0], v[1], v[2]) >= instantiateTol {
+			continue
 		}
-		c.Append(gate.New(gate.U3, theta, phi, lam), q)
+		theta, phi, lam := v[0], v[1], v[2]
+		v[0], v[1], v[2] = 0, 0, 0
+		if d := ev.objective(x); d < instantiateTol || d <= dist {
+			drop[i], dist = true, d
+			continue
+		}
+		v[0], v[1], v[2] = theta, phi, lam
+	}
+
+	c := circuit.New(t.n)
+	i := 0
+	emit1q := func(q int) {
+		if !drop[i] {
+			c.Append(gate.New(gate.U3, x[3*i], x[3*i+1], x[3*i+2]), q)
+		}
+		i++
 	}
 	for q := 0; q < t.n; q++ {
 		emit1q(q)
@@ -51,7 +72,40 @@ func (t *template) toCircuit(params []float64) *circuit.Circuit {
 		emit1q(pl.ctrl)
 		emit1q(pl.tgt)
 	}
-	return c
+	return c, dist
+}
+
+// gaugePush returns a copy of params in which every U3 whose next CX
+// uses its qubit as control hands its φ to the U3 that follows that CX
+// on the control. U3(θ,φ,λ) = P(φ)·U3(θ,0,λ) with P(φ) = diag(1, e^{iφ}),
+// P commutes with a CX on its control, and U3(θ₂,φ₂,λ₂)·P(φ) =
+// U3(θ₂,φ₂,λ₂+φ), so the template's unitary is unchanged, global phase
+// included. The push fixes the gauge freedom L-BFGS leaves open, so
+// equally exact instantiations emit the same gates. It is skipped when
+// either U3 is already a drop candidate for toCircuit, so it can turn
+// a U3 into a candidate but never one out of it.
+func (t *template) gaugePush(params []float64) []float64 {
+	x := append([]float64(nil), params...)
+	last := make([]int, t.n) // index of the latest U3 on each qubit
+	for q := range last {
+		last[q] = q
+	}
+	for j, pl := range t.placements {
+		from, to := 3*last[pl.ctrl], 3*(t.n+2*j)
+		if u3Cost(x[from], x[from+1], x[from+2]) >= instantiateTol && u3Cost(x[to], x[to+1], x[to+2]) >= instantiateTol {
+			x[to+2] += x[from+1]
+			x[from+1] = 0
+		}
+		last[pl.ctrl], last[pl.tgt] = t.n+2*j, t.n+2*j+1
+	}
+	return x
+}
+
+// u3Cost is the HS cost 1 - |tr U3(θ,φ,λ)|/2 of a U3 from the identity:
+// tr U3 = cos(θ/2)·(1 + e^{i(φ+λ)}), whose modulus is
+// 2·|cos(θ/2)·cos((φ+λ)/2)|.
+func u3Cost(theta, phi, lam float64) float64 {
+	return 1 - math.Abs(math.Cos(theta/2)*math.Cos((phi+lam)/2))
 }
 
 // instantiate fits the template's parameters to the target with
@@ -257,7 +311,8 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 	best := root
 	if root.dist < instantiateTol {
 		t := &template{n: n, placements: root.placements}
-		return record(Result{Circuit: t.toCircuit(root.params), Distance: root.dist, Nodes: nodes})
+		c, dist := t.toCircuit(ev, root.params)
+		return record(Result{Circuit: c, Distance: dist, Nodes: nodes})
 	}
 	heap.Push(open, root)
 
@@ -283,7 +338,8 @@ search:
 			}
 			if child.dist < instantiateTol {
 				t := &template{n: n, placements: child.placements}
-				return record(Result{Circuit: t.toCircuit(child.params), Distance: child.dist, CNOTs: len(pls), Nodes: nodes})
+				c, dist := t.toCircuit(ev, child.params)
+				return record(Result{Circuit: c, Distance: dist, CNOTs: len(pls), Nodes: nodes})
 			}
 			heap.Push(open, child)
 			if nodes >= opts.MaxNodes {
@@ -292,7 +348,8 @@ search:
 		}
 	}
 	t := &template{n: n, placements: best.placements}
-	return record(Result{Circuit: t.toCircuit(best.params), Distance: best.dist, CNOTs: len(best.placements), Nodes: nodes, Err: stop})
+	c, dist := t.toCircuit(ev, best.params)
+	return record(Result{Circuit: c, Distance: dist, CNOTs: len(best.placements), Nodes: nodes, Err: stop})
 }
 
 func (n *node) cnots() int { return len(n.placements) }
@@ -327,13 +384,4 @@ func qubitsOf(m *linalg.Matrix) int {
 		n++
 	}
 	return n
-}
-
-func u3Matrix(theta, phi, lam float64) *linalg.Matrix {
-	return gate.New(gate.U3, theta, phi, lam).Matrix()
-}
-
-func isIdentityU3(theta, phi, lam float64) bool {
-	u := u3Matrix(theta, phi, lam)
-	return linalg.PhaseDistance(u, linalg.Identity(2)) < 1e-9
 }
