@@ -44,7 +44,7 @@ func main() {
 		maxBody         = flag.Int64("max-body-bytes", 1<<20, "request body size cap")
 		noDebug         = flag.Bool("no-debug", false, "do not mount /debug/pprof on the service mux")
 		storePath       = flag.String("store", "", "persistent pulse/synth store root: warm the caches from it at startup, flush new entries after every compile")
-		logLevel        = flag.String("log-level", "info", "structured JSON log level on stderr: debug | info | warn | error | off (SERVING.md \"Logging\")")
+		logLevel        = flag.String("log-level", "info", "structured JSON log level on stderr: info | warn | error | off (SERVING.md \"Logging\")")
 	)
 	flag.Parse()
 

@@ -44,11 +44,10 @@ func New(w io.Writer, level slog.Leveler) *Logger {
 
 // ParseLevel maps a -log-level flag value to a slog.Level. "off" is
 // handled by the caller (use a nil *Logger); this parser covers the
-// emitting levels.
+// emitting levels. There is no "debug": no program logs below info,
+// so that level would behave exactly as info.
 func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return slog.LevelDebug, nil
 	case "info", "":
 		return slog.LevelInfo, nil
 	case "warn", "warning":
@@ -56,7 +55,7 @@ func ParseLevel(s string) (slog.Level, error) {
 	case "error":
 		return slog.LevelError, nil
 	default:
-		return 0, fmt.Errorf("unknown log level %q (want debug, info, warn, error, or off)", s)
+		return 0, fmt.Errorf("unknown log level %q (want info, warn, error, or off)", s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"strings"
 	"testing"
 )
 
@@ -99,7 +100,6 @@ func TestEnabled(t *testing.T) {
 
 func TestParseLevel(t *testing.T) {
 	for in, want := range map[string]slog.Level{
-		"debug": slog.LevelDebug,
 		"info":  slog.LevelInfo,
 		"":      slog.LevelInfo,
 		"WARN":  slog.LevelWarn,
@@ -110,7 +110,14 @@ func TestParseLevel(t *testing.T) {
 			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("ParseLevel must reject unknown levels")
+	// debug is rejected: nothing logs below info, so it would act as info.
+	for _, in := range []string{"loud", "debug"} {
+		_, err := ParseLevel(in)
+		if err == nil {
+			t.Fatalf("ParseLevel(%q) must be rejected", in)
+		}
+		if want := "want info, warn, error, or off"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("ParseLevel(%q) error %q does not list the valid levels", in, err)
+		}
 	}
 }
