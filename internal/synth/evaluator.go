@@ -122,7 +122,7 @@ func (e *evaluator) gradient(x, grad []float64) {
 	s := e.overlap(e.prefix[n*dd : (n+1)*dd])
 	abs := cmplx.Abs(s)
 	if !(abs > 0) {
-		// f is 1 and flat in every direction the overlap can take.
+		// f = 1, its maximum, where |s| has no derivative.
 		for i := range grad {
 			grad[i] = 0
 		}

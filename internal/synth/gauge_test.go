@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"epoc/internal/gate"
+	"epoc/internal/linalg"
 )
 
 // gaugeParams draws template parameters that exercise the gauge push:
@@ -98,5 +99,38 @@ func TestGaugePushNeverAddsVUG(t *testing.T) {
 	}
 	if fewer == 0 {
 		t.Fatal("the push removed no VUG on any template")
+	}
+}
+
+// TestToCircuitKeepsDropsUnderTolerance plants near-identity U3s whose
+// HS costs are each below instantiateTol but add up past it: toCircuit
+// must keep enough of them to stay under instantiateTol, and report
+// the emitted circuit's own distance.
+func TestToCircuitKeepsDropsUnderTolerance(t *testing.T) {
+	tmpl := &template{n: 2, placements: []placement{{0, 1}, {0, 1}}}
+	x := make([]float64, tmpl.paramCount())
+	// U3(θ,0,0) with θ = 2.6e-5 costs θ²/8 ≈ 8.5e-11 from the identity.
+	// The three U3s on qubit 0 rotate about the same axis, so dropping
+	// them all would cost several times that.
+	for _, u := range []int{0, 2, 4} {
+		x[3*u] = 2.6e-5
+	}
+	x[3*1], x[3*1+1], x[3*1+2] = 1.1, 0.4, -0.3
+	x[3*3], x[3*3+1], x[3*3+2] = 0.7, -1.2, 0.5
+	x[3*5], x[3*5+1], x[3*5+2] = -0.9, 0.2, 1.3
+	if got := countAbove(x, instantiateTol); got != 3 {
+		t.Fatalf("%d U3s above the drop threshold, want 3", got)
+	}
+	target := denseBuild(tmpl, x)
+	c, dist := tmpl.toCircuit(newEvaluator(target, 2, 2), x)
+	if dist >= instantiateTol {
+		t.Fatalf("emitted circuit at distance %.3g, want < %g", dist, instantiateTol)
+	}
+	if got := c.CountKind(gate.U3); got == 3 {
+		t.Fatalf("all three near-identity U3s dropped at distance %.3g", dist)
+	}
+	want := 1 - cmplx.Abs(linalg.HSInner(c.Unitary(), target))/4
+	if math.Abs(dist-want) > 1e-15 {
+		t.Fatalf("reported distance %.6g, emitted circuit's %.6g", dist, want)
 	}
 }

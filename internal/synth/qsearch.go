@@ -80,10 +80,11 @@ func (t *template) toCircuit(ev *evaluator, params []float64) (*circuit.Circuit,
 // on the control. U3(θ,φ,λ) = P(φ)·U3(θ,0,λ) with P(φ) = diag(1, e^{iφ}),
 // P commutes with a CX on its control, and U3(θ₂,φ₂,λ₂)·P(φ) =
 // U3(θ₂,φ₂,λ₂+φ), so the template's unitary is unchanged, global phase
-// included. The push fixes the gauge freedom L-BFGS leaves open, so
-// equally exact instantiations emit the same gates. It is skipped when
-// either U3 is already a drop candidate for toCircuit, so it can turn
-// a U3 into a candidate but never one out of it.
+// included. It fixes the part of the gauge freedom L-BFGS leaves open
+// that lets a Z phase sit on either side of a CX's control, so
+// instantiations that differ only there emit the same gates. It is
+// skipped when either U3 is already a drop candidate for toCircuit, so
+// it can turn a U3 into a candidate but never one out of it.
 func (t *template) gaugePush(params []float64) []float64 {
 	x := append([]float64(nil), params...)
 	last := make([]int, t.n) // index of the latest U3 on each qubit
