@@ -50,7 +50,8 @@ bench:
 # matmul paths (the only sizes the pipeline forms) and exponentials against the naive and pre-kernel
 # baselines, the cached GRAPE propagator loop and one full GRAPE ascent
 # iteration (BenchmarkKernelGrapeIter, d2/d4/d8), the QSearch template
-# gradient (in-place evaluator against the dense rebuild), and the
+# gradient (the evaluator's adjoint sweep against a central difference
+# of its objective), and the
 # stage-1 rewrite loops (incremental Peephole and resuming spider
 # fusion against their restart-from-scratch references), and the
 # state-vector stride kernels against the bit-spreading reference, and
