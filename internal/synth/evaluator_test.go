@@ -12,27 +12,48 @@ import (
 	"epoc/internal/opt"
 )
 
+// denseGate is one gate of a template as a dense 2ⁿ×2ⁿ operator: a
+// U3 on qubit q whose parameters start at x[p], or, when p < 0, a CX.
+type denseGate struct {
+	m    *linalg.Matrix
+	p, q int
+}
+
+// denseGates lists a template's gates in sweep order.
+func denseGates(t *template, params []float64) []denseGate {
+	var gs []denseGate
+	p := 0
+	add1q := func(q int) {
+		gs = append(gs, denseGate{linalg.EmbedOperator(u3Matrix(params[p], params[p+1], params[p+2]), []int{q}, t.n), p, q})
+		p += 3
+	}
+	for q := 0; q < t.n; q++ {
+		add1q(q)
+	}
+	cx := gate.New(gate.CX).Matrix()
+	for _, pl := range t.placements {
+		gs = append(gs, denseGate{linalg.EmbedOperator(cx, []int{pl.ctrl, pl.tgt}, t.n), -1, pl.ctrl})
+		add1q(pl.ctrl)
+		add1q(pl.tgt)
+	}
+	return gs
+}
+
+// denseProduct multiplies gates on the left through linalg.Mul, in
+// order, starting from the identity.
+func denseProduct(gs []denseGate, dim int) *linalg.Matrix {
+	u := linalg.Identity(dim)
+	for _, g := range gs {
+		u = g.m.Mul(u)
+	}
+	return u
+}
+
 // denseBuild is the reference evaluation of a template: every gate
 // embedded into a dense 2ⁿ×2ⁿ operator and multiplied on the left
 // through linalg.Mul, matching circuit.Unitary.
 func denseBuild(t *template, params []float64) *linalg.Matrix {
-	u := linalg.Identity(1 << t.n)
-	p := 0
-	apply1q := func(q int) {
-		g := u3Matrix(params[p], params[p+1], params[p+2])
-		p += 3
-		u = linalg.EmbedOperator(g, []int{q}, t.n).Mul(u)
-	}
-	for q := 0; q < t.n; q++ {
-		apply1q(q)
-	}
-	cx := gate.New(gate.CX).Matrix()
-	for _, pl := range t.placements {
-		u = linalg.EmbedOperator(cx, []int{pl.ctrl, pl.tgt}, t.n).Mul(u)
-		apply1q(pl.ctrl)
-		apply1q(pl.tgt)
-	}
-	return u
+	return denseProduct(denseGates(t, params), 1<<t.n)
 }
 
 // denseDistance is the reference objective: the phase-invariant HS
@@ -43,30 +64,6 @@ func denseDistance(t *template, target *linalg.Matrix, params []float64) float64
 		return 0
 	}
 	return d
-}
-
-// denseOps lists a template's gates as dense 2ⁿ×2ⁿ operators in sweep
-// order, with the parameter offset of each U3 (-1 for a CX).
-func denseOps(t *template, params []float64) ([]*linalg.Matrix, []int) {
-	var ops []*linalg.Matrix
-	var offs []int
-	p := 0
-	add1q := func(q int) {
-		ops = append(ops, linalg.EmbedOperator(u3Matrix(params[p], params[p+1], params[p+2]), []int{q}, t.n))
-		offs = append(offs, p)
-		p += 3
-	}
-	for q := 0; q < t.n; q++ {
-		add1q(q)
-	}
-	cx := gate.New(gate.CX).Matrix()
-	for _, pl := range t.placements {
-		ops = append(ops, linalg.EmbedOperator(cx, []int{pl.ctrl, pl.tgt}, t.n))
-		offs = append(offs, -1)
-		add1q(pl.ctrl)
-		add1q(pl.tgt)
-	}
-	return ops, offs
 }
 
 // u3Partials returns ∂U3/∂θ, ∂U3/∂φ and ∂U3/∂λ, differentiated entry by
@@ -87,44 +84,20 @@ func u3Partials(theta, phi, lam float64) [3]*linalg.Matrix {
 // ∂f = -Re(s̄·tr(∂U†·T))/(|s|·dim).
 func denseGradient(t *template, target *linalg.Matrix) opt.Gradient {
 	return func(x, grad []float64) {
-		ops, offs := denseOps(t, x)
-		u := linalg.Identity(1 << t.n)
-		for _, g := range ops {
-			u = g.Mul(u)
-		}
-		s := linalg.HSInner(u, target)
+		gs := denseGates(t, x)
+		s := linalg.HSInner(denseProduct(gs, target.Rows), target)
 		w := cmplx.Conj(s) / complex(cmplx.Abs(s)*float64(target.Rows), 0)
-		q := 0
-		for k, off := range offs {
-			if off < 0 {
+		for k, g := range gs {
+			if g.p < 0 {
 				continue
 			}
-			pre, post := linalg.Identity(1<<t.n), linalg.Identity(1<<t.n)
-			for _, g := range ops[:k] {
-				pre = g.Mul(pre)
+			pre, post := denseProduct(gs[:k], target.Rows), denseProduct(gs[k+1:], target.Rows)
+			for j, dg := range u3Partials(x[g.p], x[g.p+1], x[g.p+2]) {
+				du := post.Mul(linalg.EmbedOperator(dg, []int{g.q}, t.n)).Mul(pre)
+				grad[g.p+j] = -real(w * linalg.HSInner(du, target))
 			}
-			for _, g := range ops[k+1:] {
-				post = g.Mul(post)
-			}
-			for j, dg := range u3Partials(x[off], x[off+1], x[off+2]) {
-				du := post.Mul(linalg.EmbedOperator(dg, []int{denseQubit(t, q)}, t.n)).Mul(pre)
-				grad[off+j] = -real(w * linalg.HSInner(du, target))
-			}
-			q++
 		}
 	}
-}
-
-// denseQubit is the qubit of a template's i-th U3 in sweep order.
-func denseQubit(t *template, i int) int {
-	if i < t.n {
-		return i
-	}
-	pl := t.placements[(i-t.n)/2]
-	if (i-t.n)%2 == 0 {
-		return pl.ctrl
-	}
-	return pl.tgt
 }
 
 // centralDiff is the central difference of f with width h.
@@ -315,19 +288,10 @@ func BenchmarkTemplateGradient(b *testing.B) {
 		ev := newEvaluator(target, 3, placements)
 		ev.reset(tmpl)
 		b.Run(fmt.Sprintf("finite-difference/p%d", placements), func(b *testing.B) {
-			xx := append([]float64(nil), x...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range xx {
-					orig := xx[j]
-					xx[j] = orig + 1e-7
-					fp := ev.objective(xx)
-					xx[j] = orig - 1e-7
-					fm := ev.objective(xx)
-					xx[j] = orig
-					grad[j] = (fp - fm) / 2e-7
-				}
+				centralDiff(ev.objective, x, 1e-7)
 			}
 		})
 		b.Run(fmt.Sprintf("adjoint/p%d", placements), func(b *testing.B) {
