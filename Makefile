@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test race test-leak bench bench-kernels bench-json bench-gate store-warm-gate fuzz serve smoke-serve metrics-smoke ci
+.PHONY: all build vet lint lint-fixtures test race test-leak bench bench-kernels bench-json bench-gate store-warm-gate perfbench-check fuzz serve smoke-serve metrics-smoke ci
 
 all: build vet lint test
 
@@ -131,8 +131,15 @@ smoke-serve:
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
+# perfbench is a nested module (its own go.mod), so ./... reaches
+# neither its tests nor its vet; this target runs both against the
+# checkout through its replace directive.
+perfbench-check:
+	GOWORK=off $(GO) -C perfbench vet ./... && GOWORK=off $(GO) -C perfbench test ./...
+
 # The gates of .github/workflows/ci.yml: build, vet, the lint suite
-# and its fixtures, the race and leak suites, the serve and telemetry
-# smoke tests, and the bench and store-warm baseline gates. Only the
-# bounded fuzz runs are left out; run them with make fuzz.
-ci: build vet lint lint-fixtures race test-leak smoke-serve metrics-smoke bench-gate store-warm-gate
+# and its fixtures, the race and leak suites, perfbench's own vet and
+# tests, the serve and telemetry smoke tests, and the bench and
+# store-warm baseline gates. Only the bounded fuzz runs are left out;
+# run them with make fuzz.
+ci: build vet lint lint-fixtures race test-leak perfbench-check smoke-serve metrics-smoke bench-gate store-warm-gate

@@ -3,66 +3,42 @@ package linalg
 import (
 	"math"
 	"math/cmplx"
-
-	"epoc/internal/linalg/kernel"
 )
 
 // EigHermitian diagonalizes a Hermitian matrix using the cyclic complex
 // Jacobi method. It returns real eigenvalues (ascending) and a unitary
 // matrix whose columns are the corresponding eigenvectors, so that
-// A = V · diag(vals) · V†.
-func EigHermitian(a *Matrix) (vals []float64, vecs *Matrix) {
-	vals = make([]float64, a.Rows)
-	vecs = NewMatrix(a.Rows, a.Rows)
-	EigHermitianInto(nil, a, vals, vecs)
-	return vals, vecs
-}
-
-// EigHermitianInto is EigHermitian writing into caller-owned vals
-// (length n) and vecs (n×n), with all temporaries drawn from ws (nil
-// allowed: falls back to allocation). ExpIHermitianInto builds on it;
-// with a warm workspace it allocates nothing.
+// A = V · diag(vals) · V†. ExpIHermitianInto builds on it.
 //
 //epoc:hot
-func EigHermitianInto(ws *kernel.Workspace, a *Matrix, vals []float64, vecs *Matrix) {
+func EigHermitian(a *Matrix) (vals []float64, vecs *Matrix) {
 	mustSquare(a)
 	n := a.Rows
-	if len(vals) != n || vecs.Rows != n || vecs.Cols != n {
-		panic("linalg: EigHermitianInto shape mismatch")
-	}
-	mark := ws.Mark()
-	defer ws.Rewind(mark)
-
-	w := matrixAt(ws, n, n)
-	copy(w.Data, a.Data)
-	v := matrixAt(ws, n, n)
-	for i := 0; i < n; i++ {
-		v.Data[i*n+i] = 1
-	}
+	w := a.Clone()
+	v := Identity(n)
 
 	const maxSweeps = 100
 	tol := 1e-14 * (1 + w.FrobeniusNorm())
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := offDiagNorm(&w)
+		off := offDiagNorm(w)
 		if off < tol {
 			break
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				jacobiRotate(&w, &v, p, q)
+				jacobiRotate(w, v, p, q)
 			}
 		}
 	}
 
-	raw := ws.TakeFloat(n)
+	raw := make([]float64, n)
 	for i := 0; i < n; i++ {
 		raw[i] = real(w.At(i, i))
 	}
 	// Sort ascending, permuting eigenvector columns to match. A stable
-	// insertion sort (n is a small power of two here) keeps degenerate
-	// eigenvalues in sweep order deterministically and, unlike
-	// sort.Slice, allocates nothing.
-	idx := ws.TakeInt(n)
+	// insertion sort keeps degenerate eigenvalues in sweep order
+	// deterministically.
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -71,18 +47,19 @@ func EigHermitianInto(ws *kernel.Workspace, a *Matrix, vals []float64, vecs *Mat
 			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
+	vals, vecs = make([]float64, n), NewMatrix(n, n)
 	for c, src := range idx {
 		vals[c] = raw[src]
 		for r := 0; r < n; r++ {
 			vecs.Data[r*n+c] = v.Data[r*n+src]
 		}
 	}
+	return vals, vecs
 }
 
 // jacobiRotate zeroes w[p][q] (and w[q][p]) with a complex Givens
 // rotation, accumulating the rotation into v. The three update sweeps
-// run over strided/contiguous slices directly: this is the inner loop
-// of every Hermitian exponential in the pipeline.
+// run over strided/contiguous slices directly.
 func jacobiRotate(w, v *Matrix, p, q int) {
 	n := w.Rows
 	wd, vd := w.Data, v.Data

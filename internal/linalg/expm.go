@@ -12,17 +12,18 @@ import (
 // (Higham 2005). It works for arbitrary square complex matrices.
 func Expm(a *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, a.Rows)
-	ExpmInto(nil, out, a)
+	ExpmInto(out, a)
 	return out
 }
 
-// ExpmInto is Expm writing into a caller-owned dst with every
-// temporary — Padé powers, the LU factorization of the denominator and
-// the squaring ping-pong buffers — drawn from ws (nil allowed). dst
-// must be pre-shaped n×n and must not alias a.
+// ExpmInto is Expm writing into a caller-owned dst, which must be
+// pre-shaped n×n and must not alias a. GRAPE's slice steps take the
+// unscaled low orders at n = 2, 4 and 8, which keep every temporary on
+// the stack; the scaling branch and the other sizes, which no program
+// reaches, allocate theirs once per call.
 //
 //epoc:hot
-func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
+func ExpmInto(dst, a *Matrix) {
 	mustSquare(a)
 	if dst.Rows != a.Rows || dst.Cols != a.Cols {
 		panic("linalg: ExpmInto shape mismatch")
@@ -42,13 +43,13 @@ func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 			var s [padeTemps * 64]complex128
 			padeSmall(dst.Data, a.Data, s[:], 8, m)
 		default:
-			padeInto(ws, dst, a, m)
+			padeInto(dst, a, m)
 		}
 		return
 	}
 	// Scale so the norm falls below theta13, square back afterwards:
 	// the scaling-and-squaring core. The squaring loop ping-pongs
-	// between dst and one workspace buffer, so no product allocates.
+	// between dst and one buffer allocated before it.
 	norm := a.OneNorm()
 	if !(norm <= math.MaxFloat64) {
 		// A NaN or infinite norm has no scaling exponent (converting
@@ -59,18 +60,14 @@ func ExpmInto(ws *kernel.Workspace, dst, a *Matrix) {
 		}
 		return
 	}
-	mark := ws.Mark()
-	defer ws.Rewind(mark)
 	s := 0
 	if norm > theta13 {
 		s = int(math.Ceil(math.Log2(norm / theta13)))
 	}
-	scaled := matrixAt(ws, n, n)
-	copy(scaled.Data, a.Data)
+	scaled := a.Clone()
 	scaled.ScaleInPlace(complex(math.Pow(2, -float64(s)), 0))
-	padeInto(ws, dst, &scaled, 13)
-	tmp := matrixAt(ws, n, n)
-	cur, oth := dst, &tmp
+	padeInto(dst, scaled, 13)
+	cur, oth := dst, NewMatrix(n, n)
 	for i := 0; i < s; i++ {
 		MulInto(oth, cur, cur)
 		cur, oth = oth, cur
@@ -172,77 +169,70 @@ func padeCoeffs(m int) []float64 {
 	panic("linalg: unsupported Padé order")
 }
 
-// padeInto writes the order-m Padé approximant of e^a into dst using
-// only workspace temporaries.
+// padeInto writes the order-m Padé approximant of e^a into dst, with
+// its temporaries allocated once per call.
 //
 //epoc:hot
-func padeInto(ws *kernel.Workspace, dst, a *Matrix, m int) {
+func padeInto(dst, a *Matrix, m int) {
 	c := padeCoeffs(m)
 	n := a.Rows
-	mark := ws.Mark()
-	defer ws.Rewind(mark)
 
-	a2 := matrixAt(ws, n, n)
-	MulInto(&a2, a, a)
-	u := matrixAt(ws, n, n)
-	v := matrixAt(ws, n, n)
+	a2 := NewMatrix(n, n)
+	MulInto(a2, a, a)
+	u := NewMatrix(n, n)
+	v := NewMatrix(n, n)
 
 	if m == 13 {
-		a4 := matrixAt(ws, n, n)
-		MulInto(&a4, &a2, &a2)
-		a6 := matrixAt(ws, n, n)
-		MulInto(&a6, &a4, &a2)
+		a4 := NewMatrix(n, n)
+		MulInto(a4, a2, a2)
+		a6 := NewMatrix(n, n)
+		MulInto(a6, a4, a2)
 		// U = A·(A6·(c13·A6 + c11·A4 + c9·A2) + c7·A6 + c5·A4 + c3·A2 + c1·I)
-		inner := matrixAt(ws, n, n)
-		lincomb3(&inner, &a6, c[13], &a4, c[11], &a2, c[9])
-		t := matrixAt(ws, n, n)
-		MulInto(&t, &a6, &inner)
-		addLincomb3(&t, &a6, c[7], &a4, c[5], &a2, c[3])
-		addDiag(&t, c[1])
-		MulInto(&u, a, &t)
+		inner := NewMatrix(n, n)
+		lincomb3(inner, a6, c[13], a4, c[11], a2, c[9])
+		t := NewMatrix(n, n)
+		MulInto(t, a6, inner)
+		addLincomb3(t, a6, c[7], a4, c[5], a2, c[3])
+		addDiag(t, c[1])
+		MulInto(u, a, t)
 		// V = A6·(c12·A6 + c10·A4 + c8·A2) + c6·A6 + c4·A4 + c2·A2 + c0·I
-		lincomb3(&inner, &a6, c[12], &a4, c[10], &a2, c[8])
-		MulInto(&v, &a6, &inner)
-		addLincomb3(&v, &a6, c[6], &a4, c[4], &a2, c[2])
-		addDiag(&v, c[0])
+		lincomb3(inner, a6, c[12], a4, c[10], a2, c[8])
+		MulInto(v, a6, inner)
+		addLincomb3(v, a6, c[6], a4, c[4], a2, c[2])
+		addDiag(v, c[0])
 	} else {
 		// U = A·Σ c[2k+1] A^{2k}, V = Σ c[2k] A^{2k}.
-		powA := matrixAt(ws, n, n)
-		for i := 0; i < n; i++ {
-			powA.Data[i*n+i] = 1
-		}
-		powB := matrixAt(ws, n, n)
-		usum := matrixAt(ws, n, n)
-		pow, powNext := &powA, &powB
+		pow, powNext := Identity(n), NewMatrix(n, n)
+		usum := NewMatrix(n, n)
 		for k := 0; 2*k <= m; k++ {
 			if 2*k+1 <= m {
 				kernel.Axpy(usum.Data, pow.Data, complex(c[2*k+1], 0))
 			}
 			kernel.Axpy(v.Data, pow.Data, complex(c[2*k], 0))
 			if 2*(k+1) <= m {
-				MulInto(powNext, pow, &a2)
+				MulInto(powNext, pow, a2)
 				pow, powNext = powNext, pow
 			}
 		}
-		MulInto(&u, a, &usum)
+		MulInto(u, a, usum)
 	}
 	// e^A ≈ (V - U)⁻¹ (V + U): factor V-U in place and solve into dst.
-	num := matrixAt(ws, n, n)
+	num := NewMatrix(n, n)
 	for i := range num.Data {
 		num.Data[i] = v.Data[i] + u.Data[i]
 		v.Data[i] -= u.Data[i] // v becomes the denominator
 	}
-	piv := ws.TakeInt(n)
-	if err := luFactor(&v, piv); err != nil {
+	piv := make([]int, n)
+	if err := luFactor(v, piv); err != nil {
 		panic("linalg: Expm Padé denominator singular")
 	}
-	b := ws.TakeComplex(n)
+	b := make([]complex128, n)
 	for j := 0; j < n; j++ {
 		// Gather column j already row-permuted, then substitute in place.
 		for i := 0; i < n; i++ {
 			b[i] = num.Data[piv[i]*n+j]
 		}
-		luSolvePermuted(&v, b)
+		luSolvePermuted(v, b)
 		for i := 0; i < n; i++ {
 			dst.Data[i*n+j] = b[i]
 		}
@@ -341,44 +331,26 @@ func addDiag(dst *Matrix, s float64) {
 }
 
 // ExpIHermitianInto writes e^{i·s·H} for Hermitian H into a
-// caller-owned dst via eigendecomposition, with every temporary drawn
-// from ws (nil allowed). The result is unitary to eigensolver accuracy,
-// which makes it the reference the Padé slice steps of GRAPE
-// (qoc's Model.stepInto, through ExpmInto) are tested against. With a
-// warm workspace one call performs the Jacobi sweeps, the phase scaling
-// and one fused a·b† product with zero allocations.
+// caller-owned dst through the Jacobi eigendecomposition
+// H = V·diag(λ)·V† (EigHermitian): it scales V's columns by the phases
+// e^{i·s·λ}, then runs one fused MulAdjoint, two dense passes instead
+// of the rank-1 accumulation a naive reconstruction does. The result
+// is unitary to eigensolver accuracy, which makes it the reference the
+// Padé slice steps of GRAPE (qoc's Model.stepInto, through ExpmInto)
+// are tested against. No program runs it, so it allocates its
+// temporaries per call. ws is unread: the parameter stays because
+// perfbench calls ExpIHermitianInto with it.
 //
 //epoc:hot
 func ExpIHermitianInto(ws *kernel.Workspace, dst, h *Matrix, s float64) {
-	mustSquare(h)
-	n := h.Rows
-	mark := ws.Mark()
-	defer ws.Rewind(mark)
-	vals := ws.TakeFloat(n)
-	vecs := matrixAt(ws, n, n)
-	EigHermitianInto(ws, h, vals, &vecs)
-	ExpIFromEigInto(ws, dst, vals, &vecs, s)
-}
-
-// ExpIFromEigInto reconstructs e^{i·s·H} = V·diag(e^{i·s·λ})·V† from an
-// eigendecomposition: it scales V's columns by the phases into a
-// workspace buffer, then runs one fused MulAdjoint — two dense passes
-// instead of the rank-1 accumulation a naive reconstruction does.
-//
-//epoc:hot
-func ExpIFromEigInto(ws *kernel.Workspace, dst *Matrix, vals []float64, vecs *Matrix, s float64) {
+	vals, vecs := EigHermitian(h)
 	n := len(vals)
-	if vecs.Rows != n || vecs.Cols != n || dst.Rows != n || dst.Cols != n {
-		panic("linalg: ExpIFromEigInto shape mismatch")
-	}
-	mark := ws.Mark()
-	defer ws.Rewind(mark)
-	b := matrixAt(ws, n, n)
-	for k := 0; k < n; k++ {
-		ph := cmplx.Exp(complex(0, s*vals[k]))
-		for i, j := k, 0; j < n; i, j = i+n, j+1 {
+	b := NewMatrix(n, n)
+	for k, val := range vals {
+		ph := cmplx.Exp(complex(0, s*val))
+		for i := k; i < n*n; i += n {
 			b.Data[i] = vecs.Data[i] * ph
 		}
 	}
-	MulAdjointInto(dst, &b, vecs)
+	MulAdjointInto(dst, b, vecs)
 }

@@ -5,7 +5,7 @@ package linalg
 // draw their operands from kerneltest, a package that imports linalg.
 
 // PadeGeneric is padeInto: the order-m Padé approximant of e^a.
-func PadeGeneric(dst, a *Matrix, m int) { padeInto(nil, dst, a, m) }
+func PadeGeneric(dst, a *Matrix, m int) { padeInto(dst, a, m) }
 
 // PadeSmall is padeSmall, the fixed-size low-order Padé path.
 func PadeSmall(dst, a *Matrix, m int) {

@@ -1,8 +1,31 @@
+// Package kernel is the profiled linear-algebra kernel layer beneath
+// internal/linalg. It operates on raw row-major []complex128 buffers
+// (no Matrix type, no in-module dependencies) and provides fully
+// unrolled fast paths for the 2×2, 4×4 and 8×8 (1–3 qubit) products,
+// the only sizes the pipeline forms (blocks are capped at 3 qubits),
+// adjoint-fused products (a†·b, a·b†) so callers never materialize a
+// conjugate transpose, and an exact-zero-skipping streaming loop for
+// every other shape, which only tests and the density-matrix reference
+// reach. No kernel needs scratch memory.
+//
+// Every kernel is deterministic: the floating-point summation order is
+// a pure function of the operand shapes, never of timing or worker
+// count, which is what keeps Workers:1 ≡ Workers:8 pipeline output
+// byte-identical. Correctness against the naive reference is enforced
+// by the differential harness in internal/linalg/kerneltest.
 package kernel
 
+// Workspace carries nothing. It stays only because perfbench's layer
+// probes pass one to MatMul and to linalg.ExpIHermitianInto, and it
+// goes with ROADMAP item 6 together with those unread parameters.
+type Workspace struct{}
+
+// NewWorkspace returns an empty Workspace.
+func NewWorkspace() *Workspace { return &Workspace{} }
+
 // MatMul computes dst = a·b with a m×k, b k×n, dst m×n, all row-major.
-// dst must not alias a or b. ws is unused: no path needs scratch, and
-// the parameter stays because perfbench calls MatMul with it.
+// dst must not alias a or b. ws is unread: the parameter stays because
+// perfbench calls MatMul with it.
 //
 // Dispatch: exact 2×2/4×4/8×8 square products, every product the
 // pipeline forms, take the fully unrolled fast paths; everything else

@@ -16,10 +16,8 @@ var squareSizes = []int{2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 
 // TestKernelMatMulMatchesNaive is the core differential property: for
 // every operand class and size, every dispatch path of kernel.MatMul
-// agrees with the left-to-right triple loop within summation tolerance,
-// and a warm workspace does not change a single bit.
+// agrees with the left-to-right triple loop within summation tolerance.
 func TestKernelMatMulMatchesNaive(t *testing.T) {
-	ws := kernel.NewWorkspace()
 	for _, cls := range Classes {
 		for _, n := range squareSizes {
 			t.Run(fmt.Sprintf("%s/%dx%d", cls.Name, n, n), func(t *testing.T) {
@@ -33,13 +31,6 @@ func TestKernelMatMulMatchesNaive(t *testing.T) {
 				if d, tol := MaxDiff(got, want), SumTol(a, b, n); d > tol {
 					t.Fatalf("kernel vs naive: max diff %g > tol %g", d, tol)
 				}
-				wsGot := make([]complex128, n*n)
-				kernel.MatMul(ws, wsGot, a, b, n, n, n)
-				for i := range got {
-					if wsGot[i] != got[i] {
-						t.Fatalf("workspace changed the result at %d: %v vs %v", i, wsGot[i], got[i])
-					}
-				}
 			})
 		}
 	}
@@ -50,7 +41,6 @@ func TestKernelMatMulMatchesNaive(t *testing.T) {
 func TestKernelMatMulRectangular(t *testing.T) {
 	shapes := [][3]int{{2, 5, 3}, {7, 4, 9}, {1, 16, 1}, {16, 1, 16}, {33, 40, 37}, {48, 48, 48}, {64, 33, 35}}
 	rng := rand.New(rand.NewSource(42))
-	ws := kernel.NewWorkspace()
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
@@ -58,7 +48,7 @@ func TestKernelMatMulRectangular(t *testing.T) {
 			b := RandomDense(k, n, rng)
 			got := make([]complex128, m*n)
 			want := make([]complex128, m*n)
-			kernel.MatMul(ws, got, a, b, m, k, n)
+			kernel.MatMul(nil, got, a, b, m, k, n)
 			NaiveMatMul(want, a, b, m, k, n)
 			if d, tol := MaxDiff(got, want), SumTol(a, b, k); d > tol {
 				t.Fatalf("kernel vs naive: max diff %g > tol %g", d, tol)
@@ -116,9 +106,9 @@ func TestKernelMulVecMatchesNaive(t *testing.T) {
 
 // TestKernelDeterminism re-asserts the repo-wide reproducibility
 // contract at the kernel level: the same operands produce bitwise
-// identical results on every call, with and between workspaces —
-// dispatch is a pure function of shape and values, so a Workers:1 and a
-// Workers:8 pipeline run see the very same floats.
+// identical results on every call — dispatch is a pure function of
+// shape and values, so a Workers:1 and a Workers:8 pipeline run see
+// the very same floats.
 func TestKernelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{4, 8, 16, 48} {
@@ -127,9 +117,8 @@ func TestKernelDeterminism(t *testing.T) {
 		ref := make([]complex128, n*n)
 		kernel.MatMul(nil, ref, a, b, n, n, n)
 		for trial := 0; trial < 3; trial++ {
-			ws := kernel.NewWorkspace()
 			got := make([]complex128, n*n)
-			kernel.MatMul(ws, got, a, b, n, n, n)
+			kernel.MatMul(nil, got, a, b, n, n, n)
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Fatalf("n=%d trial %d: nondeterministic at %d: %v vs %v", n, trial, i, got[i], ref[i])
@@ -262,31 +251,17 @@ func TestMetamorphicExpmInverse(t *testing.T) {
 	}
 }
 
-// TestIntoAPIsMatchAllocatingAPIs pins the workspace-threaded entry
-// points to their allocating twins (for ExpIHermitianInto, to its own
-// nil-workspace form) bit for bit: routing a hot loop through a
-// workspace must never change numerics.
+// TestIntoAPIsMatchAllocatingAPIs pins ExpmInto to its allocating
+// twin Expm bit for bit: writing into a caller-owned matrix must never
+// change numerics.
 func TestIntoAPIsMatchAllocatingAPIs(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	ws := kernel.NewWorkspace()
 	for _, n := range []int{2, 4, 8, 9, 16} {
-		h := linalg.RandomHermitian(n, rng)
-
-		want := linalg.NewMatrix(n, n)
-		linalg.ExpIHermitianInto(nil, want, h, -0.5)
-		got := linalg.NewMatrix(n, n)
-		linalg.ExpIHermitianInto(ws, got, h, -0.5)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("n=%d: ExpIHermitianInto differs at %d: %v vs %v", n, i, got.Data[i], want.Data[i])
-			}
-		}
-
 		a := linalg.NewMatrix(n, n)
 		copy(a.Data, RandomDense(n, n, rng))
 		wantE := linalg.Expm(a)
 		gotE := linalg.NewMatrix(n, n)
-		linalg.ExpmInto(ws, gotE, a)
+		linalg.ExpmInto(gotE, a)
 		for i := range wantE.Data {
 			if gotE.Data[i] != wantE.Data[i] {
 				t.Fatalf("n=%d: ExpmInto differs at %d: %v vs %v", n, i, gotE.Data[i], wantE.Data[i])

@@ -155,6 +155,38 @@ func (m *Matrix) Mul(n *Matrix) *Matrix {
 	return out
 }
 
+// MulInto sets dst = a·b, writing into a caller-owned dst that must
+// be pre-shaped to a.Rows×b.Cols and must not alias a or b. It and
+// the adjoint-fused AdjointMulInto/MulAdjointInto allocate nothing, so
+// the //epoc:hot loops in qoc and densesim route through them.
+func MulInto(dst, a, b *Matrix) {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: MulInto shape mismatch %dx%d = %dx%d · %dx%d",
+			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	kernel.MatMul(nil, dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
+}
+
+// AdjointMulInto sets dst = a†·b without materializing a†. dst must be
+// pre-shaped to a.Cols×b.Cols and must not alias a or b.
+func AdjointMulInto(dst, a, b *Matrix) {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: AdjointMulInto shape mismatch %dx%d = (%dx%d)† · %dx%d",
+			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	kernel.AdjointMul(dst.Data, a.Data, b.Data, a.Cols, a.Rows, b.Cols)
+}
+
+// MulAdjointInto sets dst = a·b† without materializing b†. dst must be
+// pre-shaped to a.Rows×b.Rows and must not alias a or b.
+func MulAdjointInto(dst, a, b *Matrix) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("linalg: MulAdjointInto shape mismatch %dx%d = %dx%d · (%dx%d)†",
+			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	kernel.MulAdjoint(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows)
+}
+
 // MulVec returns the matrix-vector product m·v.
 func (m *Matrix) MulVec(v []complex128) []complex128 {
 	if m.Cols != len(v) {

@@ -183,7 +183,7 @@ func TestExpmIntoNonFiniteNorm(t *testing.T) {
 			t.Fatalf("%s: low Padé order %d, want the scaling path", name, m)
 		}
 		dst := NewMatrix(2, 2)
-		ExpmInto(nil, dst, a)
+		ExpmInto(dst, a)
 		for i, v := range dst.Data {
 			if !math.IsNaN(real(v)) || !math.IsNaN(imag(v)) {
 				t.Fatalf("%s: entry %d is %v, want NaN", name, i, v)

@@ -55,9 +55,8 @@ var layeringDAG = map[string][]string{
 	"internal/trace": {"internal/logx", "internal/obs"},
 
 	// The profiled kernel layer sits beneath linalg: raw []complex128
-	// kernels and the workspace arena, no in-module deps. linalg routes
-	// every product through it; qoc imports it directly for workspace
-	// plumbing. kerneltest is the differential harness proving kernel ≡
+	// kernels, no in-module deps. linalg routes every product through
+	// it. kerneltest is the differential harness proving kernel ≡
 	// naive reference; only its test files import the kernel.
 	"internal/linalg":            {"internal/linalg/kernel"},
 	"internal/linalg/kernel":     {},
@@ -82,7 +81,7 @@ var layeringDAG = map[string][]string{
 	"internal/debugsrv": {"internal/metrics", "internal/obs"},
 	"internal/hardware": {"internal/gate", "internal/qoc"},
 	"internal/pulse":    {"internal/linalg"},
-	"internal/qoc":      {"internal/faultclock", "internal/gate", "internal/linalg", "internal/linalg/kernel", "internal/trace"},
+	"internal/qoc":      {"internal/faultclock", "internal/gate", "internal/linalg", "internal/trace"},
 	"internal/report":   {"internal/obs", "internal/trace"},
 	"internal/synth":    {"internal/circuit", "internal/faultclock", "internal/gate", "internal/linalg", "internal/opt", "internal/optimize", "internal/trace"},
 

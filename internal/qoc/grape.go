@@ -7,7 +7,6 @@ import (
 
 	"epoc/internal/faultclock"
 	"epoc/internal/linalg"
-	"epoc/internal/linalg/kernel"
 	"epoc/internal/trace"
 )
 
@@ -207,7 +206,7 @@ func newAscent(m *Model, target *linalg.Matrix, amps [][]float64) *ascent {
 		amps:   amps,
 		mAdam:  makeGrid(slots, nc),
 		vAdam:  makeGrid(slots, nc),
-		props:  newPropCache(m, slots, kernel.NewWorkspace()),
+		props:  newPropCache(m, slots),
 		left:   linalg.NewMatrix(dim, dim),
 		rho:    make([]complex128, len(m.touched)),
 	}

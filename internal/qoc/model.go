@@ -13,7 +13,6 @@ import (
 
 	"epoc/internal/gate"
 	"epoc/internal/linalg"
-	"epoc/internal/linalg/kernel"
 )
 
 // Model describes the controllable Hamiltonian
@@ -176,7 +175,7 @@ func (m *Model) Propagate(amps [][]float64) *linalg.Matrix {
 	ham := linalg.NewMatrix(dim, dim)
 	step := linalg.NewMatrix(dim, dim)
 	for _, slot := range amps {
-		m.stepInto(nil, step, ham, slot)
+		m.stepInto(step, ham, slot)
 		u = step.Mul(u)
 	}
 	return u
@@ -185,17 +184,17 @@ func (m *Model) Propagate(amps [][]float64) *linalg.Matrix {
 // stepInto writes the slice step e^{-i·H(u)·Dt} into dst. It assembles
 // H(u) into the scratch matrix ham, scales it in place to -i·Dt·H(u)
 // and exponentiates that with the scaling-and-squaring Padé
-// linalg.ExpmInto, drawing every temporary from ws. Each H is
-// exponentiated once at a small norm (‖Dt·H‖₁ < 1 on the default
-// device), where Padé takes its unscaled low-order branch: a few
-// unrolled products and one small LU solve, far cheaper than a Jacobi
-// eigendecomposition (DESIGN.md §14).
+// linalg.ExpmInto. Each H is exponentiated once at a small norm
+// (‖Dt·H‖₁ < 1 on the default device), where Padé takes its unscaled
+// low-order branch: a few unrolled products and one small LU solve,
+// all on the stack, far cheaper than a Jacobi eigendecomposition
+// (DESIGN.md §14).
 //
 //epoc:hot
-func (m *Model) stepInto(ws *kernel.Workspace, dst, ham *linalg.Matrix, u []float64) {
+func (m *Model) stepInto(dst, ham *linalg.Matrix, u []float64) {
 	m.slotHamiltonianInto(ham, u)
 	ham.ScaleInPlace(complex(0, -m.Dt))
-	linalg.ExpmInto(ws, dst, ham)
+	linalg.ExpmInto(dst, ham)
 }
 
 // slotHamiltonianInto assembles H(u) = Drift + Σ_j u_j·H_j into the

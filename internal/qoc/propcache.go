@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"epoc/internal/linalg"
-	"epoc/internal/linalg/kernel"
 )
 
 // propCache holds the propagator state of one GRAPE run: the per-slice
@@ -26,7 +25,6 @@ import (
 // matrix exponentials.
 type propCache struct {
 	m     *Model
-	ws    *kernel.Workspace
 	slots int
 
 	steps  []*linalg.Matrix // steps[k] = e^{-i·H(amps[k])·Dt}
@@ -48,13 +46,13 @@ type propCache struct {
 }
 
 // newPropCache allocates the full propagator state for a slots-slice
-// schedule. All per-iteration work after this call draws on ws or on
-// the matrices allocated here.
-func newPropCache(m *Model, slots int, ws *kernel.Workspace) *propCache {
+// schedule. All per-iteration work after this call writes into the
+// matrices allocated here; the slice steps keep their own temporaries
+// on the stack.
+func newPropCache(m *Model, slots int) *propCache {
 	dim := m.Dim()
 	p := &propCache{
 		m:      m,
-		ws:     ws,
 		slots:  slots,
 		steps:  make([]*linalg.Matrix, slots),
 		prefix: make([]*linalg.Matrix, slots+1),
@@ -90,7 +88,7 @@ func (p *propCache) update(amps [][]float64) *linalg.Matrix {
 		if p.seen[k] && sameAmps(p.prev[k], amps[k]) {
 			continue
 		}
-		p.m.stepInto(p.ws, p.steps[k], p.ham, amps[k])
+		p.m.stepInto(p.steps[k], p.ham, amps[k])
 		copy(p.prev[k], amps[k])
 		p.seen[k] = true
 		p.stepRecomputes++

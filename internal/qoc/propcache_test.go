@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"epoc/internal/linalg/kernel"
 )
 
 func randSchedule(m *Model, slots int, seed int64) [][]float64 {
@@ -27,7 +25,7 @@ func TestPropCacheRecomputesOnlyChangedSlices(t *testing.T) {
 	const slots = 6
 	amps := randSchedule(m, slots, 7)
 
-	pc := newPropCache(m, slots, kernel.NewWorkspace())
+	pc := newPropCache(m, slots)
 
 	// Cold update: every slice computes once.
 	pc.update(amps)
@@ -68,7 +66,7 @@ func TestPropCacheMatchesNaivePropagation(t *testing.T) {
 	const slots = 5
 	amps := randSchedule(m, slots, 11)
 
-	pc := newPropCache(m, slots, kernel.NewWorkspace())
+	pc := newPropCache(m, slots)
 	pc.update(amps)
 
 	// Mutate a few slices across several updates, as Adam would.
@@ -96,7 +94,7 @@ func TestPropCacheNaNNeverReused(t *testing.T) {
 	amps := randSchedule(m, slots, 3)
 	amps[1][0] = math.NaN()
 
-	pc := newPropCache(m, slots, kernel.NewWorkspace())
+	pc := newPropCache(m, slots)
 	pc.update(amps)
 	pc.update(amps)
 	if pc.stepRecomputes != slots+1 {
@@ -114,7 +112,7 @@ func BenchmarkKernelGrapePropagator(b *testing.B) {
 	m := StandardModel(2, ModelOptions{})
 	const slots = 24
 	amps := randSchedule(m, slots, 1)
-	pc := newPropCache(m, slots, kernel.NewWorkspace())
+	pc := newPropCache(m, slots)
 	pc.update(amps)
 
 	b.ReportAllocs()

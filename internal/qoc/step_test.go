@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"epoc/internal/linalg"
-	"epoc/internal/linalg/kernel"
 	"epoc/internal/linalg/kerneltest"
 )
 
@@ -60,7 +59,6 @@ func TestStepMatchesEigenExponential(t *testing.T) {
 		{"3q", StandardModel(3, ModelOptions{}), false},
 		{"3q-dt16", StandardModel(3, ModelOptions{Dt: 16}), true},
 	}
-	ws := kernel.NewWorkspace()
 	for mi, tc := range models {
 		m := tc.m
 		dim := m.Dim()
@@ -73,8 +71,8 @@ func TestStepMatchesEigenExponential(t *testing.T) {
 		for si, u := range stepSchedules(m, 64, int64(mi+1)) {
 			m.slotHamiltonianInto(h, u)
 			maxNorm = math.Max(maxNorm, m.Dt*h.OneNorm())
-			linalg.ExpIHermitianInto(ws, want, h, -m.Dt)
-			m.stepInto(ws, got, ham, u)
+			linalg.ExpIHermitianInto(nil, want, h, -m.Dt)
+			m.stepInto(got, ham, u)
 
 			if d := kerneltest.MaxDiff(got.Data, want.Data); d > tol {
 				t.Fatalf("%s schedule %d: step differs from e^{-iHDt} by %.3g (max entry)", tc.name, si, d)
@@ -110,25 +108,43 @@ func BenchmarkKernelGrapeStep(b *testing.B) {
 		u := randSchedule(m, 1, int64(n))[0]
 		ham := linalg.NewMatrix(dim, dim)
 		dst := linalg.NewMatrix(dim, dim)
-		ws := kernel.NewWorkspace()
 		b.Run(fmt.Sprintf("d%d/pade", dim), func(b *testing.B) {
-			m.stepInto(ws, dst, ham, u) // warm the arena
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.stepInto(ws, dst, ham, u)
+				m.stepInto(dst, ham, u)
 			}
 		})
 		b.Run(fmt.Sprintf("d%d/jacobi", dim), func(b *testing.B) {
-			m.slotHamiltonianInto(ham, u)
-			linalg.ExpIHermitianInto(ws, dst, ham, -m.Dt) // warm the arena
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.slotHamiltonianInto(ham, u)
-				linalg.ExpIHermitianInto(ws, dst, ham, -m.Dt)
+				linalg.ExpIHermitianInto(nil, dst, ham, -m.Dt)
 			}
 		})
+	}
+}
+
+// TestAscentIterationAllocationFree gates the GRAPE hot loop's
+// zero-allocation contract: after newAscent, an iteration (the cached
+// forward propagation, the gradient and the Adam step) allocates
+// nothing on the standard 1–3 qubit models. The propagator cache's
+// matrices are allocated once per run and every slice step keeps its
+// Padé temporaries on the stack.
+func TestAscentIterationAllocationFree(t *testing.T) {
+	for _, c := range []struct{ n, slots int }{{1, 16}, {2, 48}, {3, 128}} {
+		m := StandardModel(c.n, ModelOptions{})
+		target := linalg.RandomUnitary(m.Dim(), rand.New(rand.NewSource(int64(c.n))))
+		a := newAscent(m, target, randSchedule(m, c.slots, int64(c.n)))
+		iter := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			a.step(iter, a.evaluate())
+			iter++
+		})
+		if allocs != 0 {
+			t.Errorf("d%d: an ascent iteration allocates %v times, want 0", m.Dim(), allocs)
+		}
 	}
 }
 
