@@ -129,7 +129,7 @@ func runSuite(suite string) (*report.BenchArtifact, error) {
 		metrics := res.MetricMap()
 		if rec != nil {
 			snap := rec.Snapshot()
-			metrics["qoc_probes"] = float64(snap.Counters["qoc/duration_probes"])
+			metrics["qoc_probes"] = float64(snap.Timers["qoc/duration_probe"].Count)
 			metrics["grape_iters"] = snap.Dists["qoc/grape/iterations"].Sum
 			benchObs.Merge(snap)
 		}

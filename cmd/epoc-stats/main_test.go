@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,6 +98,61 @@ func TestUsageAndLoadErrors(t *testing.T) {
 	}
 	if code := run([]string{"-promcheck", "-fail-on", "latency_ns=0", scrape}, &out, &errb); code != 2 {
 		t.Fatalf("-promcheck with -fail-on exit %d, want 2", code)
+	}
+}
+
+// parentManifest is a run manifest in the format written before the
+// obs series and the trace summary were dropped: it still carries
+// "trace", obs "series" and "samples_dropped". %g is the latency.
+const parentManifest = `{
+  "version": 1,
+  "circuit": "ghz",
+  "strategy": "epoc",
+  "config": {"mode": "full", "workers": "1"},
+  "config_fingerprint": "fp0",
+  "metrics": {"latency_ns": %g, "fidelity": 0.99},
+  "obs": {
+    "counters": {"library/hits": 5, "library/misses": 2, "qoc/duration_probes": 4},
+    "series": {"qoc/grape/fidelity": [0.31, 0.74], "qoc/probe_slots": [58, 30]},
+    "samples_dropped": 3
+  },
+  "trace": {"spans": 2, "by_name": {"compile": {"count": 1, "total_ns": 9, "min_ns": 9, "max_ns": 9}}}
+}
+`
+
+// TestParentManifestCompat pins that manifests written before the
+// series and the trace summary were dropped still decode at the same
+// ManifestVersion, and still diff and gate under epoc-stats.
+func TestParentManifestCompat(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, latency float64) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(fmt.Sprintf(parentManifest, latency)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base, cur := write("base.json", 100), write("cur.json", 150)
+
+	m, err := report.DecodeManifest([]byte(fmt.Sprintf(parentManifest, 100.0)))
+	if err != nil {
+		t.Fatalf("parent manifest does not decode: %v", err)
+	}
+	if m.Circuit != "ghz" || m.Metrics["latency_ns"] != 100 || m.Obs.Counters["library/hits"] != 5 {
+		t.Fatalf("parent manifest decoded as %+v", m)
+	}
+
+	var out, errb bytes.Buffer
+	if code := run([]string{base, cur}, &out, &errb); code != 0 {
+		t.Fatalf("diff exit %d, stderr: %s", code, errb.String())
+	}
+	for _, want := range []string{"latency_ns", "+50.00%", "library_hit_rate"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("diff table missing %q:\n%s", want, out.String())
+		}
+	}
+	if code := run([]string{"-fail-on", "latency_ns=2%", base, cur}, &out, &errb); code != 1 {
+		t.Fatalf("gated diff exit %d, want 1", code)
 	}
 }
 

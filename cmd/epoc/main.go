@@ -51,7 +51,7 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a runtime/pprof heap profile to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (load in Perfetto or chrome://tracing)")
-		reportOut  = flag.String("report", "", "write a machine-readable run manifest (metrics, obs snapshot, trace summary, config fingerprint) to this file")
+		reportOut  = flag.String("report", "", "write a machine-readable run manifest (metrics, obs snapshot, config fingerprint) to this file")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof and the /metrics obs exposition on this address while compiling (e.g. localhost:6060)")
 		storePath  = flag.String("store", "", "persistent pulse/synth store root: reuse pulses from earlier runs, warm-start GRAPE from near matches, flush new entries on exit")
 	)
@@ -84,7 +84,7 @@ func main() {
 		opts.Obs = rec
 	}
 	var tracer *trace.Tracer
-	if *traceOut != "" || *reportOut != "" {
+	if *traceOut != "" {
 		tracer = trace.New(nil)
 		opts.Trace = tracer
 	}
@@ -165,7 +165,7 @@ func main() {
 		}
 	}
 	if *reportOut != "" {
-		m := buildManifest(circuitName(*in, *bench), res, snap, tracer, *mode, *workers, *grape, *budgets)
+		m := buildManifest(circuitName(*in, *bench), res, snap, *mode, *workers, *grape, *budgets)
 		data, err := report.EncodeManifest(m)
 		if err != nil {
 			fatal(err)
@@ -213,9 +213,9 @@ func circuitName(in, bench string) string {
 }
 
 // buildManifest bundles one compile into the machine-readable run
-// manifest behind -report: result metrics, the obs snapshot, the trace
-// summary, and a fingerprint of every knob that affects the output.
-func buildManifest(name string, res *core.Result, snap *obs.Snapshot, tr *trace.Tracer, mode string, workers, grapeIters int, budgets string) *report.Manifest {
+// manifest behind -report: result metrics, the obs snapshot, and a
+// fingerprint of every knob that affects the output.
+func buildManifest(name string, res *core.Result, snap *obs.Snapshot, mode string, workers, grapeIters int, budgets string) *report.Manifest {
 	m := &report.Manifest{
 		Version:  report.ManifestVersion,
 		Circuit:  name,
@@ -230,7 +230,6 @@ func buildManifest(name string, res *core.Result, snap *obs.Snapshot, tr *trace.
 		Degraded:       res.Degraded,
 		DegradeReasons: res.DegradeReasons,
 		Obs:            snap,
-		Trace:          tr.Summary(),
 	}
 	m.Fingerprint()
 	return m

@@ -88,9 +88,9 @@ type ObsSnapshot = obs.Snapshot
 
 // Tracer records a hierarchical span trace of a compilation — per
 // stage, per synthesized block, per optimized pulse — exportable as
-// Chrome trace-event JSON (Perfetto-loadable) via Tracer.ChromeTrace
-// or aggregated via Tracer.Summary. Attach one via
-// CompileOptions.Trace; a nil Tracer records nothing at zero cost.
+// Chrome trace-event JSON (Perfetto-loadable) via Tracer.ChromeTrace.
+// Attach one via CompileOptions.Trace; a nil Tracer records nothing at
+// zero cost.
 type Tracer = trace.Tracer
 
 // Compilation strategies.
@@ -150,8 +150,8 @@ func NewPulseLibrary(matchGlobalPhase bool) *PulseLibrary {
 func NewRecorder() *Recorder { return obs.New() }
 
 // NewTracer creates a span tracer reading the real clock. Set it as
-// CompileOptions.Trace, then export with Tracer.ChromeTrace or
-// Tracer.Summary after the compile returns.
+// CompileOptions.Trace, then export with Tracer.ChromeTrace after the
+// compile returns.
 func NewTracer() *Tracer { return trace.New(nil) }
 
 // Compile lowers a circuit to a pulse schedule under the options'

@@ -166,9 +166,8 @@ type Options struct {
 	// nodes and achieved distance) and per optimized pulse (with its
 	// duration-search probes). Where Obs answers "how much time per
 	// stage in aggregate", the trace answers "which block ate it".
-	// Export with Trace.ChromeTrace (Perfetto-loadable) or bundle
-	// Trace.Summary into a run manifest (internal/report). Like Obs,
-	// a nil tracer costs one nil check and zero allocations.
+	// Export with Trace.ChromeTrace (Perfetto-loadable). Like Obs, a
+	// nil tracer costs one nil check and zero allocations.
 	Trace *trace.Tracer
 
 	// Budgets bounds the compile's work; see the type's documentation.

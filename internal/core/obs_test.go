@@ -49,7 +49,8 @@ func TestObsConcurrentPrefill(t *testing.T) {
 	if snap.Counters["library/misses"] == 0 {
 		t.Fatal("stage 5 recorded no library misses; the worker pool did not run")
 	}
-	if snap.Counters["qoc/grape/runs"] == 0 {
+	runs := snap.Dists["qoc/grape/iterations"].Count
+	if runs == 0 {
 		t.Fatal("no GRAPE runs recorded")
 	}
 	if got := snap.Timers["qoc/pulse"].Count; got != int64(res.Stats.QOCRuns) {
@@ -60,12 +61,17 @@ func TestObsConcurrentPrefill(t *testing.T) {
 			t.Fatalf("stage timer %q missing; timers: %v", stage, snap.TimerNames())
 		}
 	}
-	if len(snap.Series["qoc/grape/fidelity"]) == 0 {
-		t.Fatal("no GRAPE convergence samples recorded")
+	// Every GRAPE run is one duration-search probe, and records one
+	// stop reason and one final fidelity.
+	if got := snap.Timers["qoc/duration_probe"].Count; got != runs {
+		t.Fatalf("qoc/duration_probe spans %d, want GRAPE runs %d", got, runs)
+	}
+	if got := snap.Dists["qoc/grape/final_fidelity"].Count; got != runs {
+		t.Fatalf("final fidelities %d, want GRAPE runs %d", got, runs)
 	}
 	stops := snap.Counters["qoc/grape/stop/target"] + snap.Counters["qoc/grape/stop/max_iter"]
-	if stops != snap.Counters["qoc/grape/runs"] {
-		t.Fatalf("stop reasons %d do not cover runs %d", stops, snap.Counters["qoc/grape/runs"])
+	if stops != runs {
+		t.Fatalf("stop reasons %d do not cover runs %d", stops, runs)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestEstimatorStartMatchesFullRange(t *testing.T) {
 				}
 			}
 		}
-		probes := rec.Snapshot().Counters["qoc/duration_probes"]
+		probes := rec.Snapshot().Timers["qoc/duration_probe"].Count
 		if len(entries) == 0 || probes >= int64(fullProbes) {
 			t.Fatalf("%s: %d blocks; pipeline ran %d probes, full range %d", name, len(entries), probes, fullProbes)
 		}

@@ -2,6 +2,8 @@ package kerneltest
 
 import (
 	"fmt"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -251,21 +253,68 @@ func TestMetamorphicExpmInverse(t *testing.T) {
 	}
 }
 
-// TestIntoAPIsMatchAllocatingAPIs pins ExpmInto to its allocating
-// twin Expm bit for bit: writing into a caller-owned matrix must never
-// change numerics.
+// TestIntoAPIsMatchAllocatingAPIs checks ExpmInto against an
+// independent reference, a Taylor series under scaling and squaring
+// built on NaiveMatMul, and checks that the caller-owned dst is only
+// written: a dst full of NaNs gives Expm's result bit for bit.
 func TestIntoAPIsMatchAllocatingAPIs(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for _, n := range []int{2, 4, 8, 9, 16} {
 		a := linalg.NewMatrix(n, n)
 		copy(a.Data, RandomDense(n, n, rng))
-		wantE := linalg.Expm(a)
-		gotE := linalg.NewMatrix(n, n)
-		linalg.ExpmInto(gotE, a)
-		for i := range wantE.Data {
-			if gotE.Data[i] != wantE.Data[i] {
-				t.Fatalf("n=%d: ExpmInto differs at %d: %v vs %v", n, i, gotE.Data[i], wantE.Data[i])
-			}
+		got := linalg.NewMatrix(n, n)
+		for i := range got.Data {
+			got.Data[i] = complex(math.NaN(), math.NaN())
+		}
+		linalg.ExpmInto(got, a)
+		if i, ok := BitEqual(got.Data, linalg.Expm(a).Data); !ok {
+			t.Fatalf("n=%d: ExpmInto into a NaN-filled dst differs from Expm at %d", n, i)
+		}
+		want := taylorExpm(a.Data, n)
+		if d, tol := MaxDiff(got.Data, want), 1e-12*float64(n)*math.Max(1, MaxAbs(want)); d > tol {
+			t.Fatalf("n=%d: ExpmInto vs Taylor reference: max diff %g > tol %g", n, d, tol)
 		}
 	}
+}
+
+// taylorExpm is the reference exponential: scale a until its 1-norm
+// is at most 1/2, sum 30 Taylor terms with the naive product, then
+// square back.
+func taylorExpm(a []complex128, n int) []complex128 {
+	norm := 0.0
+	for j := 0; j < n; j++ {
+		col := 0.0
+		for i := 0; i < n; i++ {
+			col += cmplx.Abs(a[i*n+j])
+		}
+		norm = math.Max(norm, col)
+	}
+	squarings := 0
+	scale := 1.0
+	for norm*scale > 0.5 {
+		scale /= 2
+		squarings++
+	}
+	x := make([]complex128, n*n)
+	for i := range a {
+		x[i] = a[i] * complex(scale, 0)
+	}
+	sum := make([]complex128, n*n)
+	term := make([]complex128, n*n)
+	for i := 0; i < n; i++ {
+		sum[i*n+i], term[i*n+i] = 1, 1
+	}
+	next := make([]complex128, n*n)
+	for k := 1; k <= 30; k++ {
+		NaiveMatMul(next, term, x, n, n, n)
+		for i := range next {
+			term[i] = next[i] / complex(float64(k), 0)
+			sum[i] += term[i]
+		}
+	}
+	for ; squarings > 0; squarings-- {
+		NaiveMatMul(next, sum, sum, n, n, n)
+		sum, next = next, sum
+	}
+	return sum
 }

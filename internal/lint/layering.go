@@ -82,7 +82,7 @@ var layeringDAG = map[string][]string{
 	"internal/hardware": {"internal/gate", "internal/qoc"},
 	"internal/pulse":    {"internal/linalg"},
 	"internal/qoc":      {"internal/faultclock", "internal/gate", "internal/linalg", "internal/trace"},
-	"internal/report":   {"internal/obs", "internal/trace"},
+	"internal/report":   {"internal/obs"},
 	"internal/synth":    {"internal/circuit", "internal/faultclock", "internal/gate", "internal/linalg", "internal/opt", "internal/optimize", "internal/trace"},
 
 	// Persistence for the pulse library and synthesis cache: sits beside

@@ -42,20 +42,17 @@ func ExampleRecorder_span() {
 	// disabled snapshot is nil: true
 }
 
-// ExampleRecorder_trace shows the bounded trace primitives: sampled
-// series (e.g. a GRAPE convergence curve) and structured events.
+// ExampleRecorder_trace shows the bounded trace primitive, the event
+// buffer: events past the bound are counted, not kept.
 func ExampleRecorder_trace() {
-	r := obs.NewWithLimits(8, 4)
-	for i, fid := range []float64{0.31, 0.74, 0.92, 0.986, 0.999} {
-		r.Sample("qoc/grape/fidelity", fid)
-		_ = i
-	}
+	r := obs.NewWithLimits(1)
 	r.Eventf("qoc/grape", "slots=%d iters=%d stop=%s", 48, 5, "target")
+	r.Eventf("qoc/grape", "slots=%d iters=%d stop=%s", 24, 200, "max_iter")
 
 	snap := r.Snapshot()
-	fmt.Println("kept samples:", len(snap.Series["qoc/grape/fidelity"]), "dropped:", snap.SamplesDropped)
 	fmt.Println(snap.Events[0].Stage, "|", snap.Events[0].Msg)
+	fmt.Println("dropped:", snap.EventsDropped)
 	// Output:
-	// kept samples: 4 dropped: 1
 	// qoc/grape | slots=48 iters=5 stop=target
+	// dropped: 1
 }

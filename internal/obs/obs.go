@@ -10,15 +10,13 @@
 //   - named counters        Add("synth/nodes", 5)
 //   - monotonic timers      sp := r.Span("stage/zx"); ...; sp.End()
 //   - value distributions   Observe("qoc/grape/iterations", 120)
-//   - bounded traces        Sample("qoc/grape/fidelity", 0.97)
-//     and events            Eventf("qoc/grape", "slots=%d stop=%s", ...)
+//   - bounded events        Eventf("qoc/grape", "slots=%d stop=%s", ...)
 //
 // All methods are safe on a nil *Recorder and do nothing, so
 // instrumented code needs no conditionals and the disabled path costs
 // a single nil check (see TestNilRecorderNoAllocs: zero allocations).
-// Series and events are bounded (first MaxSeries samples per key,
-// first MaxEvents events) with explicit drop counters, so a
-// long-running compile cannot grow memory without bound.
+// Events are bounded (the first MaxEvents) with an explicit drop
+// counter, so a long-running compile cannot grow memory without bound.
 //
 // Snapshot returns an immutable, JSON-serializable copy of everything
 // recorded; internal/report renders it as aligned text tables.
@@ -44,11 +42,9 @@ import (
 	"time"
 )
 
-// Default bounds for traces; override with NewWithLimits.
-const (
-	DefaultMaxEvents = 256
-	DefaultMaxSeries = 2048
-)
+// DefaultMaxEvents bounds the event buffer; override with
+// NewWithLimits.
+const DefaultMaxEvents = 256
 
 // NumBuckets is the number of finite histogram bucket bounds every
 // timer and distribution carries; one overflow (+Inf) bucket follows.
@@ -105,44 +101,35 @@ func (h *Hist) observe(v float64) {
 }
 
 // Recorder accumulates counters, timer aggregates, value
-// distributions, bounded series and bounded events. All methods are
-// goroutine-safe and no-ops on a nil receiver.
+// distributions and bounded events. All methods are goroutine-safe and
+// no-ops on a nil receiver.
 type Recorder struct {
-	mu             sync.Mutex
-	counters       map[string]int64
-	timers         map[string]*TimerStats
-	dists          map[string]*DistStats
-	series         map[string][]float64
-	events         []Event
-	eventsDropped  int64
-	samplesDropped int64
-	maxEvents      int
-	maxSeries      int
-	sink           func(Event)
+	mu            sync.Mutex
+	counters      map[string]int64
+	timers        map[string]*TimerStats
+	dists         map[string]*DistStats
+	events        []Event
+	eventsDropped int64
+	maxEvents     int
+	sink          func(Event)
 }
 
-// New returns an empty Recorder with the default trace bounds.
+// New returns an empty Recorder with the default event bound.
 func New() *Recorder {
-	return NewWithLimits(DefaultMaxEvents, DefaultMaxSeries)
+	return NewWithLimits(DefaultMaxEvents)
 }
 
 // NewWithLimits returns an empty Recorder keeping at most maxEvents
-// events and maxSeries samples per series key; non-positive limits
-// fall back to the defaults.
-func NewWithLimits(maxEvents, maxSeries int) *Recorder {
+// events; a non-positive limit falls back to the default.
+func NewWithLimits(maxEvents int) *Recorder {
 	if maxEvents <= 0 {
 		maxEvents = DefaultMaxEvents
-	}
-	if maxSeries <= 0 {
-		maxSeries = DefaultMaxSeries
 	}
 	return &Recorder{
 		counters:  map[string]int64{},
 		timers:    map[string]*TimerStats{},
 		dists:     map[string]*DistStats{},
-		series:    map[string][]float64{},
 		maxEvents: maxEvents,
-		maxSeries: maxSeries,
 	}
 }
 
@@ -176,22 +163,6 @@ func (r *Recorder) Observe(name string, v float64) {
 		d.Max = v
 	}
 	d.Buckets.observe(v)
-	r.mu.Unlock()
-}
-
-// Sample appends v to the named bounded series; samples beyond the
-// per-key bound are dropped and counted in Snapshot.SamplesDropped.
-func (r *Recorder) Sample(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	s := r.series[name]
-	if len(s) < r.maxSeries {
-		r.series[name] = append(s, v)
-	} else {
-		r.samplesDropped++
-	}
 	r.mu.Unlock()
 }
 
@@ -334,13 +305,11 @@ func (d DistStats) Mean() float64 {
 // Snapshot is an immutable copy of everything a Recorder has seen,
 // ready for JSON serialization or table rendering.
 type Snapshot struct {
-	Counters       map[string]int64      `json:"counters,omitempty"`
-	Timers         map[string]TimerStats `json:"timers,omitempty"`
-	Dists          map[string]DistStats  `json:"dists,omitempty"`
-	Series         map[string][]float64  `json:"series,omitempty"`
-	Events         []Event               `json:"events,omitempty"`
-	EventsDropped  int64                 `json:"events_dropped,omitempty"`
-	SamplesDropped int64                 `json:"samples_dropped,omitempty"`
+	Counters      map[string]int64      `json:"counters,omitempty"`
+	Timers        map[string]TimerStats `json:"timers,omitempty"`
+	Dists         map[string]DistStats  `json:"dists,omitempty"`
+	Events        []Event               `json:"events,omitempty"`
+	EventsDropped int64                 `json:"events_dropped,omitempty"`
 }
 
 // Snapshot copies the recorder's state. It is safe to call while
@@ -352,13 +321,11 @@ func (r *Recorder) Snapshot() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := &Snapshot{
-		Counters:       make(map[string]int64, len(r.counters)),
-		Timers:         make(map[string]TimerStats, len(r.timers)),
-		Dists:          make(map[string]DistStats, len(r.dists)),
-		Series:         make(map[string][]float64, len(r.series)),
-		Events:         append([]Event(nil), r.events...),
-		EventsDropped:  r.eventsDropped,
-		SamplesDropped: r.samplesDropped,
+		Counters:      make(map[string]int64, len(r.counters)),
+		Timers:        make(map[string]TimerStats, len(r.timers)),
+		Dists:         make(map[string]DistStats, len(r.dists)),
+		Events:        append([]Event(nil), r.events...),
+		EventsDropped: r.eventsDropped,
 	}
 	for k, v := range r.counters {
 		s.Counters[k] = v
@@ -369,17 +336,14 @@ func (r *Recorder) Snapshot() *Snapshot {
 	for k, v := range r.dists {
 		s.Dists[k] = *v
 	}
-	for k, v := range r.series {
-		s.Series[k] = append([]float64(nil), v...)
-	}
 	return s
 }
 
 // Merge folds a snapshot from another recorder into r: counters add,
 // timer and distribution aggregates combine (counts and sums add,
-// min/max widen, histogram buckets add element-wise). Series and
-// events are deliberately not merged — they are bounded per-recorder
-// traces, and folding many per-job recorders into one server-wide
+// min/max widen, histogram buckets add element-wise). Events are
+// deliberately not merged — they are a bounded per-recorder trace, and
+// folding many per-job recorders into one server-wide
 // recorder would just thrash the bound. The serve layer uses Merge to
 // aggregate per-job recorders (which own the stage timers) into the
 // server recorder that /metrics renders. Nil receivers and nil or
@@ -481,20 +445,6 @@ func (s *Snapshot) DistNames() []string {
 	}
 	names := make([]string, 0, len(s.Dists))
 	for k := range s.Dists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SeriesNames returns the snapshot's series names sorted
-// alphabetically.
-func (s *Snapshot) SeriesNames() []string {
-	if s == nil {
-		return nil
-	}
-	names := make([]string, 0, len(s.Series))
-	for k := range s.Series {
 		names = append(names, k)
 	}
 	sort.Strings(names)

@@ -35,19 +35,12 @@ func TestCountersTimersDists(t *testing.T) {
 	}
 }
 
-func TestBoundedSeriesAndEvents(t *testing.T) {
-	r := NewWithLimits(2, 3)
+func TestBoundedEvents(t *testing.T) {
+	r := NewWithLimits(2)
 	for i := 0; i < 5; i++ {
-		r.Sample("s", float64(i))
 		r.Eventf("stage", "event %d", i)
 	}
 	s := r.Snapshot()
-	if got := s.Series["s"]; len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("series: %v", got)
-	}
-	if s.SamplesDropped != 2 {
-		t.Fatalf("samples dropped: %d", s.SamplesDropped)
-	}
 	if len(s.Events) != 2 || s.Events[1].Msg != "event 1" {
 		t.Fatalf("events: %+v", s.Events)
 	}
@@ -65,7 +58,6 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 		sp := r.Span("stage/zx")
 		r.Add("synth/nodes", 1)
 		r.Observe("qoc/grape/iterations", 42)
-		r.Sample("qoc/grape/fidelity", 0.5)
 		r.Event("stage", "msg")
 		sp.End()
 	})
@@ -198,7 +190,7 @@ func TestNilRecorderSnapshot(t *testing.T) {
 		t.Fatal("nil recorder must snapshot to nil")
 	}
 	var s *Snapshot
-	if s.CounterNames() != nil || s.TimerNames() != nil || s.DistNames() != nil || s.SeriesNames() != nil {
+	if s.CounterNames() != nil || s.TimerNames() != nil || s.DistNames() != nil {
 		t.Fatal("nil snapshot accessors must return nil")
 	}
 }
@@ -216,7 +208,6 @@ func TestConcurrentRecorder(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Add("n", 1)
 				r.Observe("v", float64(i))
-				r.Sample("s", float64(i))
 				sp := r.Span("t")
 				sp.End()
 				r.Eventf("stage", "w%d i%d", w, i)
@@ -235,19 +226,19 @@ func TestConcurrentRecorder(t *testing.T) {
 	if s.Timers["t"].Count != workers*perWorker {
 		t.Fatalf("lost timer updates: %d", s.Timers["t"].Count)
 	}
-	if got := int64(len(s.Series["s"])) + s.SamplesDropped; got != workers*perWorker {
-		t.Fatalf("lost samples: kept+dropped=%d", got)
+	if got := int64(len(s.Events)) + s.EventsDropped; got != workers*perWorker {
+		t.Fatalf("lost events: kept+dropped=%d", got)
 	}
 }
 
 func TestSnapshotIsACopy(t *testing.T) {
 	r := New()
 	r.Add("c", 1)
-	r.Sample("s", 1)
+	r.Event("stage", "first")
 	s := r.Snapshot()
 	r.Add("c", 10)
-	r.Sample("s", 2)
-	if s.Counters["c"] != 1 || len(s.Series["s"]) != 1 {
+	r.Event("stage", "second")
+	if s.Counters["c"] != 1 || len(s.Events) != 1 {
 		t.Fatal("snapshot shares state with recorder")
 	}
 }

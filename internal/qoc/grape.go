@@ -35,9 +35,9 @@ type GRAPEConfig struct {
 	// optimized (the zero value records nothing). Its recorder gets
 	// per-run convergence metrics: the iteration count and final
 	// fidelity distributions, the early-stop reason counters
-	// (qoc/grape/stop/*), and a bounded per-iteration fidelity series
-	// under "qoc/grape/fidelity". The duration search opens one
-	// "qoc/duration_probe" child region per probe (see Probes).
+	// (qoc/grape/stop/*, one per run) and a "qoc/grape" event. The
+	// duration search opens one "qoc/duration_probe" child region per
+	// probe (see Probes).
 	Region trace.Region
 }
 
@@ -115,7 +115,6 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 		panic("qoc: target dimension does not match model")
 	}
 	slots := len(amps)
-	rec := cfg.Region.Recorder()
 	a := newAscent(m, target, amps)
 	bestAmps := makeGrid(slots, len(m.Controls))
 	haveBest := false
@@ -127,7 +126,6 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 	for ; iter < cfg.MaxIter; iter++ {
 		z := a.evaluate()
 		fid = cmplx.Abs(z) / float64(m.Dim())
-		rec.Sample("qoc/grape/fidelity", fid)
 		if fid > best.Fidelity {
 			best.Fidelity = fid
 			copyAmps(bestAmps, amps)
@@ -174,7 +172,6 @@ func grapeFrom(m *Model, target *linalg.Matrix, amps [][]float64, cfg GRAPEConfi
 		case stop != nil:
 			reason = "canceled"
 		}
-		r.Add("qoc/grape/runs", 1)
 		r.Add("qoc/grape/stop/"+reason, 1)
 		r.Observe("qoc/grape/iterations", float64(iter))
 		r.Observe("qoc/grape/final_fidelity", best.Fidelity)
@@ -347,29 +344,18 @@ func copyAmps(dst, src [][]float64) {
 type Runner func(slots int) Result
 
 // Probes wraps a Runner so every duration-search probe opens one
-// "qoc/duration_probe" child region of the pulse region: an obs timer
-// and a trace span annotated with the probed slot count and the
-// probe's achieved fidelity and iteration count. The recorder also
-// gets the probe counter, the probed slot sequence ("qoc/probe_slots"
-// series, in probe order) and an event per probe. Slot counts are
-// unique per search (the duration search memoizes probes), which keeps
-// sibling probe spans canonically orderable and traced compiles
-// byte-identical across worker counts.
+// "qoc/duration_probe" child region of the pulse region: an obs timer,
+// whose count is the probe count, and a trace span annotated with the
+// probed slot count and the probe's achieved fidelity and iteration
+// count. Slot counts are unique per search (the duration search
+// memoizes probes), which keeps sibling probe spans canonically
+// orderable and traced compiles byte-identical across worker counts.
 func Probes(pulse trace.Region, run Runner) Runner {
-	probe := func(slots int) Result {
+	return func(slots int) Result {
 		sp := pulse.Child("qoc/duration_probe").SetInt("slots", int64(slots))
 		defer sp.End()
 		res := run(slots)
 		sp.SetFloat("fidelity", res.Fidelity).SetInt("iters", int64(res.Iterations))
-		return res
-	}
-	return func(slots int) Result {
-		res := probe(slots)
-		if r := pulse.Recorder(); r != nil {
-			r.Add("qoc/duration_probes", 1)
-			r.Sample("qoc/probe_slots", float64(slots))
-			r.Eventf("qoc/search", "probe slots=%d fid=%.6f iters=%d", slots, res.Fidelity, res.Iterations)
-		}
 		return res
 	}
 }

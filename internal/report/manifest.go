@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"epoc/internal/obs"
-	"epoc/internal/trace"
 )
 
 // ManifestVersion is the current run-manifest schema version; bump it
@@ -19,9 +18,12 @@ const ManifestVersion = 1
 // Manifest is the machine-readable record of one compilation run: the
 // `epoc -report out.json` artifact, and the per-circuit payload inside
 // `epoc-bench -json` BENCH files. It bundles the result metrics the
-// regression gate compares, the full obs snapshot and trace summary
-// for after-the-fact analysis, and a fingerprint of the configuration
-// so baselines from different configs are never compared silently.
+// regression gate compares, the full obs snapshot for after-the-fact
+// analysis, and a fingerprint of the configuration so baselines from
+// different configs are never compared silently. The snapshot's timers
+// already aggregate every pipeline span by name, so the manifest
+// carries no trace summary. Older manifests that still carry a "trace"
+// field decode; the field is ignored.
 type Manifest struct {
 	Version  int    `json:"version"`
 	Circuit  string `json:"circuit"`
@@ -43,8 +45,7 @@ type Manifest struct {
 	Degraded       bool     `json:"degraded,omitempty"`
 	DegradeReasons []string `json:"degrade_reasons,omitempty"`
 
-	Obs   *obs.Snapshot  `json:"obs,omitempty"`
-	Trace *trace.Summary `json:"trace,omitempty"`
+	Obs *obs.Snapshot `json:"obs,omitempty"`
 }
 
 // Fingerprint computes the canonical configuration hash: sha256 over

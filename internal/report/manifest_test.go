@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
-	"epoc/internal/faultclock"
 	"epoc/internal/obs"
-	"epoc/internal/trace"
 )
 
 func sampleManifest() *Manifest {
@@ -18,7 +15,6 @@ func sampleManifest() *Manifest {
 	r := obs.New()
 	r.Add("compiles", 1)
 	r.Observe("synth/distance", 1e-9)
-	r.Sample("qoc/grape/fidelity", 0.5)
 	r.Eventf("qoc/grape", "slots=%d", 8)
 	sp := r.Span("stage/synth")
 	sp.End()
@@ -29,12 +25,6 @@ func sampleManifest() *Manifest {
 	for i := range snap.Events {
 		snap.Events[i].Time = snap.Events[i].Time.UTC().Round(0)
 	}
-
-	clock := faultclock.NewFake()
-	tr := trace.New(clock)
-	root := tr.Start("compile")
-	clock.Advance(3 * time.Millisecond)
-	root.End()
 
 	m := &Manifest{
 		Version:  ManifestVersion,
@@ -53,7 +43,6 @@ func sampleManifest() *Manifest {
 		Degraded:       true,
 		DegradeReasons: []string{"qoc"},
 		Obs:            snap,
-		Trace:          tr.Summary(),
 	}
 	m.Fingerprint()
 	return m

@@ -11,7 +11,7 @@ import (
 
 // RenderSnapshot renders an observability snapshot as aligned text
 // tables: timers (hottest first), counters, value distributions, and
-// bounded series with a sparkline. A nil snapshot renders to "".
+// the bounded events. A nil snapshot renders to "".
 func RenderSnapshot(s *obs.Snapshot) string {
 	if s == nil {
 		return ""
@@ -45,23 +45,6 @@ func RenderSnapshot(s *obs.Snapshot) string {
 				fmt.Sprintf("%.4g", d.Min), fmt.Sprintf("%.4g", d.Max))
 		}
 		b.WriteString(tb.String())
-	}
-
-	if len(s.Series) > 0 {
-		tb := NewTable("series (bounded traces)", "name", "samples", "first", "last", "spark")
-		for _, name := range s.SeriesNames() {
-			xs := s.Series[name]
-			if len(xs) == 0 {
-				continue
-			}
-			tb.AddRow(name, len(xs),
-				fmt.Sprintf("%.4g", xs[0]), fmt.Sprintf("%.4g", xs[len(xs)-1]),
-				Spark(xs, 32))
-		}
-		b.WriteString(tb.String())
-		if s.SamplesDropped > 0 {
-			fmt.Fprintf(&b, "(%d samples beyond the per-series bound were dropped)\n", s.SamplesDropped)
-		}
 	}
 
 	if len(s.Events) > 0 {
@@ -98,50 +81,4 @@ func roundDur(d time.Duration) string {
 	default:
 		return d.Round(time.Nanosecond).String()
 	}
-}
-
-// sparkLevels are the eight block glyphs a sparkline is quantized to.
-var sparkLevels = []rune("▁▂▃▄▅▆▇█")
-
-// Spark renders values as a fixed-width sparkline; longer inputs are
-// bucket-averaged down to width. Empty input renders to "".
-func Spark(xs []float64, width int) string {
-	if len(xs) == 0 || width <= 0 {
-		return ""
-	}
-	// Downsample by bucket means.
-	pts := xs
-	if len(xs) > width {
-		pts = make([]float64, width)
-		for i := 0; i < width; i++ {
-			lo := i * len(xs) / width
-			hi := (i + 1) * len(xs) / width
-			if hi <= lo {
-				hi = lo + 1
-			}
-			sum := 0.0
-			for _, v := range xs[lo:hi] {
-				sum += v
-			}
-			pts[i] = sum / float64(hi-lo)
-		}
-	}
-	min, max := pts[0], pts[0]
-	for _, v := range pts {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range pts {
-		level := 0
-		if max > min {
-			level = int((v - min) / (max - min) * float64(len(sparkLevels)-1))
-		}
-		b.WriteRune(sparkLevels[level])
-	}
-	return b.String()
 }

@@ -12,8 +12,6 @@ func TestRenderSnapshot(t *testing.T) {
 	r.Span("stage/synth").End()
 	r.Add("library/hits", 9)
 	r.Observe("qoc/grape/iterations", 120)
-	r.Sample("qoc/grape/fidelity", 0.5)
-	r.Sample("qoc/grape/fidelity", 0.9)
 	r.Event("qoc/grape", "slots=48 stop=target")
 
 	out := RenderSnapshot(r.Snapshot())
@@ -21,7 +19,6 @@ func TestRenderSnapshot(t *testing.T) {
 		"timers (hottest first)", "stage/synth",
 		"counters", "library/hits", "9",
 		"distributions", "qoc/grape/iterations",
-		"series", "qoc/grape/fidelity",
 		"events", "slots=48 stop=target",
 	} {
 		if !strings.Contains(out, want) {
@@ -53,27 +50,5 @@ func TestRenderSnapshotEventOrderStable(t *testing.T) {
 func TestRenderSnapshotNil(t *testing.T) {
 	if got := RenderSnapshot(nil); got != "" {
 		t.Fatalf("nil snapshot rendered %q", got)
-	}
-}
-
-func TestSpark(t *testing.T) {
-	if Spark(nil, 10) != "" {
-		t.Fatal("empty spark")
-	}
-	s := Spark([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8)
-	if s != "▁▂▃▄▅▆▇█" {
-		t.Fatalf("spark ramp: %q", s)
-	}
-	// Longer than width: downsampled to exactly width runes.
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	if got := len([]rune(Spark(xs, 16))); got != 16 {
-		t.Fatalf("downsampled width %d", got)
-	}
-	// Constant series renders at the floor level.
-	if got := Spark([]float64{3, 3, 3}, 8); got != "▁▁▁" {
-		t.Fatalf("constant spark: %q", got)
 	}
 }

@@ -483,9 +483,9 @@ func (s *Server) tracedCompile(ctx context.Context, j *job, opts core.Options) (
 	return s.compile(ctx, j.circ, opts)
 }
 
-// buildManifest bundles a finished compile into the PR-5 manifest
-// envelope: result metrics, obs snapshot, trace summary, and a config
-// fingerprint over every knob that shaped the output. The trace ID is
+// buildManifest bundles a finished compile into the manifest
+// envelope: result metrics, obs snapshot, and a config fingerprint
+// over every knob that shaped the output. The trace ID is
 // deliberately not part of Config — it would make every fingerprint
 // unique and defeat baseline comparison.
 func (s *Server) buildManifest(j *job, res *core.Result) *report.Manifest {
@@ -498,7 +498,6 @@ func (s *Server) buildManifest(j *job, res *core.Result) *report.Manifest {
 		Degraded:       res.Degraded,
 		DegradeReasons: res.DegradeReasons,
 		Obs:            j.rec.Snapshot(),
-		Trace:          j.tracer.Summary(),
 	}
 	m.Fingerprint()
 	return m

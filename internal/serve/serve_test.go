@@ -583,6 +583,41 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
+// TestEventsStreamRealCompile streams a real full-mode compile: every
+// duration-search probe runs one GRAPE ascent, so the stream carries
+// one qoc/grape line per qoc/duration_probe timer observation in the
+// job manifest, and nothing else from the duration search.
+func TestEventsStreamRealCompile(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1}, nil) // real compile
+	w := post(s, `{"circuit":"ghz","options":{"mode":"full","grape_iters":30,"seed":1}}`, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("compile: status = %d: %s", w.Code, w.Body.String())
+	}
+	env := decodeEnvelope(t, w)
+	probes := env.Manifest.Obs.Timers["qoc/duration_probe"].Count
+	if probes == 0 {
+		t.Fatal("full-mode compile ran no duration-search probes")
+	}
+
+	ew := get(s, "/v1/compile/"+env.ID+"/events")
+	var grape int64
+	for _, raw := range strings.Split(strings.TrimSpace(ew.Body.String()), "\n") {
+		var ev StreamEvent
+		if err := json.Unmarshal([]byte(raw), &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", raw, err)
+		}
+		switch ev.Stage {
+		case "qoc/grape":
+			grape++
+		case "qoc/search":
+			t.Fatalf("stream carries a qoc/search line: %q", ev.Msg)
+		}
+	}
+	if grape != probes {
+		t.Fatalf("stream has %d qoc/grape lines, manifest has %d qoc/duration_probe observations", grape, probes)
+	}
+}
+
 func firstField(s string) string {
 	if i := strings.IndexByte(s, ' '); i >= 0 {
 		return s[:i]

@@ -254,7 +254,6 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 	rec := opts.Region.Recorder()
 	record := func(res Result) Result {
 		if r := opts.Region.Recorder(); r != nil {
-			r.Add("synth/blocks", 1)
 			r.Add("synth/nodes", int64(res.Nodes))
 			r.Observe("synth/distance", res.Distance)
 			r.Observe("synth/cnots", float64(res.CNOTs))
@@ -290,7 +289,6 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 		sp := rec.Span("synth/instantiate")
 		params, dist := t.instantiate(ev, seeds, rng, opts.OptBudget)
 		sp.End()
-		rec.Add("synth/instantiations", 1)
 		return &node{
 			placements: pls,
 			params:     params,

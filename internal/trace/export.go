@@ -260,47 +260,3 @@ func writeJSONString(buf *bytes.Buffer, s string) {
 	}
 	buf.Write(b)
 }
-
-// SpanStats aggregates the ended spans recorded under one name.
-type SpanStats struct {
-	Count   int64 `json:"count"`
-	TotalNS int64 `json:"total_ns"`
-	MinNS   int64 `json:"min_ns"`
-	MaxNS   int64 `json:"max_ns"`
-}
-
-// Summary is the compact, JSON-round-trippable aggregate of a trace,
-// bundled into the run manifest alongside the obs snapshot: span
-// counts and per-name duration totals, without the per-span detail of
-// the Chrome export.
-type Summary struct {
-	Spans  int                  `json:"spans"`
-	ByName map[string]SpanStats `json:"by_name,omitempty"`
-}
-
-// Summary aggregates every ended span by name. Nil tracers summarize
-// to nil.
-func (t *Tracer) Summary() *Summary {
-	if t == nil {
-		return nil
-	}
-	sum := &Summary{ByName: map[string]SpanStats{}}
-	for _, sp := range t.snapshot() {
-		if !sp.ended {
-			continue
-		}
-		sum.Spans++
-		st := sum.ByName[sp.name]
-		d := sp.end.Sub(sp.start).Nanoseconds()
-		if st.Count == 0 || d < st.MinNS {
-			st.MinNS = d
-		}
-		if st.Count == 0 || d > st.MaxNS {
-			st.MaxNS = d
-		}
-		st.Count++
-		st.TotalNS += d
-		sum.ByName[sp.name] = st
-	}
-	return sum
-}

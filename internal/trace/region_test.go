@@ -54,10 +54,10 @@ func TestRegionSinksAgree(t *testing.T) {
 	st.End()
 	root.End()
 
-	sum := tr.Summary()
+	spans := spanCounts(decodeEvents(t, tr.ChromeTrace()))
 	snap := rec.Snapshot()
 	for name, want := range map[string]int64{"compile": 1, "stage/qoc": 1, "qoc/pulse": 3, "qoc/duration_probe": 3} {
-		if got := sum.ByName[name].Count; got != want {
+		if got := spans[name]; got != want {
 			t.Errorf("%s: %d spans, want %d", name, got, want)
 		}
 		if got := snap.Timers[name].Count; got != want {

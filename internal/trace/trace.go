@@ -5,8 +5,9 @@
 // with typed attributes (stage, block id, cache status, nodes
 // expanded, probe slots, final infidelity, degrade reasons) and
 // exports them as Chrome trace-event JSON loadable in Perfetto or
-// chrome://tracing, plus a compact aggregated Summary for the run
-// manifest (internal/report).
+// chrome://tracing. Per-name aggregates are not kept here: every
+// pipeline span is opened through a Region, whose obs timer of the
+// same name already counts and totals it.
 //
 // Design constraints, in the order they shaped the API:
 //

@@ -35,9 +35,6 @@ func TestNilTracerNoAllocs(t *testing.T) {
 // export.
 func TestNilSafety(t *testing.T) {
 	var tr *trace.Tracer
-	if sum := tr.Summary(); sum != nil {
-		t.Fatalf("nil Summary = %+v", sum)
-	}
 	out := tr.ChromeTrace()
 	var decoded map[string]interface{}
 	if err := json.Unmarshal(out, &decoded); err != nil {
@@ -45,9 +42,9 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// TestHierarchyAndSummary records a small deterministic tree under a
-// fake clock and checks the summary aggregates.
-func TestHierarchyAndSummary(t *testing.T) {
+// TestHierarchyExport records a small deterministic tree under a fake
+// clock and checks the exported spans' counts and durations.
+func TestHierarchyExport(t *testing.T) {
 	clock := faultclock.NewFake()
 	tr := trace.New(clock)
 	root := tr.Start("compile")
@@ -60,19 +57,21 @@ func TestHierarchyAndSummary(t *testing.T) {
 	stage.End()
 	root.End()
 
-	sum := tr.Summary()
-	if sum.Spans != 5 {
-		t.Fatalf("summary spans = %d, want 5", sum.Spans)
+	events := decodeEvents(t, tr.ChromeTrace())
+	if len(events) != 5 {
+		t.Fatalf("exported spans = %d, want 5", len(events))
 	}
-	blocks := sum.ByName["stage/synth/block"]
-	if blocks.Count != 3 || blocks.TotalNS != int64(30*time.Millisecond) {
-		t.Fatalf("block stats = %+v", blocks)
+	if got := spanCounts(events)["stage/synth/block"]; got != 3 {
+		t.Fatalf("block spans = %d, want 3", got)
 	}
-	if blocks.MinNS != int64(10*time.Millisecond) || blocks.MaxNS != int64(10*time.Millisecond) {
-		t.Fatalf("block min/max = %+v", blocks)
-	}
-	if sum.ByName["compile"].TotalNS != int64(30*time.Millisecond) {
-		t.Fatalf("compile total = %+v", sum.ByName["compile"])
+	for _, e := range events {
+		want := 10e3 // µs
+		if e.Name != "stage/synth/block" {
+			want = 30e3
+		}
+		if e.Dur != want {
+			t.Fatalf("%s: dur %gµs, want %gµs", e.Name, e.Dur, want)
+		}
 	}
 }
 
@@ -186,14 +185,12 @@ func TestRaceHammer(t *testing.T) {
 	}
 	wg.Wait()
 	root.End()
-	if got := tr.Summary().Spans; got != 1+8*200*2 {
+	events := decodeEvents(t, tr.ChromeTrace())
+	if got := len(events); got != 1+8*200*2 {
 		t.Fatalf("span count = %d, want %d", got, 1+8*200*2)
 	}
-	if sum := tr.Summary(); sum.ByName["stage/synth/block"].Count != 8*200 {
-		t.Fatalf("summary block count = %+v", sum.ByName["stage/synth/block"])
-	}
-	if err := json.Unmarshal(tr.ChromeTrace(), &struct{}{}); err != nil {
-		t.Fatalf("hammered trace is not valid JSON: %v", err)
+	if got := spanCounts(events)["stage/synth/block"]; got != 8*200 {
+		t.Fatalf("block span count = %d, want %d", got, 8*200)
 	}
 }
 
@@ -207,8 +204,8 @@ func TestDoubleEndNoop(t *testing.T) {
 	sp.End()
 	clock.Advance(time.Hour)
 	sp.End()
-	if got := tr.Summary().ByName["x"].TotalNS; got != int64(time.Millisecond) {
-		t.Fatalf("double End moved the end time: %d", got)
+	if got := decodeEvents(t, tr.ChromeTrace())[0].Dur; got != 1e3 {
+		t.Fatalf("double End moved the end time: %gµs", got)
 	}
 }
 
@@ -239,4 +236,13 @@ func decodeEvents(t *testing.T, raw []byte) []chromeEvent {
 		}
 	}
 	return doc.TraceEvents
+}
+
+// spanCounts tallies exported spans by name.
+func spanCounts(events []chromeEvent) map[string]int64 {
+	n := map[string]int64{}
+	for _, e := range events {
+		n[e.Name]++
+	}
+	return n
 }

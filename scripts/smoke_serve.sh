@@ -9,7 +9,9 @@
 #   2. warm compile  — the identical request reports synth-cache hits
 #      and re-synthesizes nothing;
 #   3. progress      — GET /v1/compile/{id}/events replays the stream
-#      and terminates with {"done":true};
+#      and terminates with {"done":true}; the cold (full-mode) job's
+#      stream carries a qoc/grape line per GRAPE run and no qoc/search
+#      line;
 #   4. observability — /v1/healthz, /v1/stats and /metrics agree;
 #   5. shutdown      — SIGTERM drains and the process exits cleanly.
 #
@@ -57,7 +59,7 @@ done
 [ -n "$base" ] || { say "server never became healthy"; exit 1; }
 say "server up at $base"
 
-req='{"circuit":"ghz","options":{"mode":"estimate","seed":1},"deadline_ms":60000}'
+req='{"circuit":"ghz","options":{"mode":"full","grape_iters":30,"seed":1},"deadline_ms":60000}'
 
 say "cold compile"
 curl -sf -D "$workdir/cold.hdr" -o "$workdir/cold.json" \
@@ -75,6 +77,7 @@ assert m["metrics"]["fidelity"] > 0, "manifest missing fidelity metric"
 assert env["cache"]["synth_misses"] > 0, "cold run should miss the synth cache"
 print("smoke-serve:   cold ok: id=%s fidelity=%.5f" % (env["id"], m["metrics"]["fidelity"]))
 EOF
+cold_id=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["id"])' "$workdir/cold.json")
 
 say "warm compile (shared caches)"
 curl -sf -o "$workdir/warm.json" \
@@ -100,6 +103,14 @@ lines = [json.loads(l) for l in sys.stdin if l.strip()]
 assert lines, "empty event stream"
 assert lines[-1].get("done") and lines[-1].get("status") == "done", lines[-1]
 print("smoke-serve:   %d events, terminal status done" % len(lines))
+'
+curl -sf "$base/v1/compile/$cold_id/events" | python3 -c '
+import json, sys
+stages = [json.loads(l).get("stage") for l in sys.stdin if l.strip()]
+grape = stages.count("qoc/grape")
+assert grape >= 1, "cold full-mode stream has no qoc/grape line"
+assert "qoc/search" not in stages, "cold stream carries a qoc/search line"
+print("smoke-serve:   cold stream: %d qoc/grape events" % grape)
 '
 
 say "observability endpoints"
