@@ -56,11 +56,12 @@ bench:
 # fusion against their restart-from-scratch references), and the
 # state-vector stride kernels against the bit-spreading reference, and
 # a repeat compile on a warmed shared store at two store sizes (its
-# ns/op should not grow with the store).
+# ns/op should not grow with the store), and a warm repeat served
+# through epoc-serve's handler (allocs/op is its per-request cost).
 # -benchmem makes the zero-allocation claim visible in the output.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix|^BenchmarkRepeatCompileWarmStore' \
-		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim ./internal/core
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix|^BenchmarkRepeatCompileWarmStore|^BenchmarkServedRepeat' \
+		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim ./internal/core ./internal/serve
 
 # Machine-readable benchmark artifact: the small suite (Table 1
 # circuits, estimate mode) as bench/BENCH_small.json. Deterministic

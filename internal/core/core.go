@@ -153,10 +153,10 @@ type Options struct {
 	Obs *obs.Recorder
 
 	// Log, when non-nil, emits structured JSON records at the pipeline's
-	// stage boundaries and at compile completion (stage name, span ID
-	// from Trace, elapsed time, degrade reasons). The serve layer passes
-	// a request-scoped logger already carrying the trace_id, so a log
-	// line, a /metrics scrape and a Chrome trace join on one ID
+	// stage boundaries and at compile completion (stage name, elapsed
+	// time, degrade reasons). The serve layer passes a request-scoped
+	// logger already carrying the trace_id, so every record of a
+	// request, from the access log to the stage records, shares one ID
 	// (DESIGN.md §15). Nil (the default) costs one nil check.
 	Log *logx.Logger
 
@@ -426,7 +426,6 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 	if o.Log.Enabled() {
 		o.Log.Info("compile done",
 			"strategy", string(o.Strategy),
-			"span", o.region.ID(),
 			"qubits", c.NumQubits,
 			"gates", c.Len(),
 			"latency_ns", res.Latency,
@@ -464,7 +463,6 @@ func compileRoot(c *circuit.Circuit, o *Options, start time.Time) (*Result, erro
 		if o.Log.Enabled() {
 			o.Log.Warn("compile aborted",
 				"strategy", string(o.Strategy),
-				"span", root.ID(),
 				"err", err.Error(),
 				"elapsed_ms", float64(time.Since(start).Nanoseconds())/1e6)
 		}

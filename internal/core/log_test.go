@@ -12,7 +12,7 @@ import (
 
 // TestStageBoundaryLogging pins the telemetry contract: a compile with
 // a logger attached emits one "stage done" record per pipeline stage
-// carrying the stage name and its trace span ID, plus a final "compile
+// carrying the stage name and its elapsed time, plus a final "compile
 // done" record — and attached request-scoped attributes (trace_id from
 // serve) ride on every record.
 func TestStageBoundaryLogging(t *testing.T) {
@@ -57,10 +57,6 @@ func TestStageBoundaryLogging(t *testing.T) {
 		case "stage done":
 			stage, _ := m["stage"].(string)
 			stagesDone[stage] = true
-			span, _ := m["span"].(string)
-			if len(span) < 2 || span[0] != 's' {
-				t.Fatalf("stage record without span ID: %v", m)
-			}
 			if _, ok := m["elapsed_ms"].(float64); !ok {
 				t.Fatalf("stage record without elapsed_ms: %v", m)
 			}

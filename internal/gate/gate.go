@@ -57,18 +57,14 @@ const (
 	// Unitary is a matrix-carrying block gate: a partitioned subcircuit
 	// or a regrouped block whose matrix is stored explicitly.
 	Unitary Kind = "unitary"
-	// VUG is a variable unitary gate produced by synthesis; like Unitary
-	// it carries an explicit matrix, but it is tagged separately so the
-	// regrouping pass and reports can distinguish synthesis output.
-	VUG Kind = "vug"
 )
 
 // Gate is a single quantum gate, possibly parameterized or carrying an
-// explicit matrix (for Unitary/VUG kinds).
+// explicit matrix (for the Unitary kind).
 type Gate struct {
 	Kind   Kind
 	Params []float64
-	// Mat is set only for Unitary and VUG kinds.
+	// Mat is set only for the Unitary kind.
 	Mat *linalg.Matrix
 }
 
@@ -79,7 +75,7 @@ type Spec struct {
 }
 
 // Registry maps every fixed-size gate kind to its arity and parameter
-// count. Unitary/VUG are excluded: their arity depends on the matrix.
+// count. Unitary is excluded: its arity depends on the matrix.
 var Registry = map[Kind]Spec{
 	I: {1, 0}, X: {1, 0}, Y: {1, 0}, Z: {1, 0}, H: {1, 0},
 	S: {1, 0}, Sdg: {1, 0}, T: {1, 0}, Tdg: {1, 0}, SX: {1, 0}, SXdg: {1, 0},
@@ -108,12 +104,6 @@ func NewUnitary(m *linalg.Matrix) Gate {
 	return Gate{Kind: Unitary, Mat: m}
 }
 
-// NewVUG wraps an explicit unitary matrix as a variable unitary gate.
-func NewVUG(m *linalg.Matrix) Gate {
-	checkPow2(m)
-	return Gate{Kind: VUG, Mat: m}
-}
-
 func checkPow2(m *linalg.Matrix) {
 	if !m.IsSquare() || m.Rows == 0 || m.Rows&(m.Rows-1) != 0 {
 		panic(fmt.Sprintf("gate: matrix dimension %dx%d is not a power of two", m.Rows, m.Cols))
@@ -122,7 +112,7 @@ func checkPow2(m *linalg.Matrix) {
 
 // Qubits returns the gate's arity.
 func (g Gate) Qubits() int {
-	if g.Kind == Unitary || g.Kind == VUG {
+	if g.Kind == Unitary {
 		n := 0
 		for d := g.Mat.Rows; d > 1; d >>= 1 {
 			n++
@@ -133,13 +123,13 @@ func (g Gate) Qubits() int {
 }
 
 // IsBlock reports whether the gate carries an explicit matrix.
-func (g Gate) IsBlock() bool { return g.Kind == Unitary || g.Kind == VUG }
+func (g Gate) IsBlock() bool { return g.Kind == Unitary }
 
 // Matrix returns the gate's unitary in gate-local little-endian
 // ordering.
 func (g Gate) Matrix() *linalg.Matrix {
 	switch g.Kind {
-	case Unitary, VUG:
+	case Unitary:
 		return g.Mat
 	case I:
 		return linalg.Identity(2)
@@ -236,8 +226,6 @@ func (g Gate) Dagger() Gate {
 	switch g.Kind {
 	case Unitary:
 		return NewUnitary(g.Mat.Adjoint())
-	case VUG:
-		return NewVUG(g.Mat.Adjoint())
 	case S:
 		return New(Sdg)
 	case Sdg:

@@ -36,9 +36,8 @@ var layeringDAG = map[string][]string{
 	// (PR 1), linalg and opt are the numerical foundation, and
 	// faultclock is the cancellation/budget gate threaded through the
 	// pipeline's loops (PR 4) — a leaf so every layer can carry it.
-	// logx is a leaf too: it takes trace/span IDs as plain strings
-	// instead of importing internal/trace, so any layer can carry a
-	// logger without new edges.
+	// logx is a leaf too: it takes the trace ID as a plain string, so
+	// any layer can carry a logger without new edges.
 	"internal/faultclock": {},
 	"internal/gate":       {"internal/linalg"},
 	"internal/lint":       {},
@@ -112,7 +111,7 @@ var layeringDAG = map[string][]string{
 		"internal/debugsrv", "internal/faultclock", "internal/hardware",
 		"internal/logx", "internal/metrics", "internal/obs",
 		"internal/pulse", "internal/qasm", "internal/report",
-		"internal/store", "internal/synth", "internal/trace",
+		"internal/store", "internal/synth",
 	},
 }
 

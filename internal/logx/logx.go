@@ -12,14 +12,13 @@
 //     conditionals and a library user who never asks for logs pays a
 //     single nil check.
 //   - Correlation by convention: With("trace_id", ...) at request
-//     admission and ("span", trace.Span.ID()) at stage boundaries put
-//     the same identifiers on a log line, a /metrics scrape window,
-//     and a Chrome trace, so the three can be joined during an
-//     incident (DESIGN.md §15).
+//     admission puts the response's Epoc-Trace-Id on every record the
+//     request writes, from the access log through the core pipeline's
+//     stage records, so one grep joins them during an incident
+//     (DESIGN.md §15).
 //
-// logx is an import leaf: it takes IDs as plain strings rather than
-// importing internal/trace, so every layer can carry a logger without
-// new DAG edges.
+// logx is an import leaf: it takes IDs as plain strings, so every
+// layer can carry a logger without new DAG edges.
 package logx
 
 import (

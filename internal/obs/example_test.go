@@ -45,9 +45,11 @@ func ExampleRecorder_span() {
 // ExampleRecorder_trace shows the bounded trace primitive, the event
 // buffer: events past the bound are counted, not kept.
 func ExampleRecorder_trace() {
-	r := obs.NewWithLimits(1)
+	r := obs.New()
 	r.Eventf("qoc/grape", "slots=%d iters=%d stop=%s", 48, 5, "target")
-	r.Eventf("qoc/grape", "slots=%d iters=%d stop=%s", 24, 200, "max_iter")
+	for i := 0; i < obs.DefaultMaxEvents; i++ {
+		r.Eventf("qoc/grape", "slots=%d iters=%d stop=%s", 24, 200, "max_iter")
+	}
 
 	snap := r.Snapshot()
 	fmt.Println(snap.Events[0].Stage, "|", snap.Events[0].Msg)

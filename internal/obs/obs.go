@@ -42,8 +42,7 @@ import (
 	"time"
 )
 
-// DefaultMaxEvents bounds the event buffer; override with
-// NewWithLimits.
+// DefaultMaxEvents bounds the event buffer.
 const DefaultMaxEvents = 256
 
 // NumBuckets is the number of finite histogram bucket bounds every
@@ -110,26 +109,16 @@ type Recorder struct {
 	dists         map[string]*DistStats
 	events        []Event
 	eventsDropped int64
-	maxEvents     int
 	sink          func(Event)
 }
 
-// New returns an empty Recorder with the default event bound.
+// New returns an empty Recorder keeping at most DefaultMaxEvents
+// events.
 func New() *Recorder {
-	return NewWithLimits(DefaultMaxEvents)
-}
-
-// NewWithLimits returns an empty Recorder keeping at most maxEvents
-// events; a non-positive limit falls back to the default.
-func NewWithLimits(maxEvents int) *Recorder {
-	if maxEvents <= 0 {
-		maxEvents = DefaultMaxEvents
-	}
 	return &Recorder{
-		counters:  map[string]int64{},
-		timers:    map[string]*TimerStats{},
-		dists:     map[string]*DistStats{},
-		maxEvents: maxEvents,
+		counters: map[string]int64{},
+		timers:   map[string]*TimerStats{},
+		dists:    map[string]*DistStats{},
 	}
 }
 
@@ -236,7 +225,7 @@ func (r *Recorder) Event(stage, msg string) {
 	}
 	ev := Event{Time: time.Now(), Stage: stage, Msg: msg}
 	r.mu.Lock()
-	if len(r.events) < r.maxEvents {
+	if len(r.events) < DefaultMaxEvents {
 		r.events = append(r.events, ev)
 	} else {
 		r.eventsDropped++

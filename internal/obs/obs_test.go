@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -36,13 +37,18 @@ func TestCountersTimersDists(t *testing.T) {
 }
 
 func TestBoundedEvents(t *testing.T) {
-	r := NewWithLimits(2)
-	for i := 0; i < 5; i++ {
+	r := New()
+	for i := 0; i < DefaultMaxEvents+3; i++ {
 		r.Eventf("stage", "event %d", i)
 	}
 	s := r.Snapshot()
-	if len(s.Events) != 2 || s.Events[1].Msg != "event 1" {
-		t.Fatalf("events: %+v", s.Events)
+	if len(s.Events) != DefaultMaxEvents {
+		t.Fatalf("%d events kept, want %d", len(s.Events), DefaultMaxEvents)
+	}
+	// The buffer keeps the oldest events and drops the newest.
+	first, last := s.Events[0].Msg, s.Events[DefaultMaxEvents-1].Msg
+	if first != "event 0" || last != fmt.Sprintf("event %d", DefaultMaxEvents-1) {
+		t.Fatalf("kept events %q … %q", first, last)
 	}
 	if s.EventsDropped != 3 {
 		t.Fatalf("events dropped: %d", s.EventsDropped)

@@ -159,7 +159,7 @@ func emitBasis(out *circuit.Circuit, op circuit.Op) {
 		cx(t2, t1)
 		emitBasis(out, circuit.NewOp(gate.New(gate.CCX), c0, t1, t2))
 		cx(t2, t1)
-	case gate.Unitary, gate.VUG:
+	case gate.Unitary:
 		panic(fmt.Sprintf("optimize: cannot decompose block gate %s; synthesize it first", g))
 	default:
 		panic(fmt.Sprintf("optimize: no decomposition for %s", g.Kind))

@@ -18,13 +18,12 @@ import (
 	"epoc/internal/qasm"
 	"epoc/internal/report"
 	"epoc/internal/synth"
-	"epoc/internal/trace"
 )
 
 // TraceIDHeader carries the request's trace ID: honored inbound (so a
 // caller can stitch the compile into its own trace), always set on
-// the response — including errors — and attached to the root
-// serve/request span. See SERVING.md "Trace IDs".
+// the response — including errors — and stamped as trace_id on every
+// log record the request writes. See SERVING.md "Trace IDs".
 const TraceIDHeader = "Epoc-Trace-Id"
 
 // CompileRequest is the POST /v1/compile body. Exactly one of QASM
@@ -365,7 +364,7 @@ func (s *Server) decodeRequest(r *http.Request) (*CompileRequest, *apiError) {
 }
 
 // prepareJob validates the request and builds the admitted job:
-// circuit, options, deadline, recorder, tracer, event stream.
+// circuit, options, deadline, recorder, event stream.
 func (s *Server) prepareJob(r *http.Request, req *CompileRequest, id, traceID string) (*job, *apiError) {
 	circ, name, apiErr := loadCircuit(req)
 	if apiErr != nil {
@@ -392,8 +391,6 @@ func (s *Server) prepareJob(r *http.Request, req *CompileRequest, id, traceID st
 
 	rec := obs.New()
 	opts.Obs = rec
-	tracer := trace.New(s.cfg.Clock)
-	opts.Trace = tracer
 	// The job logger carries the job and trace IDs on every record it
 	// emits — its own lifecycle records and, via opts.Log, the core
 	// pipeline's stage-boundary records — so one grep by trace_id
@@ -412,7 +409,6 @@ func (s *Server) prepareJob(r *http.Request, req *CompileRequest, id, traceID st
 		softFor:  softFor,
 		admitted: now,
 		rec:      rec,
-		tracer:   tracer,
 		events:   newEventLog(),
 		log:      jlog,
 		state:    statusQueued,

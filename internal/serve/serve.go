@@ -3,11 +3,11 @@
 // the deployment shape the PR 1–5 groundwork was built for — every
 // request runs core.CompileContext with a per-request deadline mapped
 // onto core.Budgets (degrade, don't fail), a per-request trace ID
-// threaded into the span tracer and response headers, and progress
-// streamed live from the obs recorder — while a process-wide
-// synth.Cache and pulse.Library turn repeat circuits into warm-cache
-// hits across requests (the AccQOC amortization argument, applied at
-// the service boundary).
+// stamped on the response header and every log record the request
+// writes, and progress streamed live from the obs recorder — while a
+// process-wide synth.Cache and pulse.Library turn repeat circuits into
+// warm-cache hits across requests (the AccQOC amortization argument,
+// applied at the service boundary).
 //
 // Endpoints (full reference with schemas and examples: SERVING.md):
 //
@@ -50,7 +50,6 @@ import (
 	"epoc/internal/report"
 	"epoc/internal/store"
 	"epoc/internal/synth"
-	"epoc/internal/trace"
 )
 
 // Config tunes a Server. The zero value is usable: every field has a
@@ -366,14 +365,14 @@ func (s *Server) runJob(j *job) {
 	if j.aborted() {
 		s.rec.Add("serve/canceled", 1)
 		j.log.Warn("job canceled", "reason", "client_gone_queued", "queue_ms", queueMS)
-		s.complete(j, statusCanceled, nil, nil, errClientGone)
+		s.complete(j, statusCanceled, nil, errClientGone)
 		return
 	}
 	remaining := j.deadline.Sub(start)
 	if remaining <= 0 {
 		s.rec.Add("serve/deadline_expired_queued", 1)
 		j.log.Warn("job failed", "reason", "deadline_expired_queued", "queue_ms", queueMS)
-		s.complete(j, statusFailed, nil, nil, &apiError{
+		s.complete(j, statusFailed, nil, &apiError{
 			Status: http.StatusGatewayTimeout, Code: "deadline_exceeded",
 			Message: "deadline expired while the request was queued",
 		})
@@ -414,7 +413,7 @@ func (s *Server) runJob(j *job) {
 			"queue_ms", queueMS)
 	}
 
-	res, err := s.tracedCompile(ctx, j, opts)
+	res, err := s.compile(ctx, j.circ, opts)
 	elapsed := s.now().Sub(start)
 	ms := float64(elapsed.Nanoseconds()) / 1e6
 	s.observeCompileMS(ms)
@@ -425,7 +424,7 @@ func (s *Server) runJob(j *job) {
 		if j.aborted() || ctx.Err() != nil {
 			s.rec.Add("serve/canceled", 1)
 			j.log.Warn("job canceled", "queue_ms", queueMS, "compile_ms", ms, "err", err.Error())
-			s.complete(j, statusCanceled, nil, nil, &apiError{
+			s.complete(j, statusCanceled, nil, &apiError{
 				Status: http.StatusGatewayTimeout, Code: "canceled",
 				Message: fmt.Sprintf("compile canceled: %v", err),
 			})
@@ -433,7 +432,7 @@ func (s *Server) runJob(j *job) {
 		}
 		s.rec.Add("serve/failed", 1)
 		j.log.Error("job failed", "queue_ms", queueMS, "compile_ms", ms, "err", err.Error())
-		s.complete(j, statusFailed, nil, nil, &apiError{
+		s.complete(j, statusFailed, nil, &apiError{
 			Status: http.StatusInternalServerError, Code: "compile_failed",
 			Message: err.Error(),
 		})
@@ -452,17 +451,22 @@ func (s *Server) runJob(j *job) {
 			"degraded", res.Degraded,
 			"degrade_reasons", strings.Join(res.DegradeReasons, ","))
 	}
-	m := s.buildManifest(j, res)
-	s.complete(j, statusDone, res, m, nil)
+	s.complete(j, statusDone, res, nil)
 }
 
 // complete folds the job's recorder — which owns the stage timers and
-// cache counters — into the server-wide recorder and puts the job in
+// cache counters — into the server-wide recorder, builds the manifest
+// of a finished compile from the same snapshot, and puts the job in
 // the eviction ring, then settles the job, so /metrics, /v1/stats and
 // eviction all include a request by the time its client sees the
 // response.
-func (s *Server) complete(j *job, state string, res *core.Result, m *report.Manifest, apiErr *apiError) {
-	s.rec.Merge(j.rec.Snapshot())
+func (s *Server) complete(j *job, state string, res *core.Result, apiErr *apiError) {
+	snap := j.rec.Snapshot()
+	s.rec.Merge(snap)
+	var m *report.Manifest
+	if res != nil {
+		m = buildManifest(j, res, snap)
+	}
 	s.mu.Lock()
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.RetainJobs {
@@ -473,22 +477,12 @@ func (s *Server) complete(j *job, state string, res *core.Result, m *report.Mani
 	j.complete(state, res, m, apiErr)
 }
 
-// tracedCompile wraps the pipeline call in the request's root span,
-// carrying the trace ID every child span inherits by ancestry.
-func (s *Server) tracedCompile(ctx context.Context, j *job, opts core.Options) (*core.Result, error) {
-	tsp := j.tracer.Start("serve/request").
-		SetStr("trace_id", j.traceID).
-		SetStr("circuit", j.circName)
-	defer tsp.End()
-	return s.compile(ctx, j.circ, opts)
-}
-
 // buildManifest bundles a finished compile into the manifest
-// envelope: result metrics, obs snapshot, and a config fingerprint
-// over every knob that shaped the output. The trace ID is
+// envelope: result metrics, the job's obs snapshot, and a config
+// fingerprint over every knob that shaped the output. The trace ID is
 // deliberately not part of Config — it would make every fingerprint
 // unique and defeat baseline comparison.
-func (s *Server) buildManifest(j *job, res *core.Result) *report.Manifest {
+func buildManifest(j *job, res *core.Result, snap *obs.Snapshot) *report.Manifest {
 	m := &report.Manifest{
 		Version:        report.ManifestVersion,
 		Circuit:        j.circName,
@@ -497,7 +491,7 @@ func (s *Server) buildManifest(j *job, res *core.Result) *report.Manifest {
 		Metrics:        res.MetricMap(),
 		Degraded:       res.Degraded,
 		DegradeReasons: res.DegradeReasons,
-		Obs:            j.rec.Snapshot(),
+		Obs:            snap,
 	}
 	m.Fingerprint()
 	return m
@@ -592,7 +586,6 @@ type job struct {
 	admitted time.Time
 
 	rec    *obs.Recorder
-	tracer *trace.Tracer
 	events *eventLog
 	log    *logx.Logger // request-scoped: carries job + trace_id attrs
 

@@ -36,7 +36,7 @@ func okResult() *core.Result {
 
 // newTestServer builds a server, swaps in the stub compile function
 // (nil keeps the real pipeline), and tears it down with the test.
-func newTestServer(t *testing.T, cfg Config, fn compileFunc) *Server {
+func newTestServer(t testing.TB, cfg Config, fn compileFunc) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

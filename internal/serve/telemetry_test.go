@@ -191,7 +191,8 @@ func (b *syncBuffer) records(t *testing.T) []map[string]any {
 // TestAccessLogTraceCorrelation pins the acceptance criterion: every
 // access-log line carries the same trace ID the response header does,
 // whether the caller supplied one or the server minted it, and the
-// job-lifecycle records share it too.
+// job-lifecycle records share it too — on the real pipeline, so do
+// the stage and compile records, none of which carries a span ID.
 func TestAccessLogTraceCorrelation(t *testing.T) {
 	buf := &syncBuffer{}
 	s := newTestServer(t, Config{Workers: 1, Log: logx.New(buf, slog.LevelInfo)},
@@ -270,6 +271,33 @@ func TestAccessLogTraceCorrelation(t *testing.T) {
 	}
 	if !sawJobDone {
 		t.Errorf("no 'job done' record under trace %q: %v", hdr, byTrace[hdr])
+	}
+
+	// The real pipeline: an estimate-mode compile's stage and compile
+	// records carry the request's trace ID too, and no record carries
+	// a span ID.
+	rbuf := &syncBuffer{}
+	rs := newTestServer(t, Config{Workers: 1, Log: logx.New(rbuf, slog.LevelInfo)}, nil)
+	wr := post(rs, `{"circuit":"ghz","options":{"mode":"estimate","seed":1}}`, nil)
+	if wr.Code != http.StatusOK {
+		t.Fatalf("real compile: %d %s", wr.Code, wr.Body.String())
+	}
+	rhdr := wr.Header().Get(TraceIDHeader)
+	msgs := map[string]int{}
+	for _, m := range rbuf.records(t) {
+		if m["trace_id"] != rhdr {
+			t.Errorf("record trace_id %v, response header %q: %v", m["trace_id"], rhdr, m)
+		}
+		if _, ok := m["span"]; ok {
+			t.Errorf("record carries a span ID: %v", m)
+		}
+		msg, _ := m["msg"].(string)
+		msgs[msg]++
+	}
+	for _, want := range []string{"request", "job start", "stage start", "stage done", "compile done", "job done"} {
+		if msgs[want] == 0 {
+			t.Errorf("no %q record in the real compile's log: %v", want, msgs)
+		}
 	}
 }
 

@@ -153,7 +153,7 @@ func EncodePulseRecord(u *linalg.Matrix, p *pulse.Pulse) (name string, data []by
 }
 
 // EncodeSynthRecord frames one synthesis-cache entry as a record.
-// Circuits carrying explicit-matrix gates (Unitary/VUG) are not
+// Circuits carrying explicit-matrix (Unitary) gates are not
 // persistable — QSearch output is U3+CX only, so hitting this means
 // the caller tried to store something the cache never produces.
 func EncodeSynthRecord(u *linalg.Matrix, circ *circuit.Circuit, ok bool) (name string, data []byte, err error) {

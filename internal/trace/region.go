@@ -40,14 +40,13 @@ func Open(t *Tracer, rec *obs.Recorder, log *logx.Logger, name string) Region {
 
 // Stage opens a pipeline-stage child region. Besides the timer and the
 // child span it writes a "stage start" record now and a "stage done"
-// record (with elapsed_ms) at End, both carrying the stage name and
-// span ID so a log line joins its trace span.
+// record (with elapsed_ms) at End, both carrying the stage name.
 func (r Region) Stage(name string) Region {
 	c := r.Child(name)
 	c.log, c.stage = r.log, true
 	if c.log.Enabled() {
 		c.start = time.Now()
-		c.log.Info("stage start", "stage", name, "span", c.span.ID())
+		c.log.Info("stage start", "stage", name)
 	}
 	return c
 }
@@ -67,7 +66,6 @@ func (r Region) End() {
 	if r.stage && r.log.Enabled() {
 		r.log.Info("stage done",
 			"stage", r.name,
-			"span", r.span.ID(),
 			"elapsed_ms", float64(time.Since(r.start).Nanoseconds())/1e6)
 	}
 }
@@ -76,9 +74,6 @@ func (r Region) End() {
 // counters and distributions recorded inside the region (nil when
 // metrics are off).
 func (r Region) Recorder() *obs.Recorder { return r.rec }
-
-// ID returns the region's trace span ID (empty when tracing is off).
-func (r Region) ID() string { return r.span.ID() }
 
 // SetStr attaches a string attribute to the region's trace span.
 func (r Region) SetStr(key, v string) Region {

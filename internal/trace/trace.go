@@ -38,7 +38,6 @@
 package trace
 
 import (
-	"strconv"
 	"sync"
 	"time"
 )
@@ -154,20 +153,6 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.end = s.tr.clock.Now()
-}
-
-// ID returns the span's stable identifier within its tracer,
-// "s<seq>", where seq is the registration sequence number. It is
-// assigned under the tracer lock at Start/Child time and never
-// changes, so it is safe to read from any goroutine and cheap enough
-// for log records — the logx integration stamps it on every
-// stage-boundary line so a log line and a Chrome trace join on it.
-// Nil spans return the empty string.
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return "s" + strconv.Itoa(s.seq)
 }
 
 // SetStr attaches a string attribute and returns the span for
