@@ -51,7 +51,8 @@ bench:
 # baselines, the cached GRAPE propagator loop and one full GRAPE ascent
 # iteration (BenchmarkKernelGrapeIter, d2/d4/d8), the QSearch template
 # gradient (the evaluator's adjoint sweep against a central difference
-# of its objective), and the
+# of its objective) and one template instantiation on a 3q target, the
+# unitary fingerprint (d4/d8), and the
 # stage-1 rewrite loops (incremental Peephole and resuming spider
 # fusion against their restart-from-scratch references), and the
 # state-vector stride kernels against the bit-spreading reference, and
@@ -60,8 +61,8 @@ bench:
 # through epoc-serve's handler (allocs/op is its per-request cost).
 # -benchmem makes the zero-allocation claim visible in the output.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix|^BenchmarkRepeatCompileWarmStore|^BenchmarkServedRepeat' \
-		-benchmem ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim ./internal/core ./internal/serve
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkInstantiate|^BenchmarkFingerprint|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix|^BenchmarkRepeatCompileWarmStore|^BenchmarkServedRepeat' \
+		-benchmem ./internal/linalg ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim ./internal/core ./internal/serve
 
 # Machine-readable benchmark artifact: the small suite (Table 1
 # circuits, estimate mode) as bench/BENCH_small.json. Deterministic

@@ -281,7 +281,8 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 	defer sp.End()
 	type class struct {
 		u   *linalg.Matrix
-		dup int // eligible blocks beyond the representative
+		key synth.Key // u's, formed once and handed to the cache
+		dup int       // eligible blocks beyond the representative
 	}
 	classOf := make([]int, len(blocks))
 	var classes []class
@@ -293,7 +294,8 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 			continue
 		}
 		u := b.Unitary()
-		fp := linalg.Fingerprint(u)
+		key := synth.KeyOf(u)
+		fp := key.String()
 		ci := -1
 		for _, cand := range byKey[fp] {
 			if classes[cand].u.Rows == u.Rows && linalg.PhaseDistance(classes[cand].u, u) < synth.CacheTol {
@@ -303,7 +305,7 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 		}
 		if ci < 0 {
 			ci = len(classes)
-			classes = append(classes, class{u: u})
+			classes = append(classes, class{u: u, key: key})
 			byKey[fp] = append(byKey[fp], ci)
 		} else {
 			classes[ci].dup++
@@ -327,7 +329,7 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 			SetInt("dup", int64(classes[ci].dup))
 		defer bsp.End()
 		sopts := synth.Options{Gate: o.synthGate, BudgetNodes: o.Budgets.SynthNodes, Region: bsp}
-		circ, ok, status, err := o.SynthCache.GetOrCompute(o.synthGate, classes[ci].u, func() (*circuit.Circuit, bool, error) {
+		circ, ok, status, err := o.SynthCache.GetOrComputeKey(o.synthGate, classes[ci].key, func() (*circuit.Circuit, bool, error) {
 			return synth.SynthesizeOutcome(classes[ci].u, sopts)
 		})
 		bsp.SetStr("cache", status.String()).SetBool("ok", ok)
@@ -721,26 +723,37 @@ func zxSelect(c *circuit.Circuit, score func(*circuit.Circuit) float64, rec *obs
 // two ZX simplifications the extracted circuit, its Peephole and that
 // Peephole's merged runs. An extraction that fails yields nothing.
 //
-// Both simplifications share one diagram: FullSimplify begins with
-// Simplify, which leaves a simplified diagram unchanged, and ToCircuit
-// extracts from a clone, so the Simplify result is extracted and then
-// carried on to FullSimplify.
+// Both simplifications share one diagram: ToCircuit extracts from a
+// clone, so the Simplify result is extracted and then carried on
+// through the rest of FullSimplify (ReduceGadgets; the Simplify that
+// FullSimplify begins with leaves a simplified diagram unchanged).
+// When the gadget rewrites change nothing, the diagram is the Simplify
+// one, whose candidates were already yielded; extracting it again could
+// only yield their duplicates, which cannot win under zxSelection's
+// strict <, so it is skipped.
 func zxCandidates(c *circuit.Circuit, yield func(*circuit.Circuit)) {
 	peep := optimize.Peephole(c)
 	yield(peep)
 	yield(optimize.MergeSingleQubitRuns(peep))
 	g := zx.FromCircuit(c)
-	for _, simplify := range []func(*zx.Graph){(*zx.Graph).Simplify, (*zx.Graph).FullSimplify} {
-		simplify(g)
-		out, err := g.ToCircuit()
-		if err != nil {
-			continue
-		}
-		yield(out)
-		peepOut := optimize.Peephole(out)
-		yield(peepOut)
-		yield(optimize.MergeSingleQubitRuns(peepOut))
+	g.Simplify()
+	yieldExtraction(g, yield)
+	if g.ReduceGadgets() {
+		yieldExtraction(g, yield)
 	}
+}
+
+// yieldExtraction yields the circuit extracted from g, its Peephole
+// and that Peephole's merged runs; a failed extraction yields nothing.
+func yieldExtraction(g *zx.Graph, yield func(*circuit.Circuit)) {
+	out, err := g.ToCircuit()
+	if err != nil {
+		return
+	}
+	yield(out)
+	peepOut := optimize.Peephole(out)
+	yield(peepOut)
+	yield(optimize.MergeSingleQubitRuns(peepOut))
 }
 
 // maxVerifyQubits bounds stage-1 verification: 2^12 amplitudes per

@@ -88,6 +88,20 @@ func (m *Matrix) Equal(n *Matrix, tol float64) bool {
 	return true
 }
 
+// SameBits reports whether a and b, of equal length, are bitwise
+// equal: the test of a cache that reuses work done at a point, where
+// reuse must be exact. −0 differs from +0, and NaN differs from itself,
+// so a NaN point is never reused.
+func SameBits(a, b []float64) bool {
+	for i := range a {
+		//epoc:lint-ignore floatcmp bitwise reuse key: a tolerance would fork cached and uncached trajectories
+		if a[i] != b[i] || math.Signbit(a[i]) != math.Signbit(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Add returns m + n.
 func (m *Matrix) Add(n *Matrix) *Matrix {
 	checkSameShape(m, n)

@@ -80,6 +80,16 @@ func FrobeniusDistance(a, b *Matrix) float64 {
 // are equal up to global phase canonicalize to (numerically) the same
 // matrix, which makes the result usable as a lookup key.
 func CanonicalPhase(u *Matrix) *Matrix {
+	ph, ok := canonicalPhase(u)
+	if !ok {
+		return u.Clone()
+	}
+	return u.Scale(ph)
+}
+
+// canonicalPhase returns the unit phase CanonicalPhase scales u by, or
+// false when u is zero and is left as it is.
+func canonicalPhase(u *Matrix) (complex128, bool) {
 	var best complex128
 	var bestAbs float64
 	for _, v := range u.Data {
@@ -89,31 +99,75 @@ func CanonicalPhase(u *Matrix) *Matrix {
 		}
 	}
 	if bestAbs == 0 {
-		return u.Clone()
+		return 0, false
 	}
-	ph := cmplx.Conj(best) / complex(bestAbs, 0)
-	return u.Scale(ph)
+	return cmplx.Conj(best) / complex(bestAbs, 0), true
 }
 
 // Fingerprint returns a stable string key for a unitary up to global
 // phase, formed by canonicalizing the phase and rounding entries. Two
 // unitaries within ~1e-6 of each other (after phase alignment) usually
 // share a fingerprint; collisions only cost a library re-check, never
-// correctness, when callers verify with PhaseDistance.
+// correctness, when callers verify with PhaseDistance. The bytes are
+// those of formatting CanonicalPhase(u)'s entries with strconv's 'f'
+// and 5 decimals, which library export, store harvest and warm-start
+// order sort by; the phase is applied entry by entry, without the copy.
 func Fingerprint(u *Matrix) string {
-	c := CanonicalPhase(u)
-	buf := make([]byte, 0, len(c.Data)*20+8)
-	buf = strconv.AppendInt(buf, int64(c.Rows), 10)
+	ph, scale := canonicalPhase(u)
+	buf := make([]byte, 0, len(u.Data)*20+8)
+	buf = strconv.AppendInt(buf, int64(u.Rows), 10)
 	buf = append(buf, 'x')
-	buf = strconv.AppendInt(buf, int64(c.Cols), 10)
+	buf = strconv.AppendInt(buf, int64(u.Cols), 10)
 	buf = append(buf, ':')
-	for _, v := range c.Data {
-		buf = strconv.AppendFloat(buf, snapZero(real(v)), 'f', 5, 64)
+	for _, v := range u.Data {
+		if scale {
+			v = ph * v
+		}
+		buf = AppendFixed5(buf, snapZero(real(v)))
 		buf = append(buf, ',')
-		buf = strconv.AppendFloat(buf, snapZero(imag(v)), 'f', 5, 64)
+		buf = AppendFixed5(buf, snapZero(imag(v)))
 		buf = append(buf, ';')
 	}
 	return string(buf)
+}
+
+// AppendFixed5 appends x with five decimals: the bytes of
+// strconv.AppendFloat(dst, x, 'f', 5, 64), which fmt's "%.5f" also
+// prints, without strconv's arbitrary-precision path for |x| < 2e4.
+//
+// strconv rounds the exact binary value of |x|·1e5 to an integer, half
+// to even. p = fl(|x|·1e5) misses that product by e = FMA(|x|, 1e5, -p)
+// exactly, with |e| ≤ ulp(p)/2. Below 2e9, ulp(p) ≤ 2^-22, and both the
+// fraction r = p - ⌊p⌋ and 1/2 are multiples of it, so r ≠ 1/2 puts
+// p + e on the same side of the midpoint as p. At r = 1/2 the sign of e
+// decides, and e = 0 is an exact tie (|x| an odd multiple of 1/64 below
+// 2e4, such as 0.015625 → "0.01562"). The sign comes from x's sign bit,
+// so a negative x that rounds to zero prints "-0.00000" as strconv does.
+func AppendFixed5(dst []byte, x float64) []byte {
+	ax := math.Abs(x)
+	if !(ax < 2e4) {
+		return strconv.AppendFloat(dst, x, 'f', 5, 64)
+	}
+	p := ax * 1e5
+	e := math.FMA(ax, 1e5, -p)
+	fl := math.Floor(p)
+	n := uint64(fl)
+	switch r := p - fl; {
+	case r > 0.5:
+		n++
+	case r < 0.5:
+	case e > 0:
+		n++
+	case e < 0:
+	default:
+		n += n & 1
+	}
+	if math.Signbit(x) {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, n/100000, 10)
+	f := n % 100000
+	return append(dst, '.', byte('0'+f/10000), byte('0'+f/1000%10), byte('0'+f/100%10), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 func snapZero(x float64) float64 {

@@ -34,7 +34,7 @@ var floatcmpAllowed = map[string]bool{
 	// "equal" means for everyone else (paper §3.3–§3.4), so their raw
 	// comparisons are the specification, not a bug.
 	"epoc/internal/linalg.PhaseDistance":  true,
-	"epoc/internal/linalg.CanonicalPhase": true,
+	"epoc/internal/linalg.canonicalPhase": true,
 	"epoc/internal/linalg.Fingerprint":    true,
 	// ZX phase predicates compare values already snapped by normPhase
 	// (exactly 0 within phaseTol), so == on the canonical form is exact.

@@ -152,6 +152,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/faultclock.NewFake":     "fake clock fixture that makes budget expiry deterministic in tests",
 	"internal/faultclock.NewInjector": "trip-point fixture that fires cancellation at an exact loop iteration",
 	"internal/faultclock.Sites":       "lists every trip point for the table-driven conformance tests",
+	"internal/linalg.CanonicalPhase":  "the phase-aligned matrix Fingerprint keys; the key tests format it to pin the key's bytes",
 
 	"internal/linalg.Matrix.IsUnitary":       "invariant checker: the gate, circuit, partition and linalg tests assert unitarity with it",
 	"internal/linalg.Matrix.IsHermitian":     "invariant checker: the linalg and QOC tests assert Hermitian generators with it",

@@ -1,8 +1,11 @@
 package pulse
 
 import (
+	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"epoc/internal/linalg"
@@ -108,6 +111,44 @@ func TestLibraryExportSnapshotShared(t *testing.T) {
 	for i := 1; i < len(c); i++ {
 		if lib.Key(c[i-1].U).s > lib.Key(c[i].U).s {
 			t.Fatal("snapshot is not in key order")
+		}
+	}
+}
+
+// TestRawKeyMatchesFmtForm: without global-phase matching a key is the
+// raw entries at five decimals, as it was written with fmt's "%.5f".
+// The values are random unitaries, exact ties of the fifth decimal
+// (odd multiples of 1/64) with their neighbours, signed zeros and
+// negatives that round to zero.
+func TestRawKeyMatchesFmtForm(t *testing.T) {
+	fmtKey := func(u *linalg.Matrix) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%dx%d:", u.Rows, u.Cols)
+		for _, v := range u.Data {
+			fmt.Fprintf(&b, "%.5f,%.5f;", real(v), imag(v))
+		}
+		return b.String()
+	}
+	lib := NewLibrary(false)
+	rng := rand.New(rand.NewSource(6))
+	var us []*linalg.Matrix
+	for _, d := range []int{2, 4, 8} {
+		for i := 0; i < 20; i++ {
+			us = append(us, linalg.RandomUnitary(d, rng))
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for k := 1; k < 64*4; k += 2 {
+		x := float64(k) / 64
+		lo, hi := math.Nextafter(x, 0), math.Nextafter(x, 4)
+		u := linalg.NewMatrix(2, 2)
+		u.Data[0], u.Data[1] = complex(x, -x), complex(lo, -hi)
+		u.Data[2], u.Data[3] = complex(-lo, hi), complex(negZero, -4e-6)
+		us = append(us, u)
+	}
+	for i, u := range us {
+		if got, want := lib.Key(u).s, fmtKey(u); got != want {
+			t.Fatalf("matrix %d: key %q, fmt form %q", i, got, want)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -177,12 +178,18 @@ func (l *Library) Key(u *linalg.Matrix) Key {
 	if l.MatchGlobalPhase {
 		return Key{s: linalg.Fingerprint(u), u: u}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%dx%d:", u.Rows, u.Cols)
+	buf := make([]byte, 0, len(u.Data)*20+8)
+	buf = strconv.AppendInt(buf, int64(u.Rows), 10)
+	buf = append(buf, 'x')
+	buf = strconv.AppendInt(buf, int64(u.Cols), 10)
+	buf = append(buf, ':')
 	for _, v := range u.Data {
-		fmt.Fprintf(&b, "%.5f,%.5f;", real(v), imag(v))
+		buf = linalg.AppendFixed5(buf, real(v))
+		buf = append(buf, ',')
+		buf = linalg.AppendFixed5(buf, imag(v))
+		buf = append(buf, ';')
 	}
-	return Key{s: b.String(), u: u}
+	return Key{s: string(buf), u: u}
 }
 
 // matchTol bounds the verified distance between a looked-up unitary

@@ -1,10 +1,6 @@
 package qoc
 
-import (
-	"math"
-
-	"epoc/internal/linalg"
-)
+import "epoc/internal/linalg"
 
 // propCache holds the propagator state of one GRAPE run: the per-slice
 // step unitaries e^{-i·H_k·Dt} (Model.stepInto), the prefix products
@@ -85,7 +81,7 @@ func newPropCache(m *Model, slots int) *propCache {
 func (p *propCache) update(amps [][]float64) *linalg.Matrix {
 	first, last := p.slots, -1
 	for k := 0; k < p.slots; k++ {
-		if p.seen[k] && sameAmps(p.prev[k], amps[k]) {
+		if p.seen[k] && linalg.SameBits(p.prev[k], amps[k]) {
 			continue
 		}
 		p.m.stepInto(p.steps[k], p.ham, amps[k])
@@ -116,19 +112,6 @@ func (p *propCache) suffixes() {
 		linalg.MulInto(p.suffix[k], p.suffix[k+1], p.steps[k])
 	}
 	p.stale = -1
-}
-
-// sameAmps reports whether a slice's control amplitudes are bitwise
-// unchanged. NaN compares unequal to itself, so a NaN amplitude can
-// never be wrongly reused.
-func sameAmps(a, b []float64) bool {
-	for i := range a {
-		//epoc:lint-ignore floatcmp bitwise cache-invalidation key: reuse must be exact, tolerance would fork cached and uncached trajectories
-		if a[i] != b[i] || math.Signbit(a[i]) != math.Signbit(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // setIdentity clears m and writes the identity.

@@ -83,9 +83,30 @@ func NewCache() *Cache {
 	return &Cache{entries: map[string][]*cacheEntry{}}
 }
 
-// GetOrCompute returns the cached synthesis result for u, running
-// compute exactly once per unitary class (up to global phase). The
-// returned ok mirrors SynthesizeOutcome: true when the synthesis
+// Key is a unitary's cache key: its fingerprint, with the unitary
+// itself for hit verification. A caller that groups unitaries by key
+// before it consults the cache, as stage 3 does, fingerprints each
+// unitary once and hands the key on, as pulse.Key does for the pulse
+// library.
+type Key struct {
+	s string
+	u *linalg.Matrix
+}
+
+// KeyOf fingerprints u.
+func KeyOf(u *linalg.Matrix) Key { return Key{s: linalg.Fingerprint(u), u: u} }
+
+// String returns the key's fingerprint.
+func (k Key) String() string { return k.s }
+
+// GetOrCompute is GetOrComputeKey under u's key.
+func (c *Cache) GetOrCompute(g *faultclock.Gate, u *linalg.Matrix, compute func() (*circuit.Circuit, bool, error)) (*circuit.Circuit, bool, CacheStatus, error) {
+	return c.GetOrComputeKey(g, KeyOf(u), compute)
+}
+
+// GetOrComputeKey returns the cached synthesis result for k's unitary,
+// running compute exactly once per unitary class (up to global phase).
+// The returned ok mirrors SynthesizeOutcome: true when the synthesis
 // reached the accuracy threshold, false when the caller should fall
 // back to the block's original realization. compute must not call
 // back into the same Cache.
@@ -99,12 +120,12 @@ func NewCache() *Cache {
 // themselves. The gate also makes the wait cancellable: a waiter
 // whose context is canceled returns promptly with the context's
 // error instead of blocking on someone else's synthesis.
-func (c *Cache) GetOrCompute(g *faultclock.Gate, u *linalg.Matrix, compute func() (*circuit.Circuit, bool, error)) (*circuit.Circuit, bool, CacheStatus, error) {
+func (c *Cache) GetOrComputeKey(g *faultclock.Gate, k Key, compute func() (*circuit.Circuit, bool, error)) (*circuit.Circuit, bool, CacheStatus, error) {
 	if c == nil {
 		circ, ok, err := compute()
 		return circ, ok, CacheMiss, err
 	}
-	key := linalg.Fingerprint(u)
+	key, u := k.s, k.u
 	waited := false
 	for {
 		c.mu.Lock()

@@ -15,13 +15,19 @@ type sweepOp struct{ a, b, p int }
 // evaluator computes the instantiation objective of one target (the
 // phase-invariant Hilbert-Schmidt cost 1 - |tr(T(x)†·U)|/dim) and its
 // exact gradient, for whichever template it was last reset to. Gates
-// act directly on the rows of one preallocated running product instead
-// of being embedded into dense operators. The objective is
-// bit-identical to evaluating the dense product
-// EmbedOperator(g_k)·…·EmbedOperator(g_0) through linalg.Mul (DESIGN.md
-// §14); the gradient is the adjoint of that sweep, exact up to
-// rounding, from a forward sweep that keeps every prefix product and
-// one backward sweep.
+// act directly on the rows of preallocated products instead of being
+// embedded into dense operators. The objective is bit-identical to
+// evaluating the dense product EmbedOperator(g_k)·…·EmbedOperator(g_0)
+// through linalg.Mul (DESIGN.md §14); the gradient is the adjoint of
+// that sweep, exact up to rounding, from a forward sweep that keeps
+// every prefix product and one backward sweep.
+//
+// The objective and the gradient share their forward sweeps: the last
+// two points evaluated stay in two slots, and a call at a point a slot
+// holds (bitwise) reuses its sweep. L-BFGS takes its gradient at the
+// last or second-to-last point its line search tried, and its first
+// objective at the point of its first gradient, so every gradient but
+// the first runs only the backward sweep.
 //
 // An evaluator owns its buffers and is not safe for concurrent use; a
 // QSearch builds one and reuses it for every node it instantiates.
@@ -29,12 +35,20 @@ type evaluator struct {
 	dim    int
 	target []complex128
 	ops    []sweepOp
-	// prefix holds len(ops)+1 dim×dim products, row-major:
-	// prefix[k·dim²:] is the product of ops[:k] at the gradient point.
-	prefix []complex128
-	work   []complex128 // running product of the objective's sweep
+	slots  [2]sweep     // the two most recently used points
+	next   int          // the least recently used slot, which a miss overwrites
 	back   []complex128 // running product of the gradient's adjoint sweep
-	trig   []u3Trig     // the factors of each op's U3 at the gradient point
+}
+
+// sweep is one forward sweep of the template at x.
+type sweep struct {
+	valid bool
+	x     []float64 // the point, copied
+	// prefix holds len(ops)+1 dim×dim products, row-major:
+	// prefix[k·dim²:] is the product of ops[:k] at x.
+	prefix []complex128
+	trig   []u3Trig   // the factors of each op's U3 at x
+	s      complex128 // the overlap tr(T(x)†·U) of the full product
 }
 
 // newEvaluator returns an evaluator for target on n qubits with buffers
@@ -42,7 +56,7 @@ type evaluator struct {
 // grow them on reset.
 func newEvaluator(target *linalg.Matrix, n, maxPlacements int) *evaluator {
 	dim := 1 << n
-	e := &evaluator{dim: dim, target: target.Data, work: make([]complex128, dim*dim), back: make([]complex128, dim*dim)}
+	e := &evaluator{dim: dim, target: target.Data, back: make([]complex128, dim*dim)}
 	e.grow(n + 3*maxPlacements)
 	return e
 }
@@ -50,14 +64,17 @@ func newEvaluator(target *linalg.Matrix, n, maxPlacements int) *evaluator {
 func (e *evaluator) grow(nops int) {
 	if cap(e.ops) < nops {
 		e.ops = make([]sweepOp, 0, nops)
-		e.trig = make([]u3Trig, nops)
-		e.prefix = make([]complex128, (nops+1)*e.dim*e.dim)
+		for i := range e.slots {
+			e.slots[i].x = make([]float64, 0, 3*nops)
+			e.slots[i].trig = make([]u3Trig, nops)
+			e.slots[i].prefix = make([]complex128, (nops+1)*e.dim*e.dim)
+		}
 	}
 }
 
-// reset points the evaluator at template t. The sweep order matches
-// template.toCircuit: a U3 on every qubit, then per placement a CX and
-// U3s on its control and target.
+// reset points the evaluator at template t and empties both slots. The
+// sweep order matches template.toCircuit: a U3 on every qubit, then per
+// placement a CX and U3s on its control and target.
 func (e *evaluator) reset(t *template) {
 	e.grow(t.n + 3*len(t.placements))
 	e.ops = e.ops[:0]
@@ -73,23 +90,59 @@ func (e *evaluator) reset(t *template) {
 			sweepOp{a: pl.tgt, p: p + 3})
 		p += 6
 	}
+	for i := range e.slots {
+		e.slots[i].valid = false
+		e.slots[i].x = e.slots[i].x[:p]
+	}
+}
+
+// at returns the forward sweep at x: a slot's, when it holds x, or a
+// new one run into the least recently used slot.
+//
+//epoc:hot
+func (e *evaluator) at(x []float64) *sweep {
+	for i := range e.slots {
+		if sl := &e.slots[i]; sl.valid && linalg.SameBits(sl.x, x) {
+			e.next = 1 - i
+			return sl
+		}
+	}
+	sl := &e.slots[e.next]
+	e.next = 1 - e.next
+	e.forward(sl, x)
+	return sl
+}
+
+// forward runs the template's sweep at x from the identity into sl,
+// keeping every prefix product and every U3's factors.
+//
+//epoc:hot
+func (e *evaluator) forward(sl *sweep, x []float64) {
+	dd := e.dim * e.dim
+	setIdentity(sl.prefix[:dd], e.dim)
+	for k, op := range e.ops {
+		next := sl.prefix[(k+1)*dd : (k+2)*dd]
+		copy(next, sl.prefix[k*dd:(k+1)*dd])
+		if op.p < 0 {
+			applyCX(next, e.dim, op.a, op.b)
+			continue
+		}
+		sl.trig[k] = newU3Trig(x[op.p], x[op.p+1], x[op.p+2])
+		g := sl.trig[k].entries()
+		applyU3(next, e.dim, op.a, &g)
+	}
+	n := len(e.ops)
+	sl.s = e.overlap(sl.prefix[n*dd : (n+1)*dd])
+	copy(sl.x, x)
+	sl.valid = true
 }
 
 // objective is the HS cost of the template at x: one forward sweep
-// from the identity.
+// from the identity, or none when a slot holds x.
 //
 //epoc:hot
 func (e *evaluator) objective(x []float64) float64 {
-	setIdentity(e.work, e.dim)
-	for _, op := range e.ops {
-		if op.p < 0 {
-			applyCX(e.work, e.dim, op.a, op.b)
-			continue
-		}
-		g := u3Entries(x[op.p], x[op.p+1], x[op.p+2])
-		applyU3(e.work, e.dim, op.a, &g)
-	}
-	return e.distance(e.work)
+	return e.distance(e.at(x).s)
 }
 
 // gradient fills grad with the exact gradient of the objective at x.
@@ -98,29 +151,16 @@ func (e *evaluator) objective(x []float64) float64 {
 // tr((G_k·P_k)†·B_k) with B_k = A_k†·T. So s is linear in op k's 2×2
 // gate g: s = Σ conj(g_αβ)·M_αβ over its environment
 // M_αβ = Σ conj(P_k[r_β,·])·B_k[r_α,·], summed over the row pairs
-// (r_0, r_1) that differ in op k's qubit. A forward sweep keeps every
+// (r_0, r_1) that differ in op k's qubit. The forward sweep keeps every
 // P_k, and one backward sweep from B = T forms each U3's environment
 // and then steps B ← G_k†·B. ∂f = -Re(s̄·∂s)/(|s|·dim), with ∂s from
 // the closed-form derivatives of U3.
 //
 //epoc:hot
 func (e *evaluator) gradient(x, grad []float64) {
+	sl := e.at(x)
 	dd := e.dim * e.dim
-	setIdentity(e.prefix[:dd], e.dim)
-	for k, op := range e.ops {
-		next := e.prefix[(k+1)*dd : (k+2)*dd]
-		copy(next, e.prefix[k*dd:(k+1)*dd])
-		if op.p < 0 {
-			applyCX(next, e.dim, op.a, op.b)
-			continue
-		}
-		e.trig[k] = newU3Trig(x[op.p], x[op.p+1], x[op.p+2])
-		g := e.trig[k].entries()
-		applyU3(next, e.dim, op.a, &g)
-	}
-	n := len(e.ops)
-	s := e.overlap(e.prefix[n*dd : (n+1)*dd])
-	abs := cmplx.Abs(s)
+	abs := cmplx.Abs(sl.s)
 	if !(abs > 0) {
 		// f = 1, its maximum, where |s| has no derivative.
 		for i := range grad {
@@ -129,7 +169,7 @@ func (e *evaluator) gradient(x, grad []float64) {
 		return
 	}
 	// ∂f = -Re(w·∂s) with w = s̄/(|s|·dim).
-	w := cmplx.Conj(s) / complex(abs*float64(e.dim), 0)
+	w := cmplx.Conj(sl.s) / complex(abs*float64(e.dim), 0)
 	copy(e.back, e.target)
 	var m [4]complex128
 	for k := len(e.ops) - 1; k >= 0; k-- {
@@ -138,13 +178,13 @@ func (e *evaluator) gradient(x, grad []float64) {
 			applyCX(e.back, e.dim, op.a, op.b)
 			continue
 		}
-		environment(e.prefix[k*dd:(k+1)*dd], e.back, e.dim, op.a, &m)
-		dth, dph, dla := e.trig[k].overlapDerivs(&m)
+		environment(sl.prefix[k*dd:(k+1)*dd], e.back, e.dim, op.a, &m)
+		dth, dph, dla := sl.trig[k].overlapDerivs(&m)
 		grad[op.p] = -real(w * dth)
 		grad[op.p+1] = -real(w * dph)
 		grad[op.p+2] = -real(w * dla)
 		if k > 0 {
-			gh := e.trig[k].adjoint()
+			gh := sl.trig[k].adjoint()
 			applyU3(e.back, e.dim, op.a, &gh)
 		}
 	}
@@ -177,9 +217,9 @@ func environment(p, b []complex128, dim, q int, m *[4]complex128) {
 	m[0], m[1], m[2], m[3] = m00, m01, m10, m11
 }
 
-// distance is 1 - |tr(u†·target)|/dim.
-func (e *evaluator) distance(u []complex128) float64 {
-	d := 1 - cmplx.Abs(e.overlap(u))/float64(e.dim)
+// distance is 1 - |s|/dim for the overlap s = tr(u†·target).
+func (e *evaluator) distance(s complex128) float64 {
+	d := 1 - cmplx.Abs(s)/float64(e.dim)
 	if d < 0 {
 		return 0
 	}
@@ -208,10 +248,13 @@ type u3Trig struct {
 	ePhi, eLam, eSum complex128
 }
 
+// newU3Trig takes cos and sin of θ/2 from one math.Sincos, which
+// shares math.Sin's and math.Cos's argument reduction and polynomials
+// and so returns their bits.
 func newU3Trig(theta, phi, lam float64) u3Trig {
+	s, c := math.Sincos(theta / 2)
 	return u3Trig{
-		c:    complex(math.Cos(theta/2), 0),
-		s:    complex(math.Sin(theta/2), 0),
+		c: complex(c, 0), s: complex(s, 0),
 		ePhi: expi(phi), eLam: expi(lam), eSum: expi(phi + lam),
 	}
 }

@@ -258,18 +258,174 @@ func TestInstantiateTrajectoryMatchesDenseReference(t *testing.T) {
 	}
 }
 
+// freshEval evaluates tmpl at x on a new evaluator, whose slots are
+// empty, so both calls run a full forward sweep.
+func freshEval(target *linalg.Matrix, tmpl *template, x []float64) (float64, []float64) {
+	ev := newEvaluator(target, tmpl.n, len(tmpl.placements))
+	ev.reset(tmpl)
+	grad := make([]float64, len(x))
+	ev.gradient(x, grad)
+	fresh := newEvaluator(target, tmpl.n, len(tmpl.placements))
+	fresh.reset(tmpl)
+	return fresh.objective(x), grad
+}
+
+// holds reports whether one of ev's slots holds x.
+func (e *evaluator) holds(x []float64) bool {
+	for i := range e.slots {
+		if e.slots[i].valid && linalg.SameBits(e.slots[i].x, x) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestEvaluatorSlotsMatchFreshBitwise replays L-BFGS's access pattern
+// where the accepted point is the second-to-last trial: g(x0), f(x0),
+// f(t1) accepted by Armijo, f(t2) the failed greedy expansion, then
+// g(t1). The calls a slot serves must equal a fresh evaluator's bit
+// for bit, and f(x0) and g(t1) must be served from a slot.
+func TestEvaluatorSlotsMatchFreshBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + trial%2
+		target := linalg.RandomUnitary(1<<n, rng)
+		tmpl := randomTemplate(rng, n, rng.Intn(8))
+		ev := newEvaluator(target, n, 1)
+		ev.reset(tmpl)
+		np := tmpl.paramCount()
+		x0, t1, t2 := childSeed(rng, tmpl), randomParams(rng, np), randomParams(rng, np)
+		grad := make([]float64, np)
+
+		ev.gradient(x0, grad)
+		if !ev.holds(x0) {
+			t.Fatalf("trial %d: no slot holds the gradient's point", trial)
+		}
+		wantF, wantG := freshEval(target, tmpl, x0)
+		if f := ev.objective(x0); f != wantF || !linalg.SameBits(grad, wantG) {
+			t.Fatalf("trial %d: at x0 f=%v grad=%v, fresh f=%v grad=%v", trial, f, grad, wantF, wantG)
+		}
+		ev.objective(t1)
+		ev.objective(t2)
+		if !ev.holds(t1) {
+			t.Fatalf("trial %d: the second-to-last trial was evicted", trial)
+		}
+		ev.gradient(t1, grad)
+		wantF, wantG = freshEval(target, tmpl, t1)
+		if f := ev.objective(t1); f != wantF || !linalg.SameBits(grad, wantG) {
+			t.Fatalf("trial %d: at t1 f=%v grad=%v, fresh f=%v grad=%v", trial, f, grad, wantF, wantG)
+		}
+	}
+}
+
+// TestLBFGSGradientsHitSlots runs L-BFGS on the evaluator and checks
+// that every gradient after the first is taken at a point a slot holds,
+// and that each value and gradient equals a fresh evaluator's bitwise.
+func TestLBFGSGradientsHitSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 12; trial++ {
+		n := 2 + trial%2
+		target := linalg.RandomUnitary(1<<n, rng)
+		tmpl := randomTemplate(rng, n, 1+rng.Intn(5))
+		ev := newEvaluator(target, n, len(tmpl.placements))
+		ev.reset(tmpl)
+		calls, misses := 0, 0
+		f := func(x []float64) float64 {
+			got := ev.objective(x)
+			if want, _ := freshEval(target, tmpl, x); got != want {
+				t.Fatalf("trial %d: objective %v, fresh %v", trial, got, want)
+			}
+			return got
+		}
+		g := func(x, grad []float64) {
+			if calls++; !ev.holds(x) {
+				misses++
+			}
+			ev.gradient(x, grad)
+			if _, want := freshEval(target, tmpl, x); !linalg.SameBits(grad, want) {
+				t.Fatalf("trial %d: gradient %v, fresh %v", trial, grad, want)
+			}
+		}
+		opt.LBFGS(f, g, childSeed(rng, tmpl), opt.LBFGSConfig{MaxIter: 40, GradTol: 1e-10, Tol: 1e-14})
+		if misses != 1 {
+			t.Fatalf("trial %d: %d of %d gradients ran a forward sweep, want only the first", trial, misses, calls)
+		}
+	}
+}
+
+// TestEvaluatorKeepsLastTwoPoints: the slots hold the two most
+// recently used points, so a miss after a hit evicts the point the hit
+// did not touch.
+func TestEvaluatorKeepsLastTwoPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	tmpl := randomTemplate(rng, 2, 2)
+	ev := newEvaluator(linalg.RandomUnitary(4, rng), 2, 2)
+	ev.reset(tmpl)
+	a, b, c := randomParams(rng, tmpl.paramCount()), randomParams(rng, tmpl.paramCount()), randomParams(rng, tmpl.paramCount())
+	ev.objective(a)
+	ev.objective(b)
+	ev.objective(a)
+	ev.objective(c)
+	if !ev.holds(a) || !ev.holds(c) || ev.holds(b) {
+		t.Fatalf("after a, b, a, c the slots hold a=%v b=%v c=%v, want a and c", ev.holds(a), ev.holds(b), ev.holds(c))
+	}
+}
+
+// TestEvaluatorResetInvalidatesSlots resets to a different template
+// with the same parameter count: the same x must not reuse the old
+// template's sweep.
+func TestEvaluatorResetInvalidatesSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	target := linalg.RandomUnitary(8, rng)
+	a := &template{n: 3, placements: []placement{{0, 1}, {1, 2}}}
+	b := &template{n: 3, placements: []placement{{2, 1}, {1, 0}}}
+	x := randomParams(rng, a.paramCount())
+	ev := newEvaluator(target, 3, 2)
+	ev.reset(a)
+	fa := ev.objective(x)
+	ev.reset(b)
+	if ev.holds(x) {
+		t.Fatal("a slot survived reset")
+	}
+	fb := ev.objective(x)
+	if want, _ := freshEval(target, b, x); fb != want || fb == fa {
+		t.Fatalf("after reset f=%v, fresh %v, old template %v", fb, want, fa)
+	}
+	grad := make([]float64, len(x))
+	ev.reset(a)
+	ev.gradient(x, grad)
+	if _, want := freshEval(target, a, x); !linalg.SameBits(grad, want) {
+		t.Fatalf("after reset gradient %v, fresh %v", grad, want)
+	}
+}
+
+// TestEvaluatorAllocationFree cycles three points, so every call misses
+// both slots and measures a full forward sweep.
 func TestEvaluatorAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	target := linalg.RandomUnitary(8, rng)
 	tmpl := randomTemplate(rng, 3, 6)
 	ev := newEvaluator(target, 3, 6)
 	ev.reset(tmpl)
-	x := randomParams(rng, tmpl.paramCount())
-	grad := make([]float64, len(x))
-	if a := testing.AllocsPerRun(20, func() { ev.objective(x) }); a != 0 {
+	xs := [][]float64{randomParams(rng, tmpl.paramCount()), randomParams(rng, tmpl.paramCount()), randomParams(rng, tmpl.paramCount())}
+	grad := make([]float64, len(xs[0]))
+	i := 0
+	if a := testing.AllocsPerRun(20, func() {
+		if ev.holds(xs[i%3]) {
+			t.Fatal("objective point held by a slot")
+		}
+		ev.objective(xs[i%3])
+		i++
+	}); a != 0 {
 		t.Errorf("objective allocates %v times per call, want 0", a)
 	}
-	if a := testing.AllocsPerRun(20, func() { ev.gradient(x, grad) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() {
+		if ev.holds(xs[i%3]) {
+			t.Fatal("gradient point held by a slot")
+		}
+		ev.gradient(xs[i%3], grad)
+		i++
+	}); a != 0 {
 		t.Errorf("gradient allocates %v times per call, want 0", a)
 	}
 }
@@ -277,13 +433,15 @@ func TestEvaluatorAllocationFree(t *testing.T) {
 // BenchmarkTemplateGradient compares one instantiation gradient on 3
 // qubits through the finite-difference reference (a central difference
 // of the evaluator's objective: 2·np full sweeps) and through the
-// evaluator's adjoint sweep.
+// evaluator's adjoint sweep, forward and backward: the adjoint run
+// cycles three points, so no slot holds the next one.
 func BenchmarkTemplateGradient(b *testing.B) {
 	for _, placements := range []int{4, 14} {
 		rng := rand.New(rand.NewSource(14))
 		target := linalg.RandomUnitary(8, rng)
 		tmpl := randomTemplate(rng, 3, placements)
 		x := randomParams(rng, tmpl.paramCount())
+		xs := [][]float64{x, randomParams(rng, len(x)), randomParams(rng, len(x))}
 		grad := make([]float64, len(x))
 		ev := newEvaluator(target, 3, placements)
 		ev.reset(tmpl)
@@ -298,8 +456,25 @@ func BenchmarkTemplateGradient(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.gradient(x, grad)
+				ev.gradient(xs[i%3], grad)
 			}
 		})
+	}
+}
+
+// BenchmarkInstantiate is one template.instantiate on a 3q target: the
+// product of a 4-CNOT template at a random point, fitted from the
+// child seed QSearch would give that template, with QSearch's L-BFGS
+// budget.
+func BenchmarkInstantiate(b *testing.B) {
+	rng := rand.New(rand.NewSource(21))
+	tmpl := randomTemplate(rng, 3, 4)
+	target := denseBuild(tmpl, randomParams(rng, tmpl.paramCount()))
+	seed := childSeed(rng, tmpl)
+	ev := newEvaluator(target, 3, len(tmpl.placements))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tmpl.instantiate(ev, [][]float64{seed}, rand.New(rand.NewSource(22)), 150)
 	}
 }

@@ -145,12 +145,21 @@ func (g *Graph) fuseGadgets() bool {
 
 // FullSimplify runs Simplify plus the phase-gadget rewrites to a fixed
 // point — the counterpart of PyZX's full_reduce. Extraction of the
-// result may need the gadget-aware stall recovery in ToCircuit. A
-// vertex budget backstops termination: if rewriting ever grows the
-// diagram past 4× its original size the loop stops with whatever has
-// been achieved (the diagram stays semantically valid throughout).
+// result may need the gadget-aware stall recovery in ToCircuit.
 func (g *Graph) FullSimplify() {
 	g.Simplify()
+	_ = g.ReduceGadgets() // whether the gadget rules changed the diagram matters only to stage 1's candidates
+}
+
+// ReduceGadgets is FullSimplify after its Simplify: on a diagram
+// Simplify has reduced, it runs rounds of the phase-gadget rewrites,
+// each followed by Simplify, until a round changes nothing. A vertex
+// budget backstops termination: if rewriting ever grows the diagram
+// past 4× its size at the start the loop stops with whatever has been
+// achieved (the diagram stays semantically valid throughout). It
+// reports whether the first round changed the diagram; when it did
+// not, the diagram is the one Simplify left.
+func (g *Graph) ReduceGadgets() bool {
 	budget := 4*g.NumVertices() + 64
 	for rounds := 0; rounds < 100; rounds++ {
 		changed := g.pivotGadgetAll()
@@ -158,8 +167,9 @@ func (g *Graph) FullSimplify() {
 			changed = true
 		}
 		if !changed || g.NumVertices() > budget {
-			return
+			return rounds > 0 || changed
 		}
 		g.Simplify()
 	}
+	return true
 }

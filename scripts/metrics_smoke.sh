@@ -12,7 +12,8 @@
 #   2. the stage histogram really is bucketed
 #      (epoc_stage_seconds_bucket{stage=...,le=...});
 #   3. every access-log line is JSON and carries the trace_id the
-#      response header carried;
+#      response header carried, and the cold compile's stage/qoc
+#      "stage done" record carries that compile's trace_id;
 #   4. the cold response's cache block counts pulse-library misses and
 #      the warm one counts none (full mode counts both, like estimate);
 #   5. epoc-stats diffs two /v1/stats snapshots and gates on them
@@ -125,6 +126,9 @@ for r in compiles:
 stage_done = [r for r in records if r.get("msg") == "stage done"]
 assert any(r.get("stage") == "stage/qoc" for r in stage_done), \
     "no stage-boundary records from the pipeline"
+assert any(r.get("stage") == "stage/qoc" and r.get("trace_id") == cold_trace
+           for r in stage_done), \
+    "no stage/qoc \"stage done\" record carries the cold compile's response trace ID"
 print("metrics-smoke:   %d access records, %d stage records, trace ids correlate"
       % (len(access), len(stage_done)))
 EOF
