@@ -51,17 +51,18 @@ bench:
 # baselines, the cached GRAPE propagator loop and one full GRAPE ascent
 # iteration (BenchmarkKernelGrapeIter, d2/d4/d8), the QSearch template
 # gradient (the evaluator's adjoint sweep against a central difference
-# of its objective) and one template instantiation on a 3q target, the
-# unitary fingerprint (d4/d8), and the
+# of its objective), one template instantiation on a 3q target and one
+# QSearch call on a 2q class, the unitary fingerprint (d4/d8), the
 # stage-1 rewrite loops (incremental Peephole and resuming spider
-# fusion against their restart-from-scratch references), and the
+# fusion against their restart-from-scratch references), extraction of
+# a diagram that extracts and of one that gives up, and the
 # state-vector stride kernels against the bit-spreading reference, and
 # a repeat compile on a warmed shared store at two store sizes (its
 # ns/op should not grow with the store), and a warm repeat served
 # through epoc-serve's handler (allocs/op is its per-request cost).
 # -benchmem makes the zero-allocation claim visible in the output.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkInstantiate|^BenchmarkFingerprint|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix|^BenchmarkRepeatCompileWarmStore|^BenchmarkServedRepeat' \
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel|^BenchmarkNaive|^BenchmarkPrePR|^BenchmarkTemplateGradient|^BenchmarkInstantiate|^BenchmarkQSearch|^BenchmarkFingerprint|^BenchmarkPeephole|^BenchmarkSimplify|^BenchmarkExtract|^BenchmarkApplyMatrix|^BenchmarkRepeatCompileWarmStore|^BenchmarkServedRepeat' \
 		-benchmem ./internal/linalg ./internal/linalg/kerneltest ./internal/qoc ./internal/synth ./internal/optimize ./internal/zx ./internal/sim ./internal/core ./internal/serve
 
 # Machine-readable benchmark artifact: the small suite (Table 1
@@ -106,14 +107,16 @@ store-warm-gate:
 		-baseline bench/baseline/BENCH_small_warm.json
 
 # Native Go fuzzing of the QASM parser, the store record codec, the
-# linalg kernel layer, the Peephole rewriter and the state-vector
-# kernels (bounded; CI runs the same targets on every push).
+# linalg kernel layer, the Peephole rewriter, ZX extraction and the
+# state-vector kernels (bounded; CI runs the same targets on every
+# push).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/qasm
 	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=30s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzKernelMatmul -fuzztime=30s ./internal/linalg/kerneltest
 	$(GO) test -run='^$$' -fuzz=FuzzKernelExpm -fuzztime=30s ./internal/linalg/kerneltest
 	$(GO) test -run='^$$' -fuzz=FuzzPeephole -fuzztime=30s ./internal/optimize
+	$(GO) test -run='^$$' -fuzz=FuzzExtract -fuzztime=30s ./internal/zx
 	$(GO) test -run='^$$' -fuzz=FuzzApplyMatrix -fuzztime=30s ./internal/sim
 
 # Run the compile service locally (see SERVING.md for the API).

@@ -773,6 +773,7 @@ type zxSelection struct {
 	seeds   []*sim.State // deterministicStates, built on the first check
 	want    []*sim.State // seeds run through in
 	scratch *sim.State
+	mats    []*linalg.Matrix // the candidate's op matrices
 }
 
 func newZXSelection(in *circuit.Circuit, score func(*circuit.Circuit) float64, rec *obs.Recorder) *zxSelection {
@@ -814,9 +815,16 @@ func (z *zxSelection) equivalent(cand *circuit.Circuit) bool {
 		}
 		z.scratch = sim.NewState(n)
 	}
+	// Build each op's matrix once for all three states.
+	z.mats = z.mats[:0]
+	for _, op := range cand.Ops {
+		z.mats = append(z.mats, op.G.Matrix())
+	}
 	for i, seed := range z.seeds {
 		copy(z.scratch.Amp, seed.Amp)
-		z.scratch.Run(cand)
+		for j, op := range cand.Ops {
+			z.scratch.ApplyMatrix(z.mats[j], op.Qubits)
+		}
 		if z.want[i].Fidelity(z.scratch) < 1-1e-9 {
 			return false
 		}

@@ -475,6 +475,6 @@ func BenchmarkInstantiate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tmpl.instantiate(ev, [][]float64{seed}, rand.New(rand.NewSource(22)), 150)
+		tmpl.instantiate(ev, [][]float64{seed}, newRestartDraws(22), 150)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"sync"
 
 	"epoc/internal/circuit"
 	"epoc/internal/faultclock"
@@ -112,8 +113,8 @@ func u3Cost(theta, phi, lam float64) float64 {
 // instantiate fits the template's parameters to the target with
 // multistart L-BFGS over the HS cost. Returns the best parameters and
 // their cost. ev evaluates the objective and gradient; instantiate
-// points it at t.
-func (t *template) instantiate(ev *evaluator, seeds [][]float64, rng *rand.Rand, budget int) ([]float64, float64) {
+// points it at t. Random restarts start from draws's next values.
+func (t *template) instantiate(ev *evaluator, seeds [][]float64, draws *restartDraws, budget int) ([]float64, float64) {
 	np := t.paramCount()
 	ev.reset(t)
 
@@ -140,8 +141,9 @@ func (t *template) instantiate(ev *evaluator, seeds [][]float64, rng *rand.Rand,
 	}
 	for r := 0; r < restarts && bestF >= instantiateTol; r++ {
 		x0 := make([]float64, np)
+		draws.fill(x0)
 		for i := range x0 {
-			x0[i] = rng.Float64()*2*math.Pi - math.Pi
+			x0[i] = x0[i]*2*math.Pi - math.Pi
 		}
 		try(x0)
 	}
@@ -149,6 +151,71 @@ func (t *template) instantiate(ev *evaluator, seeds [][]float64, rng *rand.Rand,
 }
 
 const instantiateTol = 1e-10
+
+// drawStream is the Float64 stream of rand.NewSource(seed), kept as
+// far as any search has read it. Its i-th value is the i-th draw of
+// that source whichever search extends it, so a search that reads from
+// the start sees what a fresh rand.New(rand.NewSource(seed)) would give
+// it, at any worker count.
+type drawStream struct {
+	mu   sync.Mutex // guards: rng, vals
+	rng  *rand.Rand
+	vals []float64
+}
+
+// read copies the values from index from on into dst, drawing any not
+// yet drawn.
+func (s *drawStream) read(from int, dst []float64) {
+	s.mu.Lock()
+	for len(s.vals) < from+len(dst) {
+		s.vals = append(s.vals, s.rng.Float64())
+	}
+	copy(dst, s.vals[from:])
+	s.mu.Unlock()
+}
+
+// maxDrawStreams bounds how many seeds keep a shared stream; a search
+// with a seed beyond them draws from a stream of its own, so a client
+// that varies its seed cannot grow the memo without bound.
+const maxDrawStreams = 16
+
+var drawStreams struct {
+	mu     sync.Mutex // guards: bySeed
+	bySeed map[int64]*drawStream
+}
+
+// streamFor returns seed's shared stream, creating it if there is room.
+func streamFor(seed int64) *drawStream {
+	drawStreams.mu.Lock()
+	defer drawStreams.mu.Unlock()
+	if s := drawStreams.bySeed[seed]; s != nil {
+		return s
+	}
+	s := &drawStream{rng: rand.New(rand.NewSource(seed))}
+	if len(drawStreams.bySeed) < maxDrawStreams {
+		if drawStreams.bySeed == nil {
+			drawStreams.bySeed = map[int64]*drawStream{}
+		}
+		drawStreams.bySeed[seed] = s
+	}
+	return s
+}
+
+// restartDraws is one search's cursor into its seed's stream.
+type restartDraws struct {
+	stream *drawStream
+	next   int
+}
+
+func newRestartDraws(seed int64) *restartDraws {
+	return &restartDraws{stream: streamFor(seed)}
+}
+
+// fill sets dst to the cursor's next len(dst) draws.
+func (d *restartDraws) fill(dst []float64) {
+	d.stream.read(d.next, dst)
+	d.next += len(dst)
+}
 
 // Options tunes the QSearch engine.
 type Options struct {
@@ -249,7 +316,7 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 		return Result{Circuit: c, Distance: 0}
 	}
 	opts.defaults(n)
-	rng := rand.New(rand.NewSource(opts.Seed))
+	draws := newRestartDraws(opts.Seed)
 
 	rec := opts.Region.Recorder()
 	record := func(res Result) Result {
@@ -287,7 +354,7 @@ func QSearch(target *linalg.Matrix, opts Options) Result {
 	expand := func(pls []placement, seeds [][]float64) *node {
 		t := &template{n: n, placements: pls}
 		sp := rec.Span("synth/instantiate")
-		params, dist := t.instantiate(ev, seeds, rng, opts.OptBudget)
+		params, dist := t.instantiate(ev, seeds, draws, opts.OptBudget)
 		sp.End()
 		return &node{
 			placements: pls,

@@ -239,3 +239,14 @@ func randomVUGCircuit(n, ops int, rng *rand.Rand) *circuit.Circuit {
 	}
 	return c
 }
+
+// BenchmarkQSearch is one QSearch call on a Haar-random 2q unitary, a
+// class that needs three CNOTs, with default options: the search and
+// its random restarts, as stage 3 runs it per block class.
+func BenchmarkQSearch(b *testing.B) {
+	target := linalg.RandomUnitary(4, rand.New(rand.NewSource(31)))
+	b.ReportAllocs()
+	for b.Loop() {
+		QSearch(target, Options{})
+	}
+}

@@ -15,20 +15,21 @@ import (
 // diagram without the expected generalized flow.
 var ErrNoExtraction = errors.New("zx: diagram admits no circuit extraction")
 
-// The three stops behind ErrNoExtraction. Each wraps it, so
-// errors.Is(err, ErrNoExtraction) holds whichever one ToCircuit hit.
-var (
-	errIterBudget     = fmt.Errorf("%w: iteration budget exhausted", ErrNoExtraction)
-	errRecoveryBudget = fmt.Errorf("%w: stall-recovery budget exhausted", ErrNoExtraction)
-	errNoPivot        = fmt.Errorf("%w: stalled frontier has no pivot to recover it", ErrNoExtraction)
-)
+// errNoPivot is one of the two stops behind ErrNoExtraction; the
+// other, the progress rule's, wraps it too with the recoveries made.
+var errNoPivot = fmt.Errorf("%w: stalled frontier has no pivot to recover it", ErrNoExtraction)
 
 // ToCircuit extracts a circuit from a graph-like diagram (call
 // Simplify or ToGraphLike first). The extraction walks from the
 // outputs toward the inputs, peeling off phase gates, CZs from frontier
 // edges, CNOTs from GF(2) row eliminations and Hadamards on frontier
-// advancement, mirroring the PyZX extraction algorithm.
-func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
+// advancement, mirroring the PyZX extraction algorithm. It gives up
+// after 8 stall recoveries in a row without progress (DESIGN.md §14).
+func (g *Graph) ToCircuit() (*circuit.Circuit, error) { return g.extract(8) }
+
+// extract is ToCircuit giving up after stallLimit recoveries in a row
+// without progress.
+func (g *Graph) extract(stallLimit int) (*circuit.Circuit, error) {
 	n := len(g.Outputs)
 	work := g.clone()
 	work.normalizeBoundaries()
@@ -61,14 +62,16 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 	var colIndex idTable // vertex -> biadjacency column, reset each round
 	var cols []int
 
-	// Snapshot the budgets: stall recovery adds vertices, so a live
-	// bound would never trip.
-	maxIter := 10*len(work.kind) + 100
-	recoveries := work.NumSpiders() + 8
-	for iter := 0; ; iter++ {
-		if iter > maxIter {
-			return nil, errIterBudget
-		}
+	// The loop ends. Each iteration leaves it, advances the frontier
+	// (removing a spider) or recovers a stall. A recovery is progress if
+	// it leaves fewer live spiders than the S₀ at the start and after
+	// each earlier one: at most S₀ are and at most stallLimit in a row
+	// are not, so there are at most stallLimit·(S₀+1) recoveries. Each
+	// adds at most 2n spiders, so the advances are bounded too. The
+	// boundaries never change here, so counting live vertices (O(1))
+	// counts spiders.
+	fewest, recoveries, stalled := work.NumVertices(), 0, 0
+	for {
 		// 1. Peel phases off frontier vertices.
 		for q, v := range frontier {
 			if p := work.phase[v]; !phaseIsZero(p) {
@@ -102,17 +105,11 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 					if qubitOf.get(w) >= 0 {
 						continue
 					}
+					// Spiders in pass 0, then inputs: not the vertex's
+					// own output boundary.
 					isSpider := work.kind[w] == ZSpider
-					if pass == 0 && !isSpider {
+					if isSpider != (pass == 0) || !isSpider && inputQubit.get(w) < 0 {
 						continue
-					}
-					if pass == 1 {
-						if isSpider {
-							continue
-						}
-						if inputQubit.get(w) < 0 {
-							continue // the vertex's own output boundary
-						}
 					}
 					if e.kind != Hadamard {
 						return nil, fmt.Errorf("zx: non-Hadamard edge behind the frontier")
@@ -184,12 +181,14 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 		}
 		if !advanced {
 			// Phase gadgets block frontier advancement; pivot one away.
-			recoveries--
-			if recoveries < 0 {
-				return nil, errRecoveryBudget
-			}
 			if !work.recoverStall(frontier, &qubitOf, inputQubit) {
 				return nil, errNoPivot
+			}
+			recoveries++
+			if s := work.NumVertices(); s < fewest {
+				fewest, stalled = s, 0
+			} else if stalled++; stalled == stallLimit {
+				return nil, fmt.Errorf("%w: stall recovery stopped shrinking the diagram after %d recoveries", ErrNoExtraction, recoveries)
 			}
 		}
 	}
@@ -224,12 +223,11 @@ func (g *Graph) ToCircuit() (*circuit.Circuit, error) {
 	// Emit SWAPs realizing the permutation: wire q must carry input
 	// perm[q]. SWAPs are appended to the reversed list, so they land at
 	// the front of the final circuit.
-	p := append([]int(nil), perm...)
 	for q := 0; q < n; q++ {
-		for p[q] != q {
-			j := p[q]
+		for perm[q] != q {
+			j := perm[q]
 			emit(gate.New(gate.SWAP), q, j)
-			p[q], p[j] = p[j], p[q]
+			perm[q], perm[j] = perm[j], perm[q]
 		}
 	}
 

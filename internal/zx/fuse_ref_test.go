@@ -215,15 +215,31 @@ func BenchmarkSimplify(b *testing.B) {
 	}
 }
 
-// BenchmarkExtract times ToCircuit on the simplified 48-qubit, 8-layer
-// brickwork circuit of BenchmarkSimplify.
+// BenchmarkExtract times ToCircuit on two diagrams: the simplified
+// 48-qubit, 8-layer brickwork circuit of BenchmarkSimplify, which
+// extracts, and mult's FullSimplify diagram, on which stall recovery
+// stops making progress and the extraction gives up.
 func BenchmarkExtract(b *testing.B) {
-	g := FromCircuit(benchcirc.RandomLayered(48, 8, 101000))
-	g.Simplify()
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := g.ToCircuit(); err != nil {
-			b.Fatal(err)
-		}
+	mult, err := benchcirc.Get("mult")
+	if err != nil {
+		b.Fatal(err)
+	}
+	wide := FromCircuit(benchcirc.RandomLayered(48, 8, 101000))
+	wide.Simplify()
+	failing := FromCircuit(mult)
+	failing.FullSimplify()
+	for _, v := range []struct {
+		name  string
+		g     *Graph
+		fails bool
+	}{{"layered48", wide, false}, {"mult_full", failing, true}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := v.g.ToCircuit(); (err != nil) != v.fails {
+					b.Fatalf("ToCircuit error %v", err)
+				}
+			}
+		})
 	}
 }
