@@ -174,32 +174,9 @@ func (s *drawStream) read(from int, dst []float64) {
 	s.mu.Unlock()
 }
 
-// maxDrawStreams bounds how many seeds keep a shared stream; a search
-// with a seed beyond them draws from a stream of its own, so a client
-// that varies its seed cannot grow the memo without bound.
-const maxDrawStreams = 16
-
-var drawStreams struct {
-	mu     sync.Mutex // guards: bySeed
-	bySeed map[int64]*drawStream
-}
-
-// streamFor returns seed's shared stream, creating it if there is room.
-func streamFor(seed int64) *drawStream {
-	drawStreams.mu.Lock()
-	defer drawStreams.mu.Unlock()
-	if s := drawStreams.bySeed[seed]; s != nil {
-		return s
-	}
-	s := &drawStream{rng: rand.New(rand.NewSource(seed))}
-	if len(drawStreams.bySeed) < maxDrawStreams {
-		if drawStreams.bySeed == nil {
-			drawStreams.bySeed = map[int64]*drawStream{}
-		}
-		drawStreams.bySeed[seed] = s
-	}
-	return s
-}
+// defaultDraws is the stream of Options' default seed, the one every
+// search in the pipeline uses, shared by the whole process.
+var defaultDraws = &drawStream{rng: rand.New(rand.NewSource(1))}
 
 // restartDraws is one search's cursor into its seed's stream.
 type restartDraws struct {
@@ -207,8 +184,13 @@ type restartDraws struct {
 	next   int
 }
 
+// newRestartDraws reads the shared stream for the default seed and a
+// stream of its own for any other.
 func newRestartDraws(seed int64) *restartDraws {
-	return &restartDraws{stream: streamFor(seed)}
+	if seed == 1 {
+		return &restartDraws{stream: defaultDraws}
+	}
+	return &restartDraws{stream: &drawStream{rng: rand.New(rand.NewSource(seed))}}
 }
 
 // fill sets dst to the cursor's next len(dst) draws.

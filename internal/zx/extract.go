@@ -15,8 +15,7 @@ import (
 // diagram without the expected generalized flow.
 var ErrNoExtraction = errors.New("zx: diagram admits no circuit extraction")
 
-// errNoPivot is one of the two stops behind ErrNoExtraction; the
-// other, the progress rule's, wraps it too with the recoveries made.
+// errNoPivot wraps ErrNoExtraction, as the progress rule's stop does.
 var errNoPivot = fmt.Errorf("%w: stalled frontier has no pivot to recover it", ErrNoExtraction)
 
 // ToCircuit extracts a circuit from a graph-like diagram (call
@@ -27,8 +26,7 @@ var errNoPivot = fmt.Errorf("%w: stalled frontier has no pivot to recover it", E
 // after 8 stall recoveries in a row without progress (DESIGN.md §14).
 func (g *Graph) ToCircuit() (*circuit.Circuit, error) { return g.extract(8) }
 
-// extract is ToCircuit giving up after stallLimit recoveries in a row
-// without progress.
+// extract is ToCircuit with stallLimit in place of 8.
 func (g *Graph) extract(stallLimit int) (*circuit.Circuit, error) {
 	n := len(g.Outputs)
 	work := g.clone()
@@ -62,14 +60,13 @@ func (g *Graph) extract(stallLimit int) (*circuit.Circuit, error) {
 	var colIndex idTable // vertex -> biadjacency column, reset each round
 	var cols []int
 
-	// The loop ends. Each iteration leaves it, advances the frontier
+	// The loop ends: each iteration leaves it, advances the frontier
 	// (removing a spider) or recovers a stall. A recovery is progress if
 	// it leaves fewer live spiders than the S₀ at the start and after
-	// each earlier one: at most S₀ are and at most stallLimit in a row
-	// are not, so there are at most stallLimit·(S₀+1) recoveries. Each
-	// adds at most 2n spiders, so the advances are bounded too. The
-	// boundaries never change here, so counting live vertices (O(1))
-	// counts spiders.
+	// each earlier one; at most S₀ are and at most stallLimit in a row
+	// are not, so there are at most stallLimit·(S₀+1) recoveries, each
+	// adding at most 2n spiders. The boundaries are fixed here, so the
+	// O(1) live-vertex count stands in for the spider count.
 	fewest, recoveries, stalled := work.NumVertices(), 0, 0
 	for {
 		// 1. Peel phases off frontier vertices.
@@ -105,11 +102,17 @@ func (g *Graph) extract(stallLimit int) (*circuit.Circuit, error) {
 					if qubitOf.get(w) >= 0 {
 						continue
 					}
-					// Spiders in pass 0, then inputs: not the vertex's
-					// own output boundary.
 					isSpider := work.kind[w] == ZSpider
-					if isSpider != (pass == 0) || !isSpider && inputQubit.get(w) < 0 {
+					if pass == 0 && !isSpider {
 						continue
+					}
+					if pass == 1 {
+						if isSpider {
+							continue
+						}
+						if inputQubit.get(w) < 0 {
+							continue // the vertex's own output boundary
+						}
 					}
 					if e.kind != Hadamard {
 						return nil, fmt.Errorf("zx: non-Hadamard edge behind the frontier")
@@ -223,11 +226,12 @@ func (g *Graph) extract(stallLimit int) (*circuit.Circuit, error) {
 	// Emit SWAPs realizing the permutation: wire q must carry input
 	// perm[q]. SWAPs are appended to the reversed list, so they land at
 	// the front of the final circuit.
+	p := append([]int(nil), perm...)
 	for q := 0; q < n; q++ {
-		for perm[q] != q {
-			j := perm[q]
+		for p[q] != q {
+			j := p[q]
 			emit(gate.New(gate.SWAP), q, j)
-			perm[q], perm[j] = perm[j], perm[q]
+			p[q], p[j] = p[j], p[q]
 		}
 	}
 
